@@ -237,7 +237,7 @@ def _csv_text(lp: LoadedProblem, tr) -> str:
         energies = energy_along(lp.problem, tr)
         if lp.kind == "lagrangian":
             header += ["residual"]
-            residuals = residual_series(lp.problem, tr, lp.dt or 0.0)
+            residuals = residual_series(lp.problem, tr)
     lines = [",".join(header)]
     for k, s in enumerate(tr.samples):
         row = [repr(s.t)]

@@ -421,7 +421,7 @@ def _series_closures(p: LagrangianProblem):
     return a_fns, b_fns, lz_fns, lzb_fns
 
 
-def residual_series(p: LagrangianProblem, tr: Trajectory, h: float):
+def residual_series(p: LagrangianProblem, tr: Trajectory):
     """Independent audit of an EL trajectory.
 
     Replaces d/dt in the equations of motion with a central finite

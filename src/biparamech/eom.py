@@ -1,15 +1,17 @@
 """Synthesis of conformal bi-para mechanics.
 
 Given a scalar function over para-complex coordinates and a conformal
-factor, this module builds the associated differential-geometric objects
-(vertical differential, Liouville field and form, energy, two-forms) and
-produces the equations of motion in two shapes: an implicit linear system
-for the Lagrangian side and explicit right-hand sides for the Hamiltonian
-side.
+factor, this module produces the equations of motion in two shapes: an
+implicit linear system for the Lagrangian side and explicit right-hand
+sides for the Hamiltonian side.  It also builds the Lagrangian geometry
+(the vertical differential theta, the two-form omega_L = -d(theta) and
+the energy E_L) that the Lagrangian audit checks a flow against.
 
-The audit functions re-evaluate the governing equations directly, without
-going through the matrix assembly, so that errors in the synthesis path
-cannot hide.
+The audit functions re-evaluate the governing equations without going
+through the matrix assembly, so that errors in the synthesis path cannot
+hide: audit_lagrange checks the two-form identity i_X omega_L = dE_L, and
+audit_hamilton checks the Hamilton pairing with its denominators
+recomputed from lam.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .para_algebra import INVERTIBILITY_FLOOR, ONE, ZERO, ParaComplex
+from .para_algebra import ONE, ZERO, ParaComplex
 from .symbolic import (
     Apply,
     Constant,
@@ -28,7 +30,6 @@ from .symbolic import (
     J_EXPR,
     Negate,
     ONE_EXPR,
-    Power,
     Product,
     Quotient,
     Sum,
@@ -124,17 +125,6 @@ class OneForm:
 
     def __post_init__(self) -> None:
         if len(self.coeff_dz) != self.chart.n or len(self.coeff_dzb) != self.chart.n:
-            raise ValueError("coefficient arrays must have length n")
-
-
-@dataclass(frozen=True)
-class VectorField:
-    chart: CoordinateChart
-    coeff_z: tuple
-    coeff_zb: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.coeff_z) != self.chart.n or len(self.coeff_zb) != self.chart.n:
             raise ValueError("coefficient arrays must have length n")
 
 
@@ -248,18 +238,6 @@ def lagrangian_two_form(p: LagrangianProblem) -> TwoForm:
     return _neg_d_of_one_form(vertical_differential(p))
 
 
-def liouville_vector_field(xi: Semispray, lam: Expr, chart: CoordinateChart) -> VectorField:
-    """Velocity field twisted by the structure swap and the conformal factor."""
-    ep, em = _exp_of(lam), _exp_neg(lam)
-    coeff_z = tuple(
-        simplify(Negate(Product((ep, J_EXPR, xi.xi[i - 1])))) for i in chart.indices()
-    )
-    coeff_zb = tuple(
-        simplify(Product((em, J_EXPR, xi.xib[i - 1]))) for i in chart.indices()
-    )
-    return VectorField(chart, coeff_z, coeff_zb)
-
-
 def energy(p: LagrangianProblem) -> Expr:
     """Energy on the velocity phase: formal xi/xib variables stand for the
     velocities, so the result has 4n variables."""
@@ -275,43 +253,6 @@ def energy(p: LagrangianProblem) -> Expr:
 
 
 _HALF = Constant(ParaComplex(0.5, 0.0))
-_E_PLUS_EXPR = Constant(ParaComplex(0.5, 0.5))
-_E_MINUS_EXPR = Constant(ParaComplex(0.5, -0.5))
-
-
-def liouville_one_form(lam: Expr, chart: CoordinateChart) -> tuple[OneForm, OneForm]:
-    """The conformal Liouville form and its companion.
-
-    The first form is (1/2)*j*exp(lam)*(zb_i dz_i - z_i dzb_i); the
-    companion weights (z_i dz_i + zb_i dzb_i) by e+ on one idempotent leg
-    and exp(2*lam) e- on the other.
-    """
-    ep = _exp_of(lam)
-    theta_dz = tuple(
-        simplify(Product((_HALF, J_EXPR, ep, zb_var(i)))) for i in chart.indices()
-    )
-    theta_dzb = tuple(
-        simplify(Negate(Product((_HALF, J_EXPR, ep, z_var(i))))) for i in chart.indices()
-    )
-    weight = simplify(
-        Sum((_E_PLUS_EXPR, Product((Apply("exp", Product((as_expr(2), lam))), _E_MINUS_EXPR))))
-    )
-    omega_dz = tuple(
-        simplify(Product((_HALF, weight, z_var(i)))) for i in chart.indices()
-    )
-    omega_dzb = tuple(
-        simplify(Product((_HALF, weight, zb_var(i)))) for i in chart.indices()
-    )
-    theta = OneForm(chart, theta_dz, theta_dzb)
-    omega = OneForm(chart, omega_dz, omega_dzb)
-    return theta, omega
-
-
-def canonical_two_form(lam: Expr, chart: CoordinateChart) -> TwoForm:
-    """Negated exterior derivative of the Liouville form; closed by
-    construction (d of a d), which verify checks symbolically."""
-    theta, _ = liouville_one_form(lam, chart)
-    return _neg_d_of_one_form(theta)
 
 
 @dataclass(frozen=True)
@@ -412,43 +353,45 @@ def synthesize_ham(p: HamiltonianProblem) -> ExplicitODE:
     return ExplicitODE(p.chart, tuple(rhs_z), tuple(rhs_zb), d_plus, d_minus)
 
 
-def _directional_rate(f: Expr, s: EvalState, xi_vals: tuple, xib_vals: tuple,
-                      chart: CoordinateChart) -> ParaComplex:
-    """Rate of f along the velocity data: sum of partials times velocities."""
-    acc = ZERO
-    for k in chart.indices():
-        acc = acc + evaluate(differentiate(f, z_var(k)), s) * xi_vals[k - 1]
-        acc = acc + evaluate(differentiate(f, zb_var(k)), s) * xib_vals[k - 1]
-    return acc
+@lru_cache(maxsize=128)
+def _identity_terms(p: LagrangianProblem) -> tuple[tuple, tuple]:
+    """The pieces of i_X omega_L = dE_L that do not depend on the state.
+
+    Returns omega_L's coefficients as (a, b, w) for w*dq_a^dq_b, and the
+    2n partials of E_L, both indexed in the order z1..zn, zb1..zbn.
+    Built once per problem, like synthesize_el, and kept in tuples because
+    the TwoForm that lagrangian_two_form returns is mutable.
+    """
+    tokens = _all_tokens(p.chart)
+    omega = tuple(
+        (tokens.index(a), tokens.index(b), w)
+        for (a, b), w in lagrangian_two_form(p).coeff.items()
+    )
+    e = energy(p)
+    dE = tuple(simplify(differentiate(e, Var(f, i))) for f, i in tokens)
+    return omega, dE
 
 
 def audit_lagrange(p: LagrangianProblem, s: EvalState, xi: Semispray) -> float:
-    """Evaluate the first-order Euler-Lagrange residuals directly.
+    """Worst coefficient of i_X omega_L - dE_L, with E_L's velocities set to X.
 
-    This path never touches the matrix assembly of synthesize_el: it
-    differentiates L and lam afresh and combines values numerically, so it
-    and el_rhs can disagree when either is wrong.
+    X is the velocity data (dz_i/dt, dzb_i/dt).  The identity is the paper's
+    form of the Euler-Lagrange law, and it is evaluated from the two-form and
+    the energy alone: neither synthesize_el's M and b nor the compiled
+    closures enter, so this audit and el_rhs can disagree when either is
+    wrong.
     """
-    chart = p.chart
-    xi_vals = tuple(evaluate(x, s) for x in xi.xi)
-    xib_vals = tuple(evaluate(x, s) for x in xi.xib)
-    lam_val = evaluate(p.lam, s)
-    e_lam = lam_val.exp()
-    e_neg = (-lam_val).exp()
-    j = ParaComplex(0.0, 1.0)
-    lam_dot = _directional_rate(p.lam, s, xi_vals, xib_vals, chart)
-    worst = 0.0
-    for i in chart.indices():
-        Lzb = differentiate(p.L, zb_var(i))
-        Lz = differentiate(p.L, z_var(i))
-        Lzb_val = evaluate(Lzb, s)
-        Lz_val = evaluate(Lz, s)
-        rate_zb = _directional_rate(Lzb, s, xi_vals, xib_vals, chart)
-        rate_z = _directional_rate(Lz, s, xi_vals, xib_vals, chart)
-        r1 = j * e_lam * (rate_zb + lam_dot * Lzb_val) + Lz_val
-        r2 = j * e_neg * (rate_z - lam_dot * Lz_val) - Lzb_val
-        worst = max(worst, abs(r1), abs(r2))
-    return worst
+    n = p.chart.n
+    omega, dE = _identity_terms(p)
+    X = tuple(evaluate(x, s) for x in xi.xi + xi.xib)
+    # i_X (w dq_a^dq_b) = w*X_a dq_b - w*X_b dq_a
+    contraction = [ZERO] * (2 * n)
+    for a, b, w in omega:
+        w_val = evaluate(w, s)
+        contraction[b] = contraction[b] + w_val * X[a]
+        contraction[a] = contraction[a] - w_val * X[b]
+    full = EvalState(z=s.z, zb=s.zb, xi=X[:n], xib=X[n:])
+    return max(abs(c - evaluate(d, full)) for c, d in zip(contraction, dE))
 
 
 def _denominator_values(p: HamiltonianProblem, s: EvalState) -> tuple[ParaComplex, ParaComplex]:

@@ -147,18 +147,16 @@ class ParaComplex:
     # -- componentwise transcendental functions ---------------------------
 
     def exp(self) -> "ParaComplex":
-        return ParaComplex.from_idempotent(_safe_exp(self.u), _safe_exp(self.v))
+        return apply_function("exp", self)
 
     def ln(self) -> "ParaComplex":
-        if self.u <= 0.0 or self.v <= 0.0:
-            raise DomainError(f"ln of value with non-positive component {self}")
-        return ParaComplex.from_idempotent(math.log(self.u), math.log(self.v))
+        return apply_function("ln", self)
 
     def sin(self) -> "ParaComplex":
-        return ParaComplex.from_idempotent(math.sin(self.u), math.sin(self.v))
+        return apply_function("sin", self)
 
     def cos(self) -> "ParaComplex":
-        return ParaComplex.from_idempotent(math.cos(self.u), math.cos(self.v))
+        return apply_function("cos", self)
 
     def __str__(self) -> str:
         sign = "+" if self.b >= 0 else "-"
@@ -173,11 +171,30 @@ def _coerce(x) -> ParaComplex | None:
     return None
 
 
-def _safe_exp(x: float) -> float:
+# The named functions on one real leg.  Every evaluator applies these to
+# both legs, so a value, a folded constant and a compiled closure agree:
+# exp overflows to inf, and sin/cos of a non-finite leg give nan.
+
+
+def _exp_leg(x: float) -> float:
     try:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _ln_leg(x: float) -> float:
+    if x <= 0.0:
+        raise DomainError(f"ln of non-positive leg {x!r}")
+    return math.log(x)
+
+
+def _sin_leg(x: float) -> float:
+    return math.sin(x) if math.isfinite(x) else math.nan
+
+
+def _cos_leg(x: float) -> float:
+    return math.cos(x) if math.isfinite(x) else math.nan
 
 
 ZERO = ParaComplex(0.0, 0.0)
@@ -186,20 +203,15 @@ J = ParaComplex(0.0, 1.0)
 E_PLUS = ParaComplex(0.5, 0.5)
 E_MINUS = ParaComplex(0.5, -0.5)
 
-FUNCTIONS = ("exp", "ln", "sin", "cos")
+FUNCTIONS = {"exp": _exp_leg, "ln": _ln_leg, "sin": _sin_leg, "cos": _cos_leg}
 
 
 def apply_function(tag: str, x: ParaComplex) -> ParaComplex:
     """Apply one of the named componentwise functions."""
-    if tag == "exp":
-        return x.exp()
-    if tag == "ln":
-        return x.ln()
-    if tag == "sin":
-        return x.sin()
-    if tag == "cos":
-        return x.cos()
-    raise ValueError(f"unknown function {tag!r}")
+    leg = FUNCTIONS.get(tag)
+    if leg is None:
+        raise ValueError(f"unknown function {tag!r}")
+    return ParaComplex.from_idempotent(leg(x.u), leg(x.v))
 
 
 # ---------------------------------------------------------------------------
@@ -333,32 +345,3 @@ def structure_apply(
         return [FrameVector(Basis.DZ, vec.index, cin * e * (-lambda_value).exp())]
 
     raise KindMismatch(f"unhandled structure kind {kind!r}")
-
-
-_BASIS_ORDER = {b: i for i, b in enumerate(Basis)}
-
-
-def collect_frame_terms(terms: list[FrameVector]) -> list[FrameVector]:
-    """Merge terms on the same frame symbol, dropping exact zeros."""
-    acc: dict[tuple[int, int], ParaComplex] = {}
-    for t in terms:
-        key = (_BASIS_ORDER[t.kind], t.index)
-        acc[key] = acc.get(key, ZERO) + t.coefficient
-    out = []
-    for (order, index), coeff in sorted(acc.items()):
-        if coeff.a == 0.0 and coeff.b == 0.0:
-            continue
-        out.append(FrameVector(list(Basis)[order], index, coeff))
-    return out
-
-
-def apply_structure_to_terms(
-    kind: StructureKind,
-    terms: list[FrameVector],
-    lambda_value: ParaComplex = ZERO,
-) -> list[FrameVector]:
-    """Apply a structure operator to a sum of frame terms and collect."""
-    out: list[FrameVector] = []
-    for t in terms:
-        out.extend(structure_apply(kind, t, lambda_value))
-    return collect_frame_terms(out)

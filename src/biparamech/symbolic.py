@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .para_algebra import (
+    FUNCTIONS,
     INVERTIBILITY_FLOOR,
     J,
     ONE,
@@ -35,8 +36,6 @@ from .para_algebra import (
     ZeroDivisor,
     apply_function,
 )
-
-FUNCTIONS = ("exp", "ln", "sin", "cos")
 
 _FAMILIES = ("z", "zb", "xi", "xib")
 _FAMILY_RANK = {f: i for i, f in enumerate(_FAMILIES)}
@@ -332,7 +331,10 @@ class _Parser:
     def parse_primary(self) -> Expr:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Constant(ParaComplex(float(text), 0.0))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {text!r} overflows", pos)
+            return Constant(ParaComplex(value, 0.0))
         if kind == "ident":
             if text == "j":
                 return J_EXPR
@@ -546,21 +548,6 @@ def _lookup(state, family: str, index: int) -> ParaComplex:
 # that loss was observable in finite-difference audits.
 
 
-def _leg_sin(x: float) -> float:
-    return math.sin(x) if math.isfinite(x) else math.nan
-
-
-def _leg_cos(x: float) -> float:
-    return math.cos(x) if math.isfinite(x) else math.nan
-
-
-def _safe_exp_leg(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _eval_pair(e: Expr, state):
     if isinstance(e, Constant):
         return e.value.u, e.value.v
@@ -598,16 +585,11 @@ def _eval_pair(e: Expr, state):
         return nu / du, nv / dv
     if isinstance(e, Apply):
         u, v = _eval_pair(e.arg, state)
-        if e.fn == "exp":
-            return _safe_exp_leg(u), _safe_exp_leg(v)
-        if e.fn == "ln":
-            if u <= 0.0 or v <= 0.0:
-                raise DomainError(f"domain failure in '{to_text(e)}'")
-            return math.log(u), math.log(v)
-        if e.fn == "sin":
-            return _leg_sin(u), _leg_sin(v)
-        if e.fn == "cos":
-            return _leg_cos(u), _leg_cos(v)
+        leg = FUNCTIONS[e.fn]
+        try:
+            return leg(u), leg(v)
+        except DomainError:
+            raise DomainError(f"domain failure in '{to_text(e)}'") from None
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -708,32 +690,13 @@ def _compile_pair(e: Expr):
         return _quot
     if isinstance(e, Apply):
         f = _compile_pair(e.arg)
-        tag = e.fn
-        if tag == "exp":
-            def _exp(s, f=f):
-                u, v = f(s)
-                return _safe_exp_leg(u), _safe_exp_leg(v)
-            return _exp
-        if tag == "ln":
-            def _ln(s, f=f):
-                u, v = f(s)
-                if u <= 0.0 or v <= 0.0:
-                    raise DomainError(
-                        f"ln of value with non-positive component "
-                        f"{ParaComplex.from_idempotent(u, v)}"
-                    )
-                return math.log(u), math.log(v)
-            return _ln
-        if tag == "sin":
-            def _sin(s, f=f):
-                u, v = f(s)
-                return _leg_sin(u), _leg_sin(v)
-            return _sin
+        leg = FUNCTIONS[e.fn]
 
-        def _cos(s, f=f):
+        def _apply(s, f=f, leg=leg):
             u, v = f(s)
-            return _leg_cos(u), _leg_cos(v)
-        return _cos
+            return leg(u), leg(v)
+
+        return _apply
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -829,9 +792,13 @@ def _normalize(e: Expr) -> Expr:
     if isinstance(e, Apply):
         arg = _normalize(e.arg)
         if isinstance(arg, Constant):
+            # fold only a finite result: exp(1000) stays a call rather than
+            # becoming a constant with an inf leg and a nan component
             try:
-                return Constant(apply_function(e.fn, arg.value))
-            except (DomainError, ZeroDivisor):
+                value = apply_function(e.fn, arg.value)
+                if value.is_finite():
+                    return Constant(value)
+            except DomainError:
                 pass
         return Apply(e.fn, arg)
     raise TypeError(f"not an expression node: {e!r}")

@@ -623,7 +623,13 @@ def fixture_problem(kind: str, name: str):
 
 
 def audit_battery(p, samples: int, seed: int, name: str = "audit") -> Report:
-    """Plug-back audits at random nonsingular states, threshold 1e-10."""
+    """Plug-back audits at random nonsingular states, threshold 1e-10.
+
+    Draws at most samples*200 states.  When too few of them are well posed
+    the problem itself is singular, so the battery raises the runtime
+    error (DegenerateLagrangian or SingularDenominator) the integrator
+    would raise on it.
+    """
     rng = random.Random(seed)
     worst = 0.0
     done = 0
@@ -633,7 +639,10 @@ def audit_battery(p, samples: int, seed: int, name: str = "audit") -> Report:
         while done < samples:
             guard += 1
             if guard > samples * 200:
-                raise RuntimeError("could not sample enough well-posed states")
+                raise DegenerateLagrangian(
+                    f"degenerate Lagrangian: {done} of {samples} states well posed"
+                    f" in {samples * 200} draws"
+                )
             s = random_state(rng, p.chart.n)
             try:
                 dz, dzb = el_rhs(ode, s)
@@ -644,14 +653,16 @@ def audit_battery(p, samples: int, seed: int, name: str = "audit") -> Report:
             worst = max(worst, audit_lagrange(p, s, Semispray(dz, dzb)))
             done += 1
     else:
+        singular = None
         while done < samples:
             guard += 1
             if guard > samples * 200:
-                raise RuntimeError("could not sample enough nonsingular states")
+                raise singular
             s = random_state(rng, p.chart.n)
             try:
                 worst = max(worst, audit_hamilton(p, s))
-            except SingularDenominator:
+            except SingularDenominator as exc:
+                singular = exc
                 continue
             done += 1
     return Report(checks=[_check(name, worst, 1e-10)], seed=seed)

@@ -166,7 +166,7 @@ def test_fixture_trajectories_and_state_audits_stay_clean():
             tr = integrate(
                 make_el_rhs(synthesize_el(p)), start, IntegratorConfig("rk4", 0.0, t1, dt=dt)
             )
-            interior = [r for r in residual_series(p, tr, dt) if not math.isnan(r)]
+            interior = [r for r in residual_series(p, tr) if not math.isnan(r)]
             assert interior, name
             assert max(interior) <= 1e-5, f"{name}: residual {max(interior)!r}"
         # plug-back and dual-route audits at random nonsingular states

@@ -82,6 +82,22 @@ def test_derive_two_charts(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "function,code",
+    [
+        ("z1*zb1 + exp(1000)*zb1^2", 0),
+        ("z1*zb1 + sin(exp(1000))*zb1^2", 0),
+        ("1e999*z1*zb1", 2),
+    ],
+)
+def test_derive_with_overflowing_constants(tmp_path, capsys, function, code):
+    doc = oscillator_doc()
+    doc["function"] = function
+    assert main(["derive", write_doc(tmp_path, doc)]) == code
+    if code == 2:
+        assert "overflows" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # problem-file validation, all exit 2
 # ---------------------------------------------------------------------------
@@ -324,6 +340,12 @@ def test_audit_breach_exits_4(tmp_path, capsys, monkeypatch):
     prob = write_doc(tmp_path, oscillator_doc())
     assert main(["audit", prob, "--samples", "10", "--seed", "3"]) == 4
     assert "CHECK audit FAIL" in capsys.readouterr().out
+
+
+def test_audit_degenerate_lagrangian_exit_3(capsys):
+    prob = os.path.join(PROBLEMS, "failing", "degenerate_L.json")
+    assert main(["audit", prob, "--samples", "10"]) == 3
+    assert re.search(r"^error: .*degenerate", capsys.readouterr().err, re.M)
 
 
 def test_audit_seed_determinism(tmp_path, capsys):

@@ -309,7 +309,7 @@ def _osc_trajectory(dt=1e-3, t1=math.pi):
 class TestResidualSeries:
     def test_oscillator_passes(self):
         tr = _osc_trajectory()
-        res = residual_series(OSC, tr, 1e-3)
+        res = residual_series(OSC, tr)
         assert math.isnan(res[0]) and math.isnan(res[-1])
         interior = res[1:-1]
         assert interior
@@ -321,12 +321,12 @@ class TestResidualSeries:
         rhs = lambda s: ((ZERO,), (ZERO,))
         cfg = IntegratorConfig(method="rk4", t0=0.0, t1=1.0, dt=0.01)
         tr = integrate(rhs, PhaseState(t=0.0, z=(pc(1.0),), zb=(pc(1.0),)), cfg)
-        res = residual_series(p, tr, 0.01)
+        res = residual_series(p, tr)
         assert max(res[1:-1]) <= 1e-12
 
     def test_mismatched_lagrangian_is_loud(self):
         tr = _osc_trajectory(dt=5e-3)
-        res = residual_series(lagrangian("z1^2*zb1 + 0.3*zb1^2"), tr, 5e-3)
+        res = residual_series(lagrangian("z1^2*zb1 + 0.3*zb1^2"), tr)
         assert max(res[1:-1]) > 1e-2
 
     def test_short_trajectory_all_nan(self):
@@ -336,7 +336,7 @@ class TestResidualSeries:
                 PhaseState(t=1.0, z=(pc(1.0),), zb=(pc(1.0),)),
             ]
         )
-        res = residual_series(OSC, tr, 1.0)
+        res = residual_series(OSC, tr)
         assert all(math.isnan(r) for r in res)
 
 

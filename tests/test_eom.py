@@ -16,14 +16,11 @@ from biparamech.eom import (
     TwoForm,
     audit_hamilton,
     audit_lagrange,
-    canonical_two_form,
     el_equation_texts,
     energy,
     exterior_derivative,
     ham_equation_texts,
     lagrangian_two_form,
-    liouville_one_form,
-    liouville_vector_field,
     synthesize_el,
     synthesize_ham,
     vertical_differential,
@@ -233,26 +230,8 @@ class TestExteriorDerivativeMachinery:
 
 
 # ---------------------------------------------------------------------------
-# Liouville objects and energy
+# energy
 # ---------------------------------------------------------------------------
-
-
-class TestLiouvilleVectorField:
-    def test_unit_velocity_flat(self):
-        v = liouville_vector_field(Semispray((1,), (0,)), parse("0", C1), C1)
-        assert v.coeff_z == (c(0.0, -1.0),)
-        assert v.coeff_zb == (c(0.0),)
-
-    def test_zero_velocity(self):
-        v = liouville_vector_field(Semispray((0,), (0,)), parse("0", C1), C1)
-        assert v.coeff_z == (c(0.0),)
-        assert v.coeff_zb == (c(0.0),)
-
-    def test_constant_factor(self):
-        v = liouville_vector_field(Semispray((1,), (1,)), parse("0.4", C1), C1)
-        s = EvalState(z=(pc(1.0),), zb=(pc(1.0),))
-        assert close(evaluate(v.coeff_z[0], s), -J * pc(math.exp(0.4)))
-        assert close(evaluate(v.coeff_zb[0], s), J * pc(math.exp(-0.4)))
 
 
 class TestEnergy:
@@ -279,54 +258,6 @@ class TestEnergy:
         full = EvalState(z=s.z, zb=s.zb, xi=(xi,), xib=(pc(1.0),))
         want = -J * xi * pc(math.exp(0.3)) * s.zb[0] - pc(0.5) * s.zb[0] ** 2
         assert close(evaluate(e, full), want)
-
-
-class TestLiouvilleOneForm:
-    def test_flat_n1(self):
-        theta, omega = liouville_one_form(parse("0", C1), C1)
-        assert theta.coeff_dz == (simplify(parse("0.5*j*zb1", C1)),)
-        assert theta.coeff_dzb == (simplify(parse("-0.5*j*z1", C1)),)
-        assert omega.coeff_dz == (simplify(parse("0.5*z1", C1)),)
-        assert omega.coeff_dzb == (simplify(parse("0.5*zb1", C1)),)
-
-    def test_constant_factor_scales_theta(self):
-        lamval = 0.9
-        theta, _ = liouville_one_form(parse("0.9", C1), C1)
-        s = rand_state(random.Random(21))
-        want = pc(0.5) * J * pc(math.exp(lamval)) * s.zb[0]
-        assert close(evaluate(theta.coeff_dz[0], s), want)
-
-
-class TestCanonicalTwoForm:
-    def test_flat_n1(self):
-        phi = canonical_two_form(parse("0", C1), C1)
-        assert phi.coeff == {(("z", 1), ("zb", 1)): c(0.0, 1.0)}
-
-    def test_constant_factor(self):
-        phi = canonical_two_form(parse("0.5", C1), C1)
-        key = (("z", 1), ("zb", 1))
-        assert set(phi.coeff) == {key}
-        got = evaluate(phi.coeff[key], EvalState(z=(pc(1.0),), zb=(pc(1.0),)))
-        assert close(got, J * pc(math.exp(0.5)))
-
-    def test_flat_n2(self):
-        phi = canonical_two_form(parse("0", C2), C2)
-        assert phi.coeff == {
-            (("z", 1), ("zb", 1)): c(0.0, 1.0),
-            (("z", 2), ("zb", 2)): c(0.0, 1.0),
-        }
-
-    @pytest.mark.parametrize(
-        "lam,chart",
-        [
-            ("0.1*z1*zb1", C1),
-            ("0.3*z1 + 0.2*zb2", C2),
-            ("0.2*z1^2", C1),
-        ],
-    )
-    def test_closedness_symbolic(self, lam, chart):
-        phi = canonical_two_form(parse(lam, chart), chart)
-        assert exterior_derivative(phi.coeff, chart) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +371,27 @@ class TestAuditLagrange:
             s = rand_state(rng)
             xi = Semispray((pc(rng.uniform(-3, 3)),), (pc(rng.uniform(-3, 3)),))
             assert audit_lagrange(p, s, xi) == 0.0
+
+    def test_conformal_flow_passes_and_perturbed_flow_fails(self):
+        from biparamech.dynamics import el_rhs
+
+        p = lagrangian("z1*zb1 + 0.3*zb1^2", lam="0.2*z1*zb1")
+        ode = synthesize_el(p)
+        rng = random.Random(29)
+        for _ in range(20):
+            s = rand_state(rng)
+            try:
+                dz, dzb = el_rhs(ode, s)
+            except DegenerateLagrangian:
+                continue
+            assert audit_lagrange(p, s, Semispray(dz, dzb)) <= 1e-10
+        # a flow with dz off by 0.1% must be flagged at the fixture starts
+        for z, zb in (((1.0, 0.2), (0.5, -0.1)), ((1.2, 0.1), (0.1, -0.1))):
+            s = EvalState(z=(pc(*z),), zb=(pc(*zb),))
+            dz, dzb = el_rhs(ode, s)
+            assert audit_lagrange(p, s, Semispray(dz, dzb)) <= 1e-10
+            scaled = tuple(w * pc(1.001) for w in dz)
+            assert audit_lagrange(p, s, Semispray(scaled, dzb)) > 1e-3
 
 
 class TestAuditHamilton:

@@ -4,8 +4,15 @@ import re
 
 import pytest
 
+import biparamech.verify
 from biparamech.dynamics import IntegratorConfig, PhaseState, integrate, make_el_rhs, make_ham_rhs
-from biparamech.eom import HamiltonianProblem, LagrangianProblem, synthesize_el, synthesize_ham
+from biparamech.eom import (
+    HamiltonianProblem,
+    LagrangianProblem,
+    SingularDenominator,
+    synthesize_el,
+    synthesize_ham,
+)
 from biparamech.para_algebra import ParaComplex
 from biparamech.symbolic import CoordinateChart, evaluate, parse
 from biparamech.verify import (
@@ -168,6 +175,14 @@ class TestAuditBattery:
     def test_hamiltonian_fixture(self):
         r = audit_battery(fixture_problem("hamiltonian", "H4"), 50, 9)
         assert r.all_pass
+
+    def test_singular_draws_exhaust_the_budget(self, monkeypatch):
+        def singular(p, s, t=None):
+            raise SingularDenominator("D+")
+
+        monkeypatch.setattr(biparamech.verify, "audit_hamilton", singular)
+        with pytest.raises(SingularDenominator):
+            audit_battery(fixture_problem("hamiltonian", "H1"), 2, 9)
 
 
 class TestRandomDraws:
