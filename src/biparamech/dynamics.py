@@ -1,12 +1,18 @@
-"""Numerical side: para-complex linear solves, right-hand sides, and
-Runge-Kutta time stepping.
+"""Numerical side: the para-linear solve, right-hand sides and Runge-Kutta
+time stepping, all on the idempotent legs (u, v) = (a+b, a-b).
 
-The implicit Euler-Lagrange system is resolved to explicit form at every
-evaluation (solve M*xdot = b per step) instead of symbolically inverting M;
-symbolic inversion blows up for n > 1 and hides degeneracy behind huge
-expressions.  Because para-complex multiplication acts componentwise on the
-idempotent components, one para-complex linear system splits exactly into two
-independent real systems, which is how solve_para_linear works.
+A state is one flat leg list y = [u(z1), v(z1), ..., u(zbn), v(zbn)] in
+the order of CoordinateChart.slots(), and a right-hand side is rhs(y) -> dy
+in the same layout, built by lowering a synthesized system into one
+straight-line function (symbolic.lower).  ParaComplex values appear only at
+the edges: integrate's start state and samples, and el_rhs/ham_rhs.  A
+right-hand side raises DegenerateLagrangian or SingularDenominator without
+a time; integrate, el_rhs and ham_rhs re-raise them with one.
+
+The implicit Euler-Lagrange system M*xdot = b is solved at every
+evaluation instead of symbolically inverting M, which blows up for n > 1
+and hides degeneracy behind huge expressions.  On the legs it is two
+independent real systems.
 """
 
 from __future__ import annotations
@@ -25,14 +31,14 @@ from .eom import (
     energy,
     synthesize_el,
 )
-from .para_algebra import ParaComplex
+from .para_algebra import INVERTIBILITY_FLOOR, ParaComplex
 from .symbolic import (
     Apply,
-    EvalState,
     Negate,
     Product,
     compile_expr,
     differentiate,
+    lower,
     simplify,
     z_var,
     zb_var,
@@ -40,8 +46,6 @@ from .symbolic import (
 
 # pivot below this fraction of its row scale counts as structurally singular
 PIVOT_TOL = 1e-12
-
-_J = ParaComplex(0.0, 1.0)
 
 
 class StepFailure(RuntimeError):
@@ -117,12 +121,9 @@ def _solve_real(mat, rhs, which: str):
     """Gaussian elimination with scaled partial pivoting on one real system."""
     n = len(rhs)
     a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    scale = []
-    for row in a:
-        s = max(abs(x) for x in row[:n])
-        if s == 0.0:
-            raise DegenerateLagrangian(f"zero row in {which} component system")
-        scale.append(s)
+    scale = [max(abs(x) for x in row[:n]) for row in a]
+    if 0.0 in scale:
+        raise DegenerateLagrangian(f"zero row in {which} component system")
     for k in range(n):
         pivot_row = k
         best = abs(a[k][k]) / scale[k]
@@ -152,21 +153,12 @@ def _solve_real(mat, rhs, which: str):
     return x
 
 
-def solve_para_linear(M, b):
-    """Solve M*x = b over para-complex values.
-
-    Splits into the two idempotent-component real systems, eliminates each
-    with partial pivoting, and recombines.  A pivot below PIVOT_TOL relative
-    to its row scale raises DegenerateLagrangian.
-    """
-    m = len(b)
-    mu = [[M[r][c].u for c in range(m)] for r in range(m)]
-    mv = [[M[r][c].v for c in range(m)] for r in range(m)]
-    xu = _solve_real(mu, [w.u for w in b], "e+")
-    xv = _solve_real(mv, [w.v for w in b], "e-")
-    return tuple(
-        ParaComplex(0.5 * (u + v), 0.5 * (u - v)) for u, v in zip(xu, xv)
-    )
+def solve_para_linear(mu, bu, mv, bv):
+    """Solve M*x = b on the legs: (mu, bu) are the e+ legs of M and b,
+    (mv, bv) the e- legs, and the legs (xu, xv) of x come back.  A pivot
+    below PIVOT_TOL of its row scale raises DegenerateLagrangian naming
+    the leg."""
+    return _solve_real(mu, bu, "e+"), _solve_real(mv, bv, "e-")
 
 
 # ---------------------------------------------------------------------------
@@ -174,99 +166,96 @@ def solve_para_linear(M, b):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _compiled_el(ode: ImplicitODE):
-    n = ode.chart.n
-    m_fns = tuple(tuple(compile_expr(e) for e in row) for row in ode.M)
-    b_fns = tuple(compile_expr(e) for e in ode.b)
+def _legs(values) -> list:
+    return [leg for w in values for leg in (w.u, w.v)]
 
-    def rhs(s):
-        mvals = [[f(s) for f in row] for row in m_fns]
-        bvals = [f(s) for f in b_fns]
-        try:
-            x = solve_para_linear(mvals, bvals)
-        except DegenerateLagrangian as exc:
-            raise DegenerateLagrangian(
-                str(exc), t=getattr(s, "t", None)
-            ) from None
-        return x[:n], x[n:]
+
+def _values(y) -> tuple:
+    return tuple(ParaComplex.from_idempotent(y[k], y[k + 1]) for k in range(0, len(y), 2))
+
+
+def _timed(rhs, y, t):
+    """rhs(y), with a singular state re-raised at time t."""
+    try:
+        return rhs(y)
+    except DegenerateLagrangian as exc:
+        raise DegenerateLagrangian(str(exc), t=t) from None
+    except SingularDenominator as exc:
+        raise SingularDenominator(exc.which, t=t) from None
+
+
+def _at_state(rhs, s):
+    n = len(s.z)
+    dy = _timed(rhs, _legs(s.z + s.zb), getattr(s, "t", None))
+    return _values(dy[: 2 * n]), _values(dy[2 * n :])
+
+
+@lru_cache(maxsize=64)
+def _el_leg_rhs(ode: ImplicitODE):
+    m = 2 * ode.chart.n
+    entries = tuple(e for row in ode.M for e in row) + ode.b
+    values = lower(entries, ode.chart.slots())
+    rows = range(0, m * m, m)
+
+    def rhs(y):
+        out = values(y)
+        us, vs = out[0::2], out[1::2]
+        xu, xv = solve_para_linear(
+            [us[r : r + m] for r in rows], us[m * m :],
+            [vs[r : r + m] for r in rows], vs[m * m :],
+        )
+        return [leg for pair in zip(xu, xv) for leg in pair]
 
     return rhs
 
 
 def make_el_rhs(ode: ImplicitODE):
-    """Compiled state-derivative closure for an implicit EL system."""
-    return _compiled_el(ode)
+    """rhs(y) -> dy for an implicit EL system: M(y) and b(y) from one
+    lowered function, then the para-linear solve."""
+    return _el_leg_rhs(ode)
 
 
 def el_rhs(ode: ImplicitODE, s):
-    """One-shot evaluation: M(s) and b(s), then the para-linear solve."""
-    return _compiled_el(ode)(s)
+    """(dz, dzb) at a ParaComplex state s: M(s) and b(s), then the
+    para-linear solve.  A degenerate system raises with s.t, if s has one."""
+    return _at_state(_el_leg_rhs(ode), s)
 
 
 @lru_cache(maxsize=64)
-def _compiled_ham(ode: ExplicitODE):
-    fz = tuple(compile_expr(e) for e in ode.rhs_z)
-    fzb = tuple(compile_expr(e) for e in ode.rhs_zb)
-    dplus = compile_expr(ode.denom_plus)
-    dminus = compile_expr(ode.denom_minus)
+def _ham_leg_rhs(ode: ExplicitODE):
+    slots = ode.chart.slots()
+    # lowered apart from the flow, so D+- are checked before the flow's
+    # quotients by them can raise a bare ZeroDivisor
+    denominators = lower((ode.denom_plus, ode.denom_minus), slots)
+    flow = lower(ode.rhs_z + ode.rhs_zb, slots)
 
-    def rhs(s):
-        t = getattr(s, "t", None)
-        if not dplus(s).invertible:
-            raise SingularDenominator("D+", t=t)
-        if not dminus(s).invertible:
-            raise SingularDenominator("D-", t=t)
-        return tuple(f(s) for f in fz), tuple(f(s) for f in fzb)
+    def rhs(y):
+        pu, pv, mu, mv = denominators(y)
+        if not (abs(pu) >= INVERTIBILITY_FLOOR and abs(pv) >= INVERTIBILITY_FLOOR):
+            raise SingularDenominator("D+")
+        if not (abs(mu) >= INVERTIBILITY_FLOOR and abs(mv) >= INVERTIBILITY_FLOOR):
+            raise SingularDenominator("D-")
+        return flow(y)
 
     return rhs
 
 
 def make_ham_rhs(ode: ExplicitODE):
-    """Compiled closure for an explicit Hamilton system.  Denominators are
-    re-checked for invertibility at every call so singular states abort with
-    the offending time instead of a bare zero-divisor error."""
-    return _compiled_ham(ode)
+    """rhs(y) -> dy for an explicit Hamilton system.  The denominators are
+    checked at every call, so a singular state raises SingularDenominator
+    naming D+ or D- instead of a bare zero-divisor error."""
+    return _ham_leg_rhs(ode)
 
 
 def ham_rhs(ode: ExplicitODE, s):
-    return _compiled_ham(ode)(s)
+    """(dz, dzb) at a ParaComplex state s; a singular denominator raises
+    with s.t, if s has one."""
+    return _at_state(_ham_leg_rhs(ode), s)
 
 
 # ---------------------------------------------------------------------------
 # time stepping
 # ---------------------------------------------------------------------------
-
-
-def _flatten(z, zb):
-    out = []
-    for w in z:
-        out.append(w.a)
-        out.append(w.b)
-    for w in zb:
-        out.append(w.a)
-        out.append(w.b)
-    return out
-
-
-def _unflatten(vals, n):
-    z = tuple(ParaComplex(vals[2 * i], vals[2 * i + 1]) for i in range(n))
-    zb = tuple(
-        ParaComplex(vals[2 * (n + i)], vals[2 * (n + i) + 1]) for i in range(n)
-    )
-    return z, zb
-
-
-def _deriv_factory(rhs, n):
-    def deriv(t, y):
-        for v in y:
-            if not math.isfinite(v):
-                raise _NonFinite
-        z, zb = _unflatten(y, n)
-        dz, dzb = rhs(PhaseState(t=t, z=z, zb=zb))
-        return _flatten(dz, dzb)
-
-    return deriv
 
 
 def _rk4_step(deriv, t, y, h):
@@ -294,7 +283,7 @@ _RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 
 _RKF_ERR = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.0 / 55.0)
 
 
-def _run_rk4(deriv, y, cfg, samples, n):
+def _run_rk4(deriv, y, cfg, record):
     span = cfg.t1 - cfg.t0
     nfull = int(math.floor(span / cfg.dt + 1e-9))
     remainder = span - nfull * cfg.dt
@@ -302,9 +291,7 @@ def _run_rk4(deriv, y, cfg, samples, n):
         remainder = 0.0
     total = nfull + (1 if remainder else 0)
     if total > cfg.max_steps:
-        raise StepFailure(
-            f"{total} steps exceed max_steps={cfg.max_steps}", t=cfg.t0
-        )
+        raise StepFailure(f"{total} steps exceed max_steps={cfg.max_steps}", t=cfg.t0)
     for k in range(total):
         t_a = cfg.t0 + k * cfg.dt
         t_b = cfg.t1 if k == total - 1 else cfg.t0 + (k + 1) * cfg.dt
@@ -312,12 +299,10 @@ def _run_rk4(deriv, y, cfg, samples, n):
             y = _rk4_step(deriv, t_a, y, t_b - t_a)
         except _NonFinite:
             raise StepFailure("state left the finite domain", t=t_a) from None
-        z, zb = _unflatten(y, n)
-        samples.append(PhaseState(t=t_b, z=z, zb=zb))
-    return y
+        record(t_b, y)
 
 
-def _run_rkf45(deriv, y, cfg, samples, n):
+def _run_rkf45(deriv, y, cfg, record):
     span = cfg.t1 - cfg.t0
     tol = cfg.tol
     h_min = 1e-12 * span
@@ -330,24 +315,19 @@ def _run_rkf45(deriv, y, cfg, samples, n):
             raise StepFailure(f"step size underflow (h={h!r})", t=t)
         attempts += 1
         if attempts > cfg.max_steps:
-            raise StepFailure(
-                f"no convergence within max_steps={cfg.max_steps}", t=t
-            )
+            raise StepFailure(f"no convergence within max_steps={cfg.max_steps}", t=t)
         try:
             ks = []
             m = len(y)
-            for stage in range(6):
-                if stage == 0:
-                    yi = y
-                else:
-                    coeffs = _RKF_A[stage]
-                    yi = list(y)
-                    for q, aq in enumerate(coeffs):
-                        if aq != 0.0:
-                            kq = ks[q]
-                            for idx in range(m):
-                                yi[idx] += h * aq * kq[idx]
-                ks.append(deriv(t + _RKF_C[stage] * h, yi))
+            for c, coeffs in zip(_RKF_C, _RKF_A):
+                yi = list(y)
+                for q, aq in enumerate(coeffs):
+                    if aq != 0.0:
+                        kq = ks[q]
+                        for idx in range(m):
+                            yi[idx] += h * aq * kq[idx]
+                ks.append(deriv(t + c * h, yi))
+            # the error is measured leg by leg, the sup norm abs() uses
             err_norm = 0.0
             y5 = list(y)
             for idx in range(m):
@@ -371,34 +351,35 @@ def _run_rkf45(deriv, y, cfg, samples, n):
         if err_norm <= 1.0:
             t_next = cfg.t1 if cfg.t1 - (t + h) < h_min else t + h
             y = y5
-            z, zb = _unflatten(y, n)
-            samples.append(PhaseState(t=t_next, z=z, zb=zb))
+            record(t_next, y)
             t = t_next
-        if err_norm == 0.0:
-            factor = 5.0
-        else:
-            factor = 0.9 * err_norm ** -0.2
-            factor = min(5.0, max(0.2, factor))
-        h = h * factor
-    return y
+        h *= 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
 
 
 def integrate(rhs, s0: PhaseState, cfg: IntegratorConfig) -> Trajectory:
-    """Drive a state-derivative function from t0 to t1.
+    """Drive a right-hand side rhs(y) -> dy from t0 to t1.
 
-    rhs maps a PhaseState to (dz, dzb) tuples.  Classical fixed-step RK4 or
-    RKF45 with mixed absolute/relative error control; each para-complex
-    component is integrated as its two real parts.
+    y is the state's flat leg list (see the module docstring).  Classical
+    fixed-step RK4, or RKF45 with mixed absolute/relative error control on
+    each leg.  One PhaseState sample per accepted step; the first holds
+    s0's own values, not a round trip through the legs.  A singular
+    right-hand side re-raises with the time of the failing stage.
     """
     n = len(s0.z)
-    deriv = _deriv_factory(rhs, n)
-    y = _flatten(s0.z, s0.zb)
-    start = PhaseState(t=cfg.t0, z=s0.z, zb=s0.zb)
-    samples = [start]
-    if cfg.method == "rk4":
-        _run_rk4(deriv, y, cfg, samples, n)
-    else:
-        _run_rkf45(deriv, y, cfg, samples, n)
+
+    def deriv(t, y):
+        for v in y:
+            if not math.isfinite(v):
+                raise _NonFinite
+        return _timed(rhs, y, t)
+
+    samples = [PhaseState(t=cfg.t0, z=s0.z, zb=s0.zb)]
+
+    def record(t, y):
+        samples.append(PhaseState(t=t, z=_values(y[: 2 * n]), zb=_values(y[2 * n :])))
+
+    run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
+    run(deriv, _legs(s0.z + s0.zb), cfg, record)
     return Trajectory(samples=samples)
 
 
@@ -407,18 +388,15 @@ def integrate(rhs, s0: PhaseState, cfg: IntegratorConfig) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _series_closures(p: LagrangianProblem):
-    a_fns, b_fns, lz_fns, lzb_fns = [], [], [], []
+def _series_roots(p: LagrangianProblem) -> tuple:
+    """exp(lam)*dL/dzb_i, exp(-lam)*dL/dz_i, dL/dz_i and dL/dzb_i, each for
+    i = 1..n in that order."""
     grow = Apply("exp", p.lam)
     shrink = Apply("exp", Negate(p.lam))
-    for i in p.chart.indices():
-        lz = differentiate(p.L, z_var(i))
-        lzb = differentiate(p.L, zb_var(i))
-        a_fns.append(compile_expr(simplify(Product((grow, lzb)))))
-        b_fns.append(compile_expr(simplify(Product((shrink, lz)))))
-        lz_fns.append(compile_expr(simplify(lz)))
-        lzb_fns.append(compile_expr(simplify(lzb)))
-    return a_fns, b_fns, lz_fns, lzb_fns
+    lz = [differentiate(p.L, z_var(i)) for i in p.chart.indices()]
+    lzb = [differentiate(p.L, zb_var(i)) for i in p.chart.indices()]
+    roots = [Product((grow, d)) for d in lzb] + [Product((shrink, d)) for d in lz]
+    return tuple(simplify(e) for e in roots + lz + lzb)
 
 
 def residual_series(p: LagrangianProblem, tr: Trajectory):
@@ -433,17 +411,9 @@ def residual_series(p: LagrangianProblem, tr: Trajectory):
     out = [math.nan] * len(samples)
     if len(samples) < 3:
         return out
-    a_fns, b_fns, lz_fns, lzb_fns = _series_closures(p)
-    a_vals = [[f(s) for f in a_fns] for s in samples]
-    b_vals = [[f(s) for f in b_fns] for s in samples]
-
-    def ddt(vals, k, i, wm, w0, wp):
-        prev, here, nxt = vals[k - 1][i], vals[k][i], vals[k + 1][i]
-        return ParaComplex(
-            wm * prev.a + w0 * here.a + wp * nxt.a,
-            wm * prev.b + w0 * here.b + wp * nxt.b,
-        )
-
+    n = p.chart.n
+    fn = lower(_series_roots(p), p.chart.slots())
+    vals = [fn(_legs(s.z + s.zb)) for s in samples]
     for k in range(1, len(samples) - 1):
         # three-point first derivative, exact to second order even when the
         # last step was shortened to land on t1
@@ -453,12 +423,21 @@ def residual_series(p: LagrangianProblem, tr: Trajectory):
         wm = -h2 * h2 / denom
         w0 = (h2 * h2 - h1 * h1) / denom
         wp = h1 * h1 / denom
-        s = samples[k]
+        here = vals[k]
+        rate = [wm * a + w0 * b + wp * c for a, b, c in zip(vals[k - 1], here, vals[k + 1])]
         worst = 0.0
-        for i in range(len(a_fns)):
-            r1 = _J * ddt(a_vals, k, i, wm, w0, wp) + lz_fns[i](s)
-            r2 = _J * ddt(b_vals, k, i, wm, w0, wp) - lzb_fns[i](s)
-            worst = max(worst, abs(r1), abs(r2))
+        for i in range(n):
+            # legs of root r sit at 2r and 2r+1, and j maps (u, v) to (u, -v):
+            # j*d/dt(exp(lam)*dL/dzb_i) + dL/dz_i and
+            # j*d/dt(exp(-lam)*dL/dz_i) - dL/dzb_i
+            a, b, lz, lzb = 2 * i, 2 * (n + i), 2 * (2 * n + i), 2 * (3 * n + i)
+            worst = max(
+                worst,
+                abs(rate[a] + here[lz]),
+                abs(here[lz + 1] - rate[a + 1]),
+                abs(rate[b] - here[lzb]),
+                abs(rate[b + 1] + here[lzb + 1]),
+            )
         out[k] = worst
     return out
 
@@ -473,10 +452,11 @@ def energy_along(p, tr: Trajectory):
     if isinstance(p, HamiltonianProblem):
         f = compile_expr(p.H)
         return [f(s) for s in tr.samples]
-    e_fn = compile_expr(energy(p))
-    rhs = _compiled_el(synthesize_el(p))
+    velocities = tuple((f, i) for f in ("xi", "xib") for i in p.chart.indices())
+    e_fn = lower((energy(p),), p.chart.slots() + velocities)
+    rhs = _el_leg_rhs(synthesize_el(p))
     out = []
     for s in tr.samples:
-        dz, dzb = rhs(s)
-        out.append(e_fn(EvalState(z=s.z, zb=s.zb, xi=dz, xib=dzb)))
+        y = _legs(s.z + s.zb)
+        out.append(ParaComplex.from_idempotent(*e_fn(y + _timed(rhs, y, s.t))))
     return out

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .para_algebra import (
@@ -75,6 +76,10 @@ class CoordinateChart:
 
     def indices(self) -> range:
         return range(1, self.n + 1)
+
+    def slots(self) -> tuple:
+        """(family, index) of z1..zn, zb1..zbn, the order of a state's legs."""
+        return tuple((family, i) for family in ("z", "zb") for i in self.indices())
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +550,17 @@ def _lookup(state, family: str, index: int) -> ParaComplex:
 # coordinates once, at the root.  Recombining at every node would quantize
 # a small leg at the ulp of a large one (legs of x^16 can differ by 1e14,
 # at which point (a, b) storage keeps two digits of the small leg) and
-# that loss was observable in finite-difference audits.
+# that loss was observable in finite-difference audits.  The interpreter
+# below and the lowered code share the checks and their messages.
+
+
+def _zero_divisor(e: Expr):
+    what = "base" if isinstance(e, Power) else "denominator"
+    raise ZeroDivisor(f"zero-divisor {what} in '{to_text(e)}'")
+
+
+def _domain_failure(e: Expr):
+    raise DomainError(f"domain failure in '{to_text(e)}'") from None
 
 
 def _eval_pair(e: Expr, state):
@@ -575,13 +590,13 @@ def _eval_pair(e: Expr, state):
         u, v = _eval_pair(e.base, state)
         k = e.exponent
         if k < 0 and (abs(u) < INVERTIBILITY_FLOOR or abs(v) < INVERTIBILITY_FLOOR):
-            raise ZeroDivisor(f"zero-divisor base in '{to_text(e)}'")
+            _zero_divisor(e)
         return u**k, v**k
     if isinstance(e, Quotient):
         nu, nv = _eval_pair(e.num, state)
         du, dv = _eval_pair(e.den, state)
         if abs(du) < INVERTIBILITY_FLOOR or abs(dv) < INVERTIBILITY_FLOOR:
-            raise ZeroDivisor(f"zero-divisor denominator in '{to_text(e)}'")
+            _zero_divisor(e)
         return nu / du, nv / dv
     if isinstance(e, Apply):
         u, v = _eval_pair(e.arg, state)
@@ -589,7 +604,7 @@ def _eval_pair(e: Expr, state):
         try:
             return leg(u), leg(v)
         except DomainError:
-            raise DomainError(f"domain failure in '{to_text(e)}'") from None
+            _domain_failure(e)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -603,123 +618,113 @@ def evaluate(e: Expr, state) -> ParaComplex:
     return ParaComplex.from_idempotent(*_eval_pair(e, state))
 
 
-def _compile_pair(e: Expr):
-    """Closure returning the (u, v) legs at a state."""
-    if isinstance(e, Constant):
-        pair = (e.value.u, e.value.v)
-        return lambda s: pair
-    if isinstance(e, Var):
-        family, idx = e.family, e.index - 1
-        if family == "z":
-            def _var_z(s):
-                w = s.z[idx]
-                return w.u, w.v
-            return _var_z
-        if family == "zb":
-            def _var_zb(s):
-                w = s.zb[idx]
-                return w.u, w.v
-            return _var_zb
-        if family == "xi":
-            def _var_xi(s):
-                w = s.xi[idx]
-                return w.u, w.v
-            return _var_xi
+# ---------------------------------------------------------------------------
+# Lowering to straight-line code on the legs
+# ---------------------------------------------------------------------------
 
-        def _var_xib(s):
-            w = s.xib[idx]
-            return w.u, w.v
-        return _var_xib
-    if isinstance(e, Sum):
-        fns = tuple(_compile_pair(c) for c in e.children)
+# names the lowered source may use besides its own locals and y
+_LOWERED_GLOBALS = {
+    "inf": math.inf,
+    "nan": math.nan,
+    "DomainError": DomainError,
+    "_zero_divisor": _zero_divisor,
+    "_domain_failure": _domain_failure,
+    **{f"leg_{name}": leg for name, leg in FUNCTIONS.items()},
+}
+_FLOOR = repr(INVERTIBILITY_FLOOR)
 
-        def _sum(s, fns=fns):
-            u = v = 0.0
-            for f in fns:
-                cu, cv = f(s)
-                u += cu
-                v += cv
-            return u, v
 
-        return _sum
-    if isinstance(e, Product):
-        fns = tuple(_compile_pair(c) for c in e.children)
+def _literal(x: float) -> str:
+    text = repr(x)  # inf and nan are names in _LOWERED_GLOBALS
+    return f"({text})" if text.startswith("-") else text
 
-        def _prod(s, fns=fns):
-            u = v = 1.0
-            for f in fns:
-                cu, cv = f(s)
-                u *= cu
-                v *= cv
-            return u, v
 
-        return _prod
+def _template(e: Expr, arity: int) -> str:
+    """The Python expression of one leg of e, with {k} for child k's leg."""
+    if isinstance(e, (Sum, Product)):
+        op, empty = (" + ", "0.0") if isinstance(e, Sum) else (" * ", "1.0")
+        return op.join(f"{{{k}}}" for k in range(arity)) or empty
     if isinstance(e, Negate):
-        f = _compile_pair(e.child)
-
-        def _neg(s, f=f):
-            u, v = f(s)
-            return -u, -v
-
-        return _neg
+        return "-{0}"
     if isinstance(e, Power):
-        f = _compile_pair(e.base)
-        k = e.exponent
-
-        def _pow(s, f=f, k=k):
-            u, v = f(s)
-            if k < 0 and (abs(u) < INVERTIBILITY_FLOOR or abs(v) < INVERTIBILITY_FLOOR):
-                raise ZeroDivisor(
-                    f"negative power of zero divisor {ParaComplex.from_idempotent(u, v)}"
-                )
-            return u**k, v**k
-
-        return _pow
+        return f"{{0}} ** {e.exponent}"
     if isinstance(e, Quotient):
-        fn, fd = _compile_pair(e.num), _compile_pair(e.den)
-
-        def _quot(s, fn=fn, fd=fd):
-            nu, nv = fn(s)
-            du, dv = fd(s)
-            if abs(du) < INVERTIBILITY_FLOOR or abs(dv) < INVERTIBILITY_FLOOR:
-                raise ZeroDivisor(
-                    f"division by zero divisor {ParaComplex.from_idempotent(du, dv)}"
-                )
-            return nu / du, nv / dv
-
-        return _quot
+        return "{0} / {1}"
     if isinstance(e, Apply):
-        f = _compile_pair(e.arg)
-        leg = FUNCTIONS[e.fn]
-
-        def _apply(s, f=f, leg=leg):
-            u, v = f(s)
-            return leg(u), leg(v)
-
-        return _apply
+        return f"leg_{e.fn}({{0}})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_expr(e: Expr) -> Callable[..., ParaComplex]:
-    """Build a closure with evaluate()'s semantics for hot loops.
+@lru_cache(maxsize=256)
+def lower(roots: tuple, slots: tuple) -> Callable[[list], list]:
+    """Lower expressions to one straight-line Python function on the legs.
 
-    Error messages from the closure do not name subexpressions; use
-    evaluate() where that matters.
+    ``slots`` names the variables as (family, index) pairs.  The function
+    takes their legs as one flat list ``y = [u(s0), v(s0), u(s1), v(s1),
+    ...]`` and returns the roots' legs in the same interleaved layout.
+    Structurally equal subexpressions, within a root or across roots, are
+    computed once.  The arithmetic is evaluate()'s, leg by leg, and a zero
+    divisor or domain failure names the offending subexpression as
+    evaluate() does.  The result is memoized per (roots, slots).
     """
-    if isinstance(e, Constant):
-        v = e.value
-        return lambda s: v
-    if isinstance(e, Var):
-        family, idx = e.family, e.index - 1
-        if family == "z":
-            return lambda s: s.z[idx]
-        if family == "zb":
-            return lambda s: s.zb[idx]
-        if family == "xi":
-            return lambda s: s.xi[idx]
-        return lambda s: s.xib[idx]
-    pair = _compile_pair(e)
-    return lambda s: ParaComplex.from_idempotent(*pair(s))
+    where = {slot: k for k, slot in enumerate(slots)}
+    lines: list[str] = []
+    nodes: list[Expr] = []  # the checks' nodes, rendered only when one fails
+    names: dict[tuple, tuple] = {}  # (template, children's legs) -> legs
+
+    def legs_of(e: Expr) -> tuple[str, str]:
+        if isinstance(e, Constant):
+            return _literal(e.value.u), _literal(e.value.v)
+        if isinstance(e, Var):
+            k = where.get((e.family, e.index))
+            if k is None:
+                raise ExpressionError(f"no slot binds {e.name}")
+            key = "{0}", ((f"y[{2 * k}]", f"y[{2 * k + 1}]"),)
+        else:
+            kids = tuple(legs_of(c) for c in children_of(e))
+            key = _template(e, len(kids)), kids
+        if key in names:  # hash-consing: an equal key computes an equal value
+            return names[key]
+        template, kids = key
+        legs = names[key] = f"u{len(names)}", f"v{len(names)}"
+        if isinstance(e, Quotient) or isinstance(e, Power) and e.exponent < 0:
+            nodes.append(e)
+            du, dv = kids[-1]
+            lines.append(
+                f"if abs({du}) < {_FLOOR} or abs({dv}) < {_FLOOR}: "
+                f"_zero_divisor(nodes[{len(nodes) - 1}])"
+            )
+        assign = [f"{leg} = {template.format(*(c[side] for c in kids))}"
+                  for side, leg in enumerate(legs)]
+        if isinstance(e, Apply):
+            nodes.append(e)
+            assign = ["try:", *(f"    {a}" for a in assign), "except DomainError:",
+                      f"    _domain_failure(nodes[{len(nodes) - 1}])"]
+        lines.extend(assign)
+        return legs
+
+    out = [leg for root in roots for leg in legs_of(root)]
+    body = "".join(f"    {line}\n" for line in lines)
+    source = f"def lowered(y):\n{body}    return [{', '.join(out)}]\n"
+    namespace = dict(_LOWERED_GLOBALS, nodes=tuple(nodes))
+    exec(compile(source, "<lowered>", "exec"), namespace)
+    return namespace["lowered"]
+
+
+def compile_expr(e: Expr) -> Callable[..., ParaComplex]:
+    """evaluate() for hot loops: the state's legs go through lower()'s
+    code, and the value is recombined at the root.  Errors name the
+    offending subexpression as evaluate()'s do."""
+    if isinstance(e, (Constant, Var)):
+        return lambda s: evaluate(e, s)
+    slots = tuple(sorted(vars_of(e), key=lambda fi: (_FAMILY_RANK[fi[0]], fi[1])))
+    fn = lower((e,), slots)
+
+    def compiled(s) -> ParaComplex:
+        ws = [_lookup(s, family, index) for family, index in slots]
+        return ParaComplex.from_idempotent(*fn([leg for w in ws for leg in (w.u, w.v)]))
+
+    return compiled
 
 
 # ---------------------------------------------------------------------------
@@ -839,10 +844,17 @@ def _gather_terms(e: Expr, out: list) -> None:
     out.append((coeff, factors))
 
 
+# an overflowing fold is an input error, not a constant with an inf leg
+def _folded(value: ParaComplex, what: str) -> ParaComplex:
+    if not value.is_finite():
+        raise ExpressionError(f"constant {what} overflows")
+    return value
+
+
 def _collect(terms: list[tuple[ParaComplex, tuple]]) -> list[tuple[ParaComplex, tuple]]:
     acc: dict[tuple, ParaComplex] = {}
     for coeff, factors in terms:
-        acc[factors] = acc.get(factors, ZERO) + coeff
+        acc[factors] = _folded(acc.get(factors, ZERO) + coeff, "sum")
     out = []
     for factors, coeff in acc.items():
         if coeff.a == 0.0 and coeff.b == 0.0:
@@ -897,7 +909,7 @@ def _normalize_product(factors: list[Expr]) -> Expr:
     while queue:
         f = queue.pop(0)
         if isinstance(f, Constant):
-            coeff = f.value if coeff is None else coeff * f.value
+            coeff = f.value if coeff is None else _folded(coeff * f.value, "product")
         elif isinstance(f, Product):
             queue = list(f.children) + queue
         elif isinstance(f, Quotient):
@@ -950,9 +962,11 @@ def _normalize_power(base: Expr, k: int) -> Expr:
         return ONE_EXPR
     if isinstance(base, Constant):
         try:
-            return Constant(base.value**k)
+            return Constant(_folded(base.value**k, "power"))
         except ZeroDivisor:
             return Power(base, k)
+        except OverflowError:
+            raise ExpressionError("constant power overflows") from None
     if isinstance(base, Power):
         return _normalize_power(base.base, base.exponent * k)
     if isinstance(base, Product):

@@ -50,7 +50,6 @@ from .symbolic import (
     Product,
     Quotient,
     Sum,
-    compile_expr,
     differentiate,
     evaluate,
     is_zero,
@@ -373,25 +372,27 @@ def _chart_of(e) -> CoordinateChart:
     return CoordinateChart(n)
 
 
-def _fd_partial(fn, s: EvalState, family: str, index: int, h: float):
+def _fd_partial(expr, s: EvalState, family: str, index: int, h: float):
     def shifted(delta):
         z, zb = list(s.z), list(s.zb)
         tgt = z if family == "z" else zb
         tgt[index - 1] = tgt[index - 1] + ParaComplex(delta, 0.0)
         return EvalState(z=tuple(z), zb=tuple(zb))
 
-    hi = fn(shifted(h))
-    lo = fn(shifted(-h))
+    hi = evaluate(expr, shifted(h))
+    lo = evaluate(expr, shifted(-h))
     return (hi - lo) * ParaComplex(0.5 / h, 0.0)
 
 
 def check_fd(expr, samples: int, seed: int) -> Report:
-    """Symbolic partials against central differences, h = 1e-5."""
+    """Symbolic partials against central differences, h = 1e-5.
+
+    Every value comes from evaluate(): each expression is evaluated a few
+    dozen times at most, too few to repay lowering it."""
     rng = random.Random(seed)
     chart = _chart_of(expr)
-    fn = compile_expr(expr)
     partials = [
-        (family, i, compile_expr(differentiate(expr, var(i))))
+        (family, i, differentiate(expr, var(i)))
         for family, var in (("z", z_var), ("zb", zb_var))
         for i in chart.indices()
     ]
@@ -410,11 +411,11 @@ def check_fd(expr, samples: int, seed: int) -> Report:
         # values of size |f| leaves roundoff ~ |f|*eps/h in the quotient
         noise_floor = abs(v0) * 2.3e-16 / FD_STEP
         ok = True
-        for family, i, dfn in partials:
+        for family, i, partial in partials:
             try:
-                sym = dfn(s)
-                fd = _fd_partial(fn, s, family, i, FD_STEP)
-                fd2 = _fd_partial(fn, s, family, i, FD_STEP / 2)
+                sym = evaluate(partial, s)
+                fd = _fd_partial(expr, s, family, i, FD_STEP)
+                fd2 = _fd_partial(expr, s, family, i, FD_STEP / 2)
             except (ZeroDivisor, DomainError, OverflowError):
                 ok = False
                 break

@@ -88,6 +88,11 @@ def test_derive_two_charts(tmp_path, capsys):
         ("z1*zb1 + exp(1000)*zb1^2", 0),
         ("z1*zb1 + sin(exp(1000))*zb1^2", 0),
         ("1e999*z1*zb1", 2),
+        ("1e300*1e300*z1*zb1", 2),
+        ("z1*zb1 + exp(700)*exp(700)*zb1^2", 2),
+        ("z1*zb1 + (1e200)^2*zb1^2", 2),
+        ("z1*zb1 + 2^2000*zb1^2", 2),
+        ("z1*zb1 + 1e308*zb1^2 + 1e308*zb1^2", 2),
     ],
 )
 def test_derive_with_overflowing_constants(tmp_path, capsys, function, code):

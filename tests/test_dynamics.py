@@ -64,29 +64,38 @@ def osc_exact(t):
 # ---------------------------------------------------------------------------
 
 
+def solve(M, b):
+    """solve_para_linear on ParaComplex M and b, recombined."""
+    xu, xv = solve_para_linear(
+        [[w.u for w in row] for row in M], [w.u for w in b],
+        [[w.v for w in row] for row in M], [w.v for w in b],
+    )
+    return tuple(ParaComplex.from_idempotent(u, v) for u, v in zip(xu, xv))
+
+
 class TestSolveParaLinear:
     def test_identity(self):
         M = ((ONE, ZERO), (ZERO, ONE))
         b = (pc(2.0, 1.0), pc(-0.5, 3.0))
-        assert solve_para_linear(M, b) == b
+        assert solve(M, b) == b
 
     def test_antidiagonal_j(self):
         M = ((ZERO, J), (J, ZERO))
-        x = solve_para_linear(M, (ONE, J))
+        x = solve(M, (ONE, J))
         assert close(x[0], ONE)
         assert close(x[1], J)
 
     def test_zero_matrix_degenerate(self):
         M = ((ZERO, ZERO), (ZERO, ZERO))
         with pytest.raises(DegenerateLagrangian):
-            solve_para_linear(M, (ONE, ONE))
+            solve(M, (ONE, ONE))
 
     def test_one_component_singular(self):
         # e- component of e+ basis element is zero: matrix diag(e+) is
         # invertible on the plus leg only
         eplus = pc(0.5, 0.5)
         with pytest.raises(DegenerateLagrangian):
-            solve_para_linear(((eplus,),), (ONE,))
+            solve(((eplus,),), (ONE,))
 
     def test_plug_back_random_well_conditioned(self):
         rng = random.Random(101)
@@ -102,7 +111,7 @@ class TestSolveParaLinear:
             if np.linalg.cond(mu) >= 1e6 or np.linalg.cond(mv) >= 1e6:
                 continue
             b = [pc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(m)]
-            x = solve_para_linear(raw, b)
+            x = solve(raw, b)
             scale = max(1.0, max(abs(w) for w in b))
             for i in range(m):
                 acc = ZERO
@@ -185,7 +194,7 @@ class TestIntegratorConfig:
 
 class TestIntegrate:
     def test_zero_rhs_constant_trajectory(self):
-        rhs = lambda s: ((ZERO,), (ZERO,))
+        rhs = lambda y: [0.0] * 4
         s0 = PhaseState(t=0.0, z=(pc(1.25, -0.5),), zb=(pc(2.0),))
         cfg = IntegratorConfig(method="rk4", t0=0.0, t1=1.0, dt=0.125)
         tr = integrate(rhs, s0, cfg)
@@ -215,8 +224,9 @@ class TestIntegrate:
         assert abs(end.zb[0].b) <= 1e-8
 
     def test_linear_decay_closed_form(self):
-        # dz1/dt = -j*z1 from 1: z1(t) = cosh(t) - j*sinh(t)
-        rhs = lambda s: ((-J * s.z[0],), (ZERO,))
+        # dz1/dt = -j*z1 from 1: z1(t) = cosh(t) - j*sinh(t); on the legs
+        # -j maps (u, v) to (-u, v)
+        rhs = lambda y: [-y[0], y[1], 0.0, 0.0]
         cfg = IntegratorConfig(method="rk4", t0=0.0, t1=1.0, dt=1e-3)
         tr = integrate(rhs, PhaseState(t=0.0, z=(pc(1.0),), zb=(pc(0.0),)), cfg)
         end = tr.samples[-1].z[0]
@@ -268,20 +278,20 @@ class TestIntegrate:
             assert 12.0 <= big / small <= 20.0
 
     def test_stepfailure_on_blowup(self):
-        rhs = lambda s: ((pc(math.inf),), (ZERO,))
+        rhs = lambda y: [math.inf, math.inf, 0.0, 0.0]
         cfg = IntegratorConfig(method="rkf45", t0=0.0, t1=1.0, tol=1e-8)
         with pytest.raises(StepFailure):
             integrate(rhs, PhaseState(t=0.0, z=(pc(1.0),), zb=(pc(0.0),)), cfg)
 
     def test_rk4_nonfinite_state_fails_with_time(self):
-        rhs = lambda s: ((pc(math.inf),), (ZERO,))
+        rhs = lambda y: [math.inf, math.inf, 0.0, 0.0]
         cfg = IntegratorConfig(method="rk4", t0=0.0, t1=1.0, dt=0.25)
         with pytest.raises(StepFailure) as exc:
             integrate(rhs, PhaseState(t=0.0, z=(pc(1.0),), zb=(pc(0.0),)), cfg)
         assert exc.value.t is not None
 
     def test_max_steps_guard(self):
-        rhs = lambda s: ((ZERO,), (ZERO,))
+        rhs = lambda y: [0.0] * 4
         cfg = IntegratorConfig(method="rk4", t0=0.0, t1=1.0, dt=1e-3, max_steps=10)
         with pytest.raises(StepFailure):
             integrate(rhs, PhaseState(t=0.0, z=(pc(1.0),), zb=(pc(0.0),)), cfg)
@@ -318,7 +328,7 @@ class TestResidualSeries:
     def test_equilibrium_constant_trajectory(self):
         # L with a genuine stationary point at z1 = zb1 = 1
         p = lagrangian("z1*zb1 - z1 - zb1")
-        rhs = lambda s: ((ZERO,), (ZERO,))
+        rhs = lambda y: [0.0] * 4
         cfg = IntegratorConfig(method="rk4", t0=0.0, t1=1.0, dt=0.01)
         tr = integrate(rhs, PhaseState(t=0.0, z=(pc(1.0),), zb=(pc(1.0),)), cfg)
         res = residual_series(p, tr)
@@ -377,3 +387,29 @@ class TestEnergyAlong:
         for s, v in zip(tr.samples, vals):
             want = s.z[0] * s.zb[0]
             assert close(v, want, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# samples
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        IntegratorConfig(method="rk4", t0=0.0, t1=0.01, dt=0.005),
+        IntegratorConfig(method="rkf45", t0=0.0, t1=0.01, tol=1e-9),
+    ],
+    ids=["rk4", "rkf45"],
+)
+def test_first_sample_is_the_start_state(cfg):
+    # el_conformal.json's start; (0.4, 0.1) does not survive a round trip
+    # through the legs, so the first sample must not be rebuilt from them
+    z0 = pc(0.4, 0.1)
+    assert ParaComplex.from_idempotent(z0.u, z0.v) != z0
+    rhs = make_el_rhs(synthesize_el(lagrangian("z1*zb1", lam="0.1*z1")))
+    tr = integrate(rhs, PhaseState(t=0.0, z=(z0,), zb=(pc(0.3, -0.1),)), cfg)
+    first = tr.samples[0]
+    assert (first.z[0].a, first.z[0].b) == (0.4, 0.1)
+    assert (first.zb[0].a, first.zb[0].b) == (0.3, -0.1)
+    assert len(tr.samples) > 1

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biparamech.para_algebra import DomainError, ParaComplex, ZeroDivisor
+from biparamech.para_algebra import (
+    INVERTIBILITY_FLOOR,
+    DomainError,
+    ParaComplex,
+    ZeroDivisor,
+)
 from biparamech.symbolic import (
+    _eval_pair,
     Apply,
     Constant,
     CoordinateChart,
@@ -26,6 +32,7 @@ from biparamech.symbolic import (
     differentiate,
     evaluate,
     is_constant,
+    lower,
     parse,
     simplify,
     to_text,
@@ -316,18 +323,24 @@ class TestEvaluate:
         got = evaluate(parse("exp(j)", C1), EvalState(z=(), zb=()))
         assert close(got, ParaComplex(math.cosh(1.0), math.sinh(1.0)), 1e-15)
 
-    def test_zero_divisor_names_innermost_subexpression(self):
+    @pytest.mark.parametrize(
+        "run", [evaluate, lambda e, s: compile_expr(e)(s)], ids=["evaluate", "compile_expr"]
+    )
+    def test_zero_divisor_names_innermost_subexpression(self, run):
         # z1 = e-plus scaled: u = 2, v = 0, so 1/z1 is the failing node
         s = EvalState(z=(ParaComplex(1.0, 1.0),), zb=(ParaComplex(1.0, 0.0),))
         with pytest.raises(ZeroDivisor) as exc:
-            evaluate(parse("zb1*(1/z1)", C1), s)
+            run(parse("zb1*(1/z1)", C1), s)
         assert "'1/z1'" in str(exc.value)
         assert "zb1" not in str(exc.value)
 
-    def test_domain_error_names_subexpression(self):
+    @pytest.mark.parametrize(
+        "run", [evaluate, lambda e, s: compile_expr(e)(s)], ids=["evaluate", "compile_expr"]
+    )
+    def test_domain_error_names_subexpression(self, run):
         s = EvalState(z=(ParaComplex(-1.0, 0.0),), zb=(ParaComplex(1.0, 0.0),))
         with pytest.raises(DomainError) as exc:
-            evaluate(parse("ln(z1)", C1), s)
+            run(parse("ln(z1)", C1), s)
         assert "'ln(z1)'" in str(exc.value)
 
     def test_negative_power_of_zero_divisor(self):
@@ -431,6 +444,54 @@ class TestCompile:
         )
         e = Sum((xi_var(1), Var("xib", 1)))
         assert compile_expr(e)(s) == ParaComplex(0.75, 0.5)
+
+
+# legs at the edges of the float range: subnormal, near overflow, and just
+# above the invertibility floor, next to ordinary ones
+_EDGE_LEGS = (5e-324, -2.5e-310, 1e300, -1.7e308, 1.5 * INVERTIBILITY_FLOOR, 0.7, -1.3)
+_SLOTS2 = (("z", 1), ("z", 2), ("zb", 1), ("zb", 2))
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (ZeroDivisor, DomainError, OverflowError) as exc:
+        return type(exc)
+
+
+def _legs_agree(got, want):
+    for x, y in zip(got, want):
+        if math.isnan(x) and math.isnan(y):
+            continue
+        if x != y and abs(x - y) > 1e-15 * max(1.0, abs(x), abs(y)):
+            return False
+    return True
+
+
+class TestLowerAtEdgeStates:
+    def test_lowered_legs_match_the_interpreter(self):
+        from biparamech.verify import random_expression
+
+        rng = random.Random(4242)
+        for _ in range(60):
+            e = random_expression(rng)
+            # exercise the zero-divisor and domain checks as well
+            for tree in (e, Quotient(e, z_var(1)), Power(e, -2), Apply("ln", e)):
+                fn = lower((tree,), _SLOTS2)
+                for _ in range(3):
+                    y = [rng.choice(_EDGE_LEGS) for _ in range(8)]
+                    s = EvalState(
+                        z=(ParaComplex.from_idempotent(*y[0:2]), ParaComplex.from_idempotent(*y[2:4])),
+                        zb=(ParaComplex.from_idempotent(*y[4:6]), ParaComplex.from_idempotent(*y[6:8])),
+                    )
+                    legs = [leg for w in s.z + s.zb for leg in (w.u, w.v)]
+                    got = _outcome(lambda: fn(legs))
+                    want = _outcome(lambda: list(_eval_pair(tree, s)))
+                    if isinstance(want, type):
+                        assert got is want, to_text(tree)
+                    else:
+                        assert isinstance(got, list), (to_text(tree), got)
+                        assert _legs_agree(got, want), to_text(tree)
 
 
 # ---------------------------------------------------------------------------
