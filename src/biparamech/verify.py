@@ -12,8 +12,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import el_rhs, ham_rhs, energy_along
 from .eom import (
     DegenerateLagrangian,
@@ -447,51 +445,117 @@ def check_fd(expr, samples: int, seed: int) -> Report:
 REDUCTION_THRESHOLD = 1e-12
 
 
-def _classical_el_rhs(L, chart, s):
-    """Baseline flat-case synthesizer: assembles the chain-rule system from
-    raw second partials and solves each idempotent leg with numpy.
+# both oracle legs are solved only where the infinity-norm condition number
+# stays below this, far from the roundoff regime of either solve route
+ORACLE_COND_LIMIT = 1e2
 
-    Deliberately does not share code with synthesize_el; reduction checks
-    must cross two independent pipelines.
+
+def _gauss_jordan(a, b):
+    """Gauss-Jordan elimination with complete pivoting on [A | I | b].
+
+    Returns (x, inverse) with A*x = b, or None when A is exactly singular.
+    Deliberately a different algorithm from dynamics._solve_real (scaled
+    partial pivoting, back substitution): reduction checks must cross two
+    independent pipelines.
+    """
+    n = len(b)
+    width = 2 * n + 1
+    rows = [
+        list(a[i]) + [float(i == j) for j in range(n)] + [b[i]] for i in range(n)
+    ]
+    unknown = list(range(n))  # unknown[k]: the unknown column k now holds
+    for k in range(n):
+        best, pr, pc = 0.0, k, k
+        for r in range(k, n):
+            for c in range(k, n):
+                mag = abs(rows[r][c])
+                if mag > best:
+                    best, pr, pc = mag, r, c
+        if best == 0.0:
+            return None
+        rows[k], rows[pr] = rows[pr], rows[k]
+        if pc != k:
+            for row in rows:
+                row[k], row[pc] = row[pc], row[k]
+            unknown[k], unknown[pc] = unknown[pc], unknown[k]
+        pivot_row = rows[k]
+        piv = pivot_row[k]
+        for c in range(k, width):
+            pivot_row[c] /= piv
+        for r, row in enumerate(rows):
+            f = row[k]
+            if r != k and f != 0.0:
+                for c in range(k, width):
+                    row[c] -= f * pivot_row[c]
+    # the row operations E and column permutation P give E*A*P = I, so
+    # A^-1 = P*E: row k of E is row unknown[k] of the inverse
+    x = [0.0] * n
+    inverse = [None] * n
+    for k, j in enumerate(unknown):
+        x[j] = rows[k][-1]
+        inverse[j] = rows[k][n:-1]
+    return x, inverse
+
+
+def _norm_inf(a) -> float:
+    return max(sum(abs(w) for w in row) for row in a)
+
+
+def _oracle_solve(a, b):
+    """x with A*x = b, or None when A is exactly singular or its
+    infinity-norm condition number exceeds ORACLE_COND_LIMIT."""
+    solved = _gauss_jordan(a, b)
+    if solved is None:
+        return None
+    x, inverse = solved
+    cond = _norm_inf(a) * _norm_inf(inverse)
+    return x if cond <= ORACLE_COND_LIMIT else None  # a nan cond is rejected
+
+
+def _classical_el_oracle(L, chart):
+    """Baseline flat-case synthesizer: the chain-rule system from raw
+    second partials, each idempotent leg solved by _oracle_solve.
+
+    The 2n first and 4n^2 second partials are taken once here; the
+    returned rhs(s) -> (dz, dzb) only evaluates them, and returns None at
+    a state where either leg is rejected.  Deliberately does not share
+    code with synthesize_el; reduction checks must cross two independent
+    pipelines.
     """
     n = chart.n
+    wrt = [z_var(k) for k in chart.indices()] + [zb_var(k) for k in chart.indices()]
     lzb = [differentiate(L, zb_var(i)) for i in chart.indices()]
     lz = [differentiate(L, z_var(i)) for i in chart.indices()]
-    m = 2 * n
-    rows = []
-    rhs = []
-    for i in range(n):
-        row = [J * evaluate(differentiate(lzb[i], z_var(k)), s) for k in chart.indices()]
-        row += [J * evaluate(differentiate(lzb[i], zb_var(k)), s) for k in chart.indices()]
-        rows.append(row)
-        rhs.append(-evaluate(lz[i], s))
-    for i in range(n):
-        row = [J * evaluate(differentiate(lz[i], z_var(k)), s) for k in chart.indices()]
-        row += [J * evaluate(differentiate(lz[i], zb_var(k)), s) for k in chart.indices()]
-        rows.append(row)
-        rhs.append(evaluate(lzb[i], s))
-    au = np.array([[w.u for w in row] for row in rows])
-    av = np.array([[w.v for w in row] for row in rows])
-    bu = np.array([w.u for w in rhs])
-    bv = np.array([w.v for w in rhs])
-    if (
-        np.linalg.cond(au) > 1e2
-        or np.linalg.cond(av) > 1e2
-    ):
-        return None  # keep both solve routes far from the roundoff regime
-    xu = np.linalg.solve(au, bu)
-    xv = np.linalg.solve(av, bv)
-    vals = tuple(
-        ParaComplex.from_idempotent(float(xu[k]), float(xv[k])) for k in range(m)
-    )
-    return vals[:n], vals[n:]
+    second = [[differentiate(first, x) for x in wrt] for first in lzb + lz]
+
+    def rhs(s):
+        rows = [[J * evaluate(e, s) for e in row] for row in second]
+        b = [-evaluate(e, s) for e in lz] + [evaluate(e, s) for e in lzb]
+        xu = _oracle_solve([[w.u for w in row] for row in rows], [w.u for w in b])
+        if xu is None:
+            return None
+        xv = _oracle_solve([[w.v for w in row] for row in rows], [w.v for w in b])
+        if xv is None:
+            return None
+        vals = tuple(ParaComplex.from_idempotent(u, v) for u, v in zip(xu, xv))
+        return vals[:n], vals[n:]
+
+    return rhs
 
 
-def _classical_ham_rhs(H, chart, s):
-    """Baseline flat Hamilton evaluator, straight off the raw partials."""
-    dz = tuple(-J * evaluate(differentiate(H, zb_var(i)), s) for i in chart.indices())
-    dzb = tuple(J * evaluate(differentiate(H, z_var(i)), s) for i in chart.indices())
-    return dz, dzb
+def _classical_ham_oracle(H, chart):
+    """Baseline flat Hamilton evaluator, straight off the raw partials,
+    which are taken once here; the returned rhs(s) -> (dz, dzb) only
+    evaluates them."""
+    hzb = [differentiate(H, zb_var(i)) for i in chart.indices()]
+    hz = [differentiate(H, z_var(i)) for i in chart.indices()]
+
+    def rhs(s):
+        dz = tuple(-J * evaluate(e, s) for e in hzb)
+        dzb = tuple(J * evaluate(e, s) for e in hz)
+        return dz, dzb
+
+    return rhs
 
 
 def _value_dev(a, b) -> float:
@@ -517,12 +581,13 @@ def check_reduction(p, samples: int, seed: int, name: str = "reduction") -> Repo
     guard = 0
     if isinstance(p, LagrangianProblem):
         ode = synthesize_el(p)
+        oracle = _classical_el_oracle(p.L, chart)
         while done < samples:
             guard += 1
             if guard > samples * 200:
                 raise RuntimeError("could not sample enough well-posed states")
             s = random_state(rng, chart.n)
-            base = _classical_el_rhs(p.L, chart, s)
+            base = oracle(s)
             if base is None:
                 continue
             try:
@@ -536,9 +601,10 @@ def check_reduction(p, samples: int, seed: int, name: str = "reduction") -> Repo
             done += 1
     else:
         ode = synthesize_ham(p)
+        oracle = _classical_ham_oracle(p.H, chart)
         while done < samples:
             s = random_state(rng, chart.n)
-            base = _classical_ham_rhs(p.H, chart, s)
+            base = oracle(s)
             got = ham_rhs(ode, s)
             worst = max(
                 worst,

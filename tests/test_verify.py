@@ -1,6 +1,10 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,8 @@ from biparamech.verify import (
     FIXTURE_HAMILTONIANS,
     FIXTURE_LAGRANGIANS,
     Report,
+    _gauss_jordan,
+    _oracle_solve,
     audit_battery,
     check_fd,
     check_reduction,
@@ -124,6 +130,79 @@ class TestCheckReduction:
             assert check_reduction(
                 fixture_problem("hamiltonian", key), 100, 17
             ).all_pass, key
+
+    def test_perturbed_velocity_fails(self, monkeypatch):
+        # the oracle still feeds the comparison: a 1e-9 relative error in
+        # one synthesized velocity is caught
+        exact = biparamech.verify.el_rhs
+
+        def perturbed(ode, s):
+            dz, dzb = exact(ode, s)
+            return (dz[0] * ParaComplex(1.0 + 1e-9, 0.0),) + dz[1:], dzb
+
+        monkeypatch.setattr(biparamech.verify, "el_rhs", perturbed)
+        r = check_reduction(fixture_problem("lagrangian", "L5"), 20, 42)
+        assert not r.all_pass
+
+
+class TestOracleSolve:
+    # largest entry 9 sits in row 1, column 2, so the first complete pivot
+    # swaps both a row and a column
+    A = [
+        [2.0, 1.0, 0.0, 1.0],
+        [1.0, 3.0, 9.0, 0.0],
+        [0.0, 1.0, 2.0, 1.0],
+        [1.0, 0.0, 1.0, 4.0],
+    ]
+    X = [1.0, -2.0, 3.0, -1.0]
+    B = [-1.0, 22.0, 3.0, 0.0]  # A*X
+
+    def test_complete_pivot_moves_row_and_column(self):
+        x, inverse = _gauss_jordan(self.A, self.B)
+        assert x == pytest.approx(self.X, abs=1e-14)
+        for i in range(4):
+            for j in range(4):
+                entry = sum(self.A[i][k] * inverse[k][j] for k in range(4))
+                assert entry == pytest.approx(float(i == j), abs=1e-14)
+
+    def test_condition_boundary(self):
+        accepted = _oracle_solve([[1.0, 0.0], [0.0, 1 / 99.5]], [1.0, 1.0])
+        assert accepted == pytest.approx([1.0, 99.5], rel=1e-15)
+        assert _oracle_solve([[1.0, 0.0], [0.0, 1 / 100.5]], [1.0, 1.0]) is None
+
+    @pytest.mark.parametrize(
+        "a", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    )
+    def test_exactly_singular_is_rejected(self, a):
+        assert _gauss_jordan(a, [1.0, 2.0]) is None
+        assert _oracle_solve(a, [1.0, 2.0]) is None
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import biparamech
+import biparamech.cli
+import biparamech.verify as verify
+for kind, key in (("lagrangian", "L5"), ("hamiltonian", "H5")):
+    report = verify.check_reduction(verify.fixture_problem(kind, key), 50, 42)
+    assert report.all_pass, report.render()
+print("ok")
+"""
+
+
+def test_runs_without_numpy():
+    src = Path(biparamech.verify.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 class TestConservation:
