@@ -251,12 +251,19 @@ def _csv_text(lp: LoadedProblem, tr) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ProblemFileError(f"cannot write {path}: {exc}") from None
+
+
 def cmd_integrate(args) -> int:
     lp = load_problem(args.file)
     tr = integrate(lp.rhs(), lp.start(), lp.config())
-    text = _csv_text(lp, tr)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write(args.output, _csv_text(lp, tr))
     print(f"wrote {len(tr.samples)} samples to {args.output}")
     return 0
 
@@ -376,9 +383,7 @@ def cmd_plot(args) -> int:
                 raise ProblemFileError(f"unknown column {c!r}")
     else:
         cols = [c for c in header if c != "t"]
-    svg = _svg_chart(header, rows, cols, args.width, args.height)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    _write(args.output, _svg_chart(header, rows, cols, args.width, args.height))
     print(f"wrote {args.output}")
     return 0
 

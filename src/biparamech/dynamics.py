@@ -12,7 +12,9 @@ a time; integrate, el_rhs and ham_rhs re-raise them with one.
 The implicit Euler-Lagrange system M*xdot = b is solved at every
 evaluation instead of symbolically inverting M, which blows up for n > 1
 and hides degeneracy behind huge expressions.  On the legs it is two
-independent real systems.
+independent real systems of size m = 2n.  Their elimination is emitted
+once per m as straight-line code with no loops (_leg_solver), and the
+same code object solves either leg.
 """
 
 from __future__ import annotations
@@ -117,40 +119,47 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _solve_real(mat, rhs, which: str):
-    """Gaussian elimination with scaled partial pivoting on one real system."""
-    n = len(rhs)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    scale = [max(abs(x) for x in row[:n]) for row in a]
-    if 0.0 in scale:
-        raise DegenerateLagrangian(f"zero row in {which} component system")
-    for k in range(n):
-        pivot_row = k
-        best = abs(a[k][k]) / scale[k]
-        for r in range(k + 1, n):
-            mag = abs(a[r][k]) / scale[r]
-            if mag > best:
-                best, pivot_row = mag, r
-        if abs(a[pivot_row][k]) <= PIVOT_TOL * scale[pivot_row]:
-            raise DegenerateLagrangian(f"singular {which} component system")
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            scale[k], scale[pivot_row] = scale[pivot_row], scale[k]
-        piv = a[k][k]
-        for r in range(k + 1, n):
-            f = a[r][k] / piv
-            if f != 0.0:
-                arow, krow = a[r], a[k]
-                for c in range(k, n + 1):
-                    arow[c] -= f * krow[c]
-    x = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        s = a[k][n]
-        xrow = a[k]
-        for c in range(k + 1, n):
-            s -= xrow[c] * x[c]
-        x[k] = s / xrow[k]
-    return x
+@lru_cache(maxsize=None)
+def _leg_solver(m: int):
+    """Emit solve(w, side, which) -> x for one leg of an m x m system
+    M*x = b, read from w as lower() lays out M's entries row by row and
+    then b's, each as its (e+, e-) legs; side 0 picks e+, 1 picks e-.
+    Gaussian elimination with scaled partial pivoting, unrolled into
+    locals with the looped algorithm's float operations in their order.
+    A zero row or a pivot below PIVOT_TOL of its row scale raises
+    DegenerateLagrangian naming the leg."""
+    a = [[f"a{i}_{c}" for c in range(m + 1)] for i in range(m)]  # column m holds b
+    lines = [f"{a[i][c]} = w[{2 * (i * m + c)} + side]" for i in range(m) for c in range(m)]
+    lines += [f"{a[i][m]} = w[{2 * (m * m + i)} + side]" for i in range(m)]
+    for i in range(m):
+        mags = ", ".join(f"abs({x})" for x in a[i][:m])
+        lines.append(f"s{i} = max({mags})" if m > 1 else f"s{i} = {mags}")
+    lines.append(f"if 0.0 in ({''.join(f's{i}, ' for i in range(m))}): "
+                 'raise DegenerateLagrangian(f"zero row in {which} component system")')
+    for k in range(m):
+        if k < m - 1:
+            lines.append(f"piv = {k}; best = abs({a[k][k]}) / s{k}")
+        for r in range(k + 1, m):
+            lines.append(f"mag = abs({a[r][k]}) / s{r}")
+            lines.append(f"if mag > best: best, piv = mag, {r}")
+        for r in range(k + 1, m):
+            mine, theirs = ", ".join(a[k][k:] + [f"s{k}"]), ", ".join(a[r][k:] + [f"s{r}"])
+            lines.append(f"if piv == {r}: {mine}, {theirs} = {theirs}, {mine}")
+        lines.append(f"if abs({a[k][k]}) <= {PIVOT_TOL!r} * s{k}: "
+                     'raise DegenerateLagrangian(f"singular {which} component system")')
+        for r in range(k + 1, m):
+            # column k is never read again, so its update is left out
+            lines.append(f"f = {a[r][k]} / {a[k][k]}")
+            lines.append("if f != 0.0:")
+            lines += [f"    {a[r][c]} -= f * {a[k][c]}" for c in range(k + 1, m + 1)]
+    for k in range(m - 1, -1, -1):
+        terms = "".join(f" - {a[k][c]} * x{c}" for c in range(k + 1, m))
+        lines.append(f"x{k} = ({a[k][m]}{terms}) / {a[k][k]}")
+    body = "".join(f"    {line}\n" for line in lines)
+    source = f"def solve(w, side, which):\n{body}    return [{', '.join(f'x{k}' for k in range(m))}]\n"
+    namespace = {"DegenerateLagrangian": DegenerateLagrangian}
+    exec(compile(source, f"<leg solver {m}>", "exec"), namespace)
+    return namespace["solve"]
 
 
 def solve_para_linear(mu, bu, mv, bv):
@@ -158,7 +167,11 @@ def solve_para_linear(mu, bu, mv, bv):
     (mv, bv) the e- legs, and the legs (xu, xv) of x come back.  A pivot
     below PIVOT_TOL of its row scale raises DegenerateLagrangian naming
     the leg."""
-    return _solve_real(mu, bu, "e+"), _solve_real(mv, bv, "e-")
+    u = [x for row in mu for x in row] + list(bu)
+    v = [x for row in mv for x in row] + list(bv)
+    w = [leg for pair in zip(u, v) for leg in pair]
+    solve = _leg_solver(len(bu))
+    return solve(w, 0, "e+"), solve(w, 1, "e-")
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +205,17 @@ def _at_state(rhs, s):
 
 @lru_cache(maxsize=64)
 def _el_leg_rhs(ode: ImplicitODE):
-    m = 2 * ode.chart.n
-    entries = tuple(e for row in ode.M for e in row) + ode.b
-    values = lower(entries, ode.chart.slots())
-    rows = range(0, m * m, m)
+    # built before the lowering, so its compile reuses memory lower() frees
+    solve = _leg_solver(2 * ode.chart.n)
+    values = lower(tuple(e for row in ode.M for e in row) + ode.b, ode.chart.slots())
 
     def rhs(y):
-        out = values(y)
-        us, vs = out[0::2], out[1::2]
-        xu, xv = solve_para_linear(
-            [us[r : r + m] for r in rows], us[m * m :],
-            [vs[r : r + m] for r in rows], vs[m * m :],
-        )
-        return [leg for pair in zip(xu, xv) for leg in pair]
+        w = values(y)
+        xu = solve(w, 0, "e+")
+        dy = xu + xu
+        dy[0::2] = xu
+        dy[1::2] = solve(w, 1, "e-")
+        return dy
 
     return rhs
 

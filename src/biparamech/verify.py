@@ -454,9 +454,9 @@ def _gauss_jordan(a, b):
     """Gauss-Jordan elimination with complete pivoting on [A | I | b].
 
     Returns (x, inverse) with A*x = b, or None when A is exactly singular.
-    Deliberately a different algorithm from dynamics._solve_real (scaled
-    partial pivoting, back substitution): reduction checks must cross two
-    independent pipelines.
+    Deliberately a different algorithm from dynamics._leg_solver's emitted
+    solve (scaled partial pivoting, back substitution): reduction checks
+    must cross two independent pipelines.
     """
     n = len(b)
     width = 2 * n + 1

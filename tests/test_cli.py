@@ -317,6 +317,7 @@ def test_integrate_degenerate_lagrangian_exit_3(tmp_path, capsys):
     assert main(["integrate", prob, "-o", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
     assert "t=0.0" in err
+    assert not (tmp_path / "x.csv").exists()  # nothing is opened before integrating
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +477,20 @@ def test_plot_malformed_csv_exit_2(tmp_path, capsys):
 
 def test_plot_rejects_t_as_series(tmp_path, osc_csv):
     assert main(["plot", str(osc_csv), "-o", str(tmp_path / "x.svg"), "--cols", "t"]) == 2
+
+
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+@pytest.mark.parametrize("command", ["integrate", "plot"])
+def test_unwritable_output_exit_2(tmp_path, osc_csv, capsys, command, target):
+    doc = oscillator_doc()
+    doc["dt"] = 0.01
+    source = write_doc(tmp_path, doc) if command == "integrate" else str(osc_csv)
+    out = tmp_path / "no" / "such" / "x.out" if target == "missing-parent" else tmp_path
+    capsys.readouterr()
+    assert main([command, source, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import math
+import os
 import random
 
 import numpy as np
 import pytest
 
+from biparamech.cli import load_problem
 from biparamech.dynamics import (
+    PIVOT_TOL,
     IntegratorConfig,
     PhaseState,
     StepFailure,
@@ -27,7 +30,9 @@ from biparamech.eom import (
     synthesize_ham,
 )
 from biparamech.para_algebra import ONE, ZERO, ParaComplex
-from biparamech.symbolic import CoordinateChart, parse
+from biparamech.symbolic import CoordinateChart, lower, parse
+
+PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "problems")
 
 C1 = CoordinateChart(1)
 J = ParaComplex(0.0, 1.0)
@@ -120,6 +125,156 @@ class TestSolveParaLinear:
                 r = acc - b[i]
                 assert max(abs(r.a), abs(r.b)) <= 1e-10 * scale
             done += 1
+
+
+def textbook_solve(mat, rhs, which, pivots=None):
+    """Looped Gaussian elimination with scaled partial pivoting: the
+    reference the emitted leg solver must match bit for bit.  The pivot
+    row chosen at each step is appended to pivots, if given."""
+    n = len(rhs)
+    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
+    scale = [max(abs(x) for x in row[:n]) for row in a]
+    if 0.0 in scale:
+        raise DegenerateLagrangian(f"zero row in {which} component system")
+    for k in range(n):
+        pivot_row = k
+        best = abs(a[k][k]) / scale[k]
+        for r in range(k + 1, n):
+            mag = abs(a[r][k]) / scale[r]
+            if mag > best:
+                best, pivot_row = mag, r
+        if pivots is not None:
+            pivots.append((k, pivot_row))
+        if abs(a[pivot_row][k]) <= PIVOT_TOL * scale[pivot_row]:
+            raise DegenerateLagrangian(f"singular {which} component system")
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            scale[k], scale[pivot_row] = scale[pivot_row], scale[k]
+        piv = a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / piv
+            if f != 0.0:
+                arow, krow = a[r], a[k]
+                for c in range(k, n + 1):
+                    arow[c] -= f * krow[c]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        s = a[k][n]
+        xrow = a[k]
+        for c in range(k + 1, n):
+            s -= xrow[c] * x[c]
+        x[k] = s / xrow[k]
+    return x
+
+
+def outcome(fn, *args):
+    """What a solve does, comparable bit for bit: repr tells -0.0 from 0.0
+    and makes nan equal to nan; an exception counts by class and message."""
+    try:
+        return [[repr(x) for x in leg] for leg in fn(*args)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def textbook_para(mu, bu, mv, bv, pivots=None):
+    return textbook_solve(mu, bu, "e+", pivots), textbook_solve(mv, bv, "e-")
+
+
+def last_row_pivots(m, rng):
+    """A leg whose largest scaled entry in column k sits in the last row at
+    every step k: a dominant entry per row, rows ordered so that each
+    swap brings the next one up from the bottom."""
+    order = list(range(m))
+    for k in range(m - 2, -1, -1):  # undo the swaps (k, m-1), last first
+        order[k], order[m - 1] = order[m - 1], order[k]
+    return [[(100.0 if c == order[i] else rng.uniform(-1, 1)) for c in range(m)] for i in range(m)]
+
+
+class TestEmittedSolveMatchesTextbook:
+    """solve_para_linear against the looped reference, m = 1..8."""
+
+    def cases(self, m, rng):
+        def leg():
+            return [[rng.uniform(-2, 2) for _ in range(m)] for _ in range(m)]
+
+        def vec():
+            return [rng.uniform(-2, 2) for _ in range(m)]
+
+        for _ in range(40):  # random, well conditioned
+            mu, mv = leg(), leg()
+            for i in range(m):
+                mu[i][i] += 4.0 * rng.choice((-1, 1))
+                mv[i][i] += 4.0 * rng.choice((-1, 1))
+            yield mu, vec(), mv, vec()
+        for _ in range(40):  # random, pivots land anywhere
+            yield leg(), vec(), leg(), vec()
+        for _ in range(5):
+            yield last_row_pivots(m, rng), vec(), last_row_pivots(m, rng), vec()
+        for _ in range(10):  # exact zeros, so multipliers of 0.0 and +-0.0 updates
+            mu, mv = leg(), leg()
+            for row in mu + mv:
+                for c in range(m):
+                    if rng.random() < 0.4:
+                        row[c] = rng.choice((0.0, -0.0))
+            for i in range(m):
+                mu[i][i] = mv[i][i] = 3.0
+            bu, bv = vec(), vec()
+            bu[rng.randrange(m)] = rng.choice((math.inf, -math.inf))
+            yield mu, bu, mv, bv
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_bit_for_bit(self, m):
+        rng = random.Random(800 + m)
+        seen = set()
+        for mu, bu, mv, bv in self.cases(m, rng):
+            pivots = []
+            want = outcome(textbook_para, mu, bu, mv, bv, pivots)
+            assert outcome(solve_para_linear, mu, bu, mv, bv) == want
+            seen.update(pivots)
+        # every unrolled swap branch ran: each candidate row was a pivot
+        assert seen >= {(k, r) for k in range(m) for r in range(k + 1, m)}
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_last_row_is_the_pivot_at_every_step(self, m):
+        rng = random.Random(900 + m)
+        mu, mv = last_row_pivots(m, rng), last_row_pivots(m, rng)
+        b = [rng.uniform(-2, 2) for _ in range(m)]
+        pivots = []
+        want = outcome(textbook_para, mu, b, mv, b, pivots)
+        assert pivots == [(k, m - 1) for k in range(m)]
+        assert outcome(solve_para_linear, mu, b, mv, b) == want
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_nan_entry(self, m):
+        rng = random.Random(m)
+        for where in range(m * m + m):
+            mu = [[rng.uniform(-2, 2) + 4.0 * (i == c) for c in range(m)] for i in range(m)]
+            bu = [rng.uniform(-2, 2) for _ in range(m)]
+            if where < m * m:
+                mu[where // m][where % m] = math.nan
+            else:
+                bu[where - m * m] = math.nan
+            mv = [row[::-1] for row in mu]
+            want = outcome(textbook_para, mu, bu, mv, bu)
+            assert outcome(solve_para_linear, mu, bu, mv, bu) == want
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    @pytest.mark.parametrize("leg", ["e+", "e-"])
+    @pytest.mark.parametrize("kind", ["zero row in", "singular"])
+    def test_singular_leg(self, m, leg, kind):
+        rng = random.Random(m)
+        good = [[rng.uniform(-1, 1) + 4.0 * (i == c) for c in range(m)] for i in range(m)]
+        bad = [list(row) for row in good]
+        if kind == "zero row in":
+            bad[-1] = [0.0] * m
+        else:  # the others' sum, off by far less than PIVOT_TOL of the row scale
+            bad[-1] = [sum(row[c] for row in good[:-1]) for c in range(m)]
+            bad[-1][-1] += 1e-15
+        mu, mv = (bad, good) if leg == "e+" else (good, bad)
+        b = [1.0] * m
+        got = outcome(solve_para_linear, mu, b, mv, b)
+        assert got == outcome(textbook_para, mu, b, mv, b)
+        assert got == (DegenerateLagrangian, f"{kind} {leg} component system")
 
 
 # ---------------------------------------------------------------------------
@@ -413,3 +568,57 @@ def test_first_sample_is_the_start_state(cfg):
     assert (first.z[0].a, first.z[0].b) == (0.4, 0.1)
     assert (first.zb[0].a, first.zb[0].b) == (0.3, -0.1)
     assert len(tr.samples) > 1
+
+
+def textbook_el_rhs(ode):
+    """make_el_rhs rebuilt on the looped reference solve: M and b from
+    lower(), split into their e+ and e- legs."""
+    m = 2 * ode.chart.n
+    values = lower(tuple(e for row in ode.M for e in row) + ode.b, ode.chart.slots())
+
+    def rhs(y):
+        out = values(y)
+        us, vs = out[0::2], out[1::2]
+        xu, xv = textbook_para(
+            [us[r : r + m] for r in range(0, m * m, m)], us[m * m :],
+            [vs[r : r + m] for r in range(0, m * m, m)], vs[m * m :],
+        )
+        return [leg for pair in zip(xu, xv) for leg in pair]
+
+    return rhs
+
+
+def conformal_l4():
+    """A coupled conformal Lagrangian with n = 4, so its legs are 8 x 8."""
+    chart = CoordinateChart(4)
+    function = " + ".join(
+        [f"z{i}*zb{i} + 0.3*zb{i}^2" for i in range(1, 5)] + [f"0.1*z{i}*zb{i + 1}" for i in range(1, 4)]
+    )
+    lam = " + ".join(f"0.2*z{i}*zb{i}" for i in range(1, 5))
+    p = LagrangianProblem(chart, parse(function, chart), parse(lam, chart))
+    s0 = PhaseState(
+        t=0.0,
+        z=(pc(0.5, 0.1), pc(0.6, -0.1), pc(0.4, 0.05), pc(0.7, 0.0)),
+        zb=(pc(0.2, 0.1), pc(0.3, -0.05), pc(0.1, 0.0), pc(0.25, 0.1)),
+    )
+    return p, s0, IntegratorConfig(method="rk4", t0=0.0, t1=0.05, dt=0.001)
+
+
+def shipped(name):
+    lp = load_problem(os.path.join(PROBLEMS, name))
+    return lp.problem, lp.start(), lp.config()
+
+
+@pytest.mark.parametrize(
+    "case", [lambda: shipped("oscillator.json"), lambda: shipped("el_coupled.json"), conformal_l4],
+    ids=["oscillator", "el_coupled", "conformal_n4"],
+)
+def test_integration_matches_textbook_solve_sample_for_sample(case):
+    p, s0, cfg = case()
+    ode = synthesize_el(p)
+    want = integrate(textbook_el_rhs(ode), s0, cfg).samples
+    got = integrate(make_el_rhs(ode), s0, cfg).samples
+    assert len(got) == len(want) > 1
+    for a, b in zip(got, want):
+        assert a.t == b.t
+        assert [(repr(w.u), repr(w.v)) for w in a.z + a.zb] == [(repr(w.u), repr(w.v)) for w in b.z + b.zb]
