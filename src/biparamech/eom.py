@@ -29,6 +29,7 @@ from .symbolic import (
     ExpressionError,
     J_EXPR,
     Negate,
+    Normalized,
     ONE_EXPR,
     Product,
     Quotient,
@@ -293,7 +294,6 @@ def synthesize_el(p: LagrangianProblem) -> ImplicitODE:
     contributes rate-of-lam terms, and the xi-free partial of L moves to
     the right-hand side.
     """
-    n = p.chart.n
     ep, em = _exp_of(p.lam), _exp_neg(p.lam)
     lam_cols = _lam_rate_terms(p.lam, p.chart)
 
@@ -305,24 +305,33 @@ def synthesize_el(p: LagrangianProblem) -> ImplicitODE:
             cols.append(differentiate(of, zb_var(k)))
         return cols
 
+    # each first partial is simplified once and enters its row's 2n
+    # entries and its b entry in that form; the columns differentiate it raw
+    lzb = [differentiate(p.L, zb_var(i)) for i in p.chart.indices()]
+    lz = [differentiate(p.L, z_var(i)) for i in p.chart.indices()]
+    lzb_s = [simplify(d) for d in lzb]
+    lz_s = [simplify(d) for d in lz]
     M: list = []
     b: list = []
-    for i in p.chart.indices():
-        Lzb = differentiate(p.L, zb_var(i))
+    for Lzb, Lzb_s, Lz_s in zip(lzb, lzb_s, lz_s):
+        known = Normalized(Lzb_s)
         row = []
         for c, lam_c in zip(columns(Lzb), lam_cols):
-            entry = Product((J_EXPR, ep, Sum((c, Product((lam_c, Lzb))))))
+            entry = Product((J_EXPR, ep, Sum((c, Product((lam_c, known))))))
             row.append(simplify(entry))
         M.append(tuple(row))
-        b.append(simplify(Negate(differentiate(p.L, z_var(i)))))
-    for i in p.chart.indices():
-        Lz = differentiate(p.L, z_var(i))
+        b.append(simplify(Negate(Normalized(Lz_s))))
+    for Lz, Lz_s, Lzb_s in zip(lz, lz_s, lzb_s):
+        known = Normalized(Lz_s)
         row = []
         for c, lam_c in zip(columns(Lz), lam_cols):
-            entry = Product((J_EXPR, em, Sum((c, Negate(Product((lam_c, Lz)))))))
+            entry = Product((J_EXPR, em, Sum((c, Negate(Product((lam_c, known)))))))
             row.append(simplify(entry))
         M.append(tuple(row))
-        b.append(simplify(differentiate(p.L, zb_var(i))))
+        b.append(Lzb_s)
+    # an overflowing constant in L is an input error even where every term
+    # that holds it differentiates to zero
+    simplify(p.L)
     return ImplicitODE(p.chart, tuple(M), tuple(b))
 
 
@@ -350,6 +359,7 @@ def synthesize_ham(p: HamiltonianProblem) -> ExplicitODE:
         rhs_zb.append(
             simplify(Quotient(Product((J_EXPR, differentiate(p.H, z_var(i)))), d_minus))
         )
+    simplify(p.H)  # as in synthesize_el
     return ExplicitODE(p.chart, tuple(rhs_z), tuple(rhs_zb), d_plus, d_minus)
 
 

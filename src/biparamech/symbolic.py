@@ -480,22 +480,31 @@ def to_text(e: Expr) -> str:
 
 
 def differentiate(e: Expr, var: Var) -> Expr:
-    """Formal partial derivative; the coordinate families are independent."""
+    """Formal partial derivative; the coordinate families are independent.
+
+    A sum leaves out a child whose derivative is the literal ZERO_EXPR, and
+    a product leaves out a product-rule term whose differentiated factor is;
+    with nothing left the result is ZERO_EXPR itself.  simplify() drops
+    such terms anyway.  A negation is always kept: simplify(-0) is the
+    constant -0.0, not ZERO_EXPR.
+    """
     if isinstance(e, Constant):
         return ZERO_EXPR
     if isinstance(e, Var):
         return ONE_EXPR if (e.family, e.index) == (var.family, var.index) else ZERO_EXPR
     if isinstance(e, Sum):
-        return Sum(tuple(differentiate(c, var) for c in e.children))
+        terms = tuple(d for d in (differentiate(c, var) for c in e.children)
+                      if d is not ZERO_EXPR)
+        return Sum(terms) if terms else ZERO_EXPR
     if isinstance(e, Negate):
         return Negate(differentiate(e.child, var))
     if isinstance(e, Product):
         terms = []
-        for i in range(len(e.children)):
-            factors = list(e.children)
-            factors[i] = differentiate(factors[i], var)
-            terms.append(Product(tuple(factors)))
-        return Sum(tuple(terms))
+        for i, c in enumerate(e.children):
+            d = differentiate(c, var)
+            if d is not ZERO_EXPR:
+                terms.append(Product(e.children[:i] + (d,) + e.children[i + 1:]))
+        return Sum(tuple(terms)) if terms else ZERO_EXPR
     if isinstance(e, Power):
         db = differentiate(e.base, var)
         k = Constant(ParaComplex(float(e.exponent), 0.0))
@@ -732,7 +741,19 @@ def compile_expr(e: Expr) -> Callable[..., ParaComplex]:
 # ---------------------------------------------------------------------------
 
 def sort_key(e: Expr):
-    """Total structural order used to canonicalize factor and term order."""
+    """Total structural order used to canonicalize factor and term order.
+
+    A pure function of structure, so it is computed once per node and kept
+    in the node's __dict__, which the dataclass's eq, hash and repr ignore.
+    """
+    try:
+        return e._sort_key
+    except AttributeError:
+        key = e.__dict__["_sort_key"] = _structural_key(e)
+        return key
+
+
+def _structural_key(e: Expr):
     if isinstance(e, Constant):
         return (0, (e.value.a, e.value.b))
     if isinstance(e, Var):
@@ -750,6 +771,18 @@ def sort_key(e: Expr):
     if isinstance(e, Negate):
         return (7, (sort_key(e.child),))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+@dataclass(frozen=True)
+class Normalized(Expr):
+    """A subtree already in simplify()'s normal form, taken as is.
+
+    For a caller that puts one simplified tree into many inputs of
+    simplify(); the wrapper never appears in simplify()'s output, and no
+    other function accepts it.
+    """
+
+    expr: Expr
 
 
 def simplify(e: Expr) -> Expr:
@@ -806,6 +839,8 @@ def _normalize(e: Expr) -> Expr:
             except DomainError:
                 pass
         return Apply(e.fn, arg)
+    if isinstance(e, Normalized):
+        return e.expr
     raise TypeError(f"not an expression node: {e!r}")
 
 

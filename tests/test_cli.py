@@ -93,6 +93,9 @@ def test_derive_two_charts(tmp_path, capsys):
         ("z1*zb1 + (1e200)^2*zb1^2", 2),
         ("z1*zb1 + 2^2000*zb1^2", 2),
         ("z1*zb1 + 1e308*zb1^2 + 1e308*zb1^2", 2),
+        # every term holding the overflow differentiates to zero
+        ("z1*zb1 + 0*(1e300*1e300)", 2),
+        ("1e308 + 1e308 + z1*zb1", 2),
     ],
 )
 def test_derive_with_overflowing_constants(tmp_path, capsys, function, code):
@@ -101,6 +104,14 @@ def test_derive_with_overflowing_constants(tmp_path, capsys, function, code):
     assert main(["derive", write_doc(tmp_path, doc)]) == code
     if code == 2:
         assert "overflows" in capsys.readouterr().err
+
+
+def test_derive_hamiltonian_with_overflow_in_a_zero_term(tmp_path, capsys):
+    doc = oscillator_doc()
+    doc["kind"] = "hamiltonian"
+    doc["function"] = "z1*zb1 + 0*(1e300*1e300)"
+    assert main(["derive", write_doc(tmp_path, doc)]) == 2
+    assert "overflows" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

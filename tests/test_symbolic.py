@@ -21,12 +21,14 @@ from biparamech.symbolic import (
     ExprSyntaxError,
     IndexOutOfRange,
     Negate,
+    ONE_EXPR,
     Power,
     Product,
     Quotient,
     Sum,
     UnknownVariable,
     Var,
+    ZERO_EXPR,
     as_expr,
     compile_expr,
     differentiate,
@@ -35,8 +37,10 @@ from biparamech.symbolic import (
     lower,
     parse,
     simplify,
+    sort_key,
     to_text,
     vars_of,
+    walk,
     xi_var,
     z_var,
     zb_var,
@@ -241,6 +245,20 @@ class TestDifferentiate:
         zb = s.zb[0]
         expected = -s.z[0] / (zb * zb)
         assert close(evaluate(de, s), expected)
+
+    def test_var_free_subtree_is_the_zero_object(self):
+        for text in ("2*3 + 4*(5 + 6)", "z2*zb2 + 3*zb1", "j*(zb1 + z2)*zb2 + 7"):
+            assert differentiate(parse(text, C2), z_var(1)) is ZERO_EXPR
+
+    def test_zero_product_rule_terms_are_left_out(self):
+        e = Product((c(3.0), z_var(1), zb_var(1)))
+        assert differentiate(e, z_var(1)) == Sum((Product((c(3.0), ONE_EXPR, zb_var(1))),))
+
+    def test_negated_zero_is_kept(self):
+        # simplify(-0) is the constant -0.0, which ZERO_EXPR is not
+        d = differentiate(Negate(zb_var(1)), z_var(1))
+        assert d == Negate(ZERO_EXPR)
+        assert repr(simplify(d)) == repr(c(-0.0, -0.0))
 
     def test_mixed_partials_commute_pointwise(self):
         rng = random.Random(7)
@@ -590,7 +608,35 @@ class TestSimplify:
 # ---------------------------------------------------------------------------
 
 
+def _recursive_sort_key(e):
+    if isinstance(e, Constant):
+        return (0, (e.value.a, e.value.b))
+    if isinstance(e, Var):
+        return (1, ({"z": 0, "zb": 1, "xi": 2, "xib": 3}[e.family], e.index))
+    if isinstance(e, Apply):
+        return (2, (e.fn, _recursive_sort_key(e.arg)))
+    if isinstance(e, Power):
+        return (3, (_recursive_sort_key(e.base), e.exponent))
+    if isinstance(e, Quotient):
+        return (4, (_recursive_sort_key(e.num), _recursive_sort_key(e.den)))
+    if isinstance(e, Sum):
+        return (5, tuple(_recursive_sort_key(c) for c in e.children))
+    if isinstance(e, Product):
+        return (6, tuple(_recursive_sort_key(c) for c in e.children))
+    return (7, (_recursive_sort_key(e.child),))
+
+
 class TestHelpers:
+    def test_cached_sort_key_matches_recursive_key(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            e = _random_expr(rng, 4)
+            nodes = list(walk(e))
+            rng.shuffle(nodes)  # parents cached before and after their children
+            for node in nodes + list(walk(simplify(e))):
+                assert sort_key(node) == _recursive_sort_key(node)
+                assert sort_key(node) is sort_key(node)
+
     def test_vars_of(self):
         e = parse("z1*zb2 + exp(z2)", C2)
         assert vars_of(e) == frozenset({("z", 1), ("zb", 2), ("z", 2)})
