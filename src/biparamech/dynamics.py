@@ -387,7 +387,11 @@ def integrate(rhs, s0: PhaseState, cfg: IntegratorConfig) -> Trajectory:
     samples = [PhaseState(t=cfg.t0, z=s0.z, zb=s0.zb)]
 
     def record(t, y):
-        samples.append(PhaseState(t=t, z=_values(y[: 2 * n]), zb=_values(y[2 * n :])))
+        # built from (a, b), so a sample's legs are a+b and a-b of its CSV
+        # row, the values a reader of the CSV rebuilds
+        w = [ParaComplex((y[k] + y[k + 1]) / 2.0, (y[k] - y[k + 1]) / 2.0)
+             for k in range(0, 4 * n, 2)]
+        samples.append(PhaseState(t=t, z=tuple(w[:n]), zb=tuple(w[n:])))
 
     run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
     run(deriv, _legs(s0.z + s0.zb), cfg, record)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .para_algebra import ONE, ZERO, ParaComplex
+from .para_algebra import J, ONE, ZERO, ParaComplex
 from .symbolic import (
     Apply,
     Constant,
@@ -404,14 +404,37 @@ def audit_lagrange(p: LagrangianProblem, s: EvalState, xi: Semispray) -> float:
     return max(abs(c - evaluate(d, full)) for c, d in zip(contraction, dE))
 
 
-def _denominator_values(p: HamiltonianProblem, s: EvalState) -> tuple[ParaComplex, ParaComplex]:
+@lru_cache(maxsize=128)
+def _hamilton_terms(p: HamiltonianProblem) -> tuple:
+    """The pieces of audit_hamilton that do not depend on the state.
+
+    One tuple per index i = 1..n: dlam/dz_i, dlam/dzb_i, dH/dz_i, dH/dzb_i
+    as differentiate returns them, and the synthesized dz_i/dt, dzb_i/dt.
+    Built once per problem, like _identity_terms.
+    """
+    ode = synthesize_ham(p)
+    return tuple(
+        (
+            differentiate(p.lam, z_var(i)),
+            differentiate(p.lam, zb_var(i)),
+            differentiate(p.H, z_var(i)),
+            differentiate(p.H, zb_var(i)),
+            ode.rhs_z[i - 1],
+            ode.rhs_zb[i - 1],
+        )
+        for i in p.chart.indices()
+    )
+
+
+def _denominator_values(
+    p: HamiltonianProblem, terms: tuple, s: EvalState
+) -> tuple[ParaComplex, ParaComplex]:
     acc = ZERO
-    for i in p.chart.indices():
-        acc = acc + evaluate(Var("z", i), s) * evaluate(differentiate(p.lam, z_var(i)), s)
-        acc = acc + evaluate(Var("zb", i), s) * evaluate(differentiate(p.lam, zb_var(i)), s)
+    for i, (lam_z, lam_zb, *_) in zip(p.chart.indices(), terms):
+        acc = acc + evaluate(Var("z", i), s) * evaluate(lam_z, s)
+        acc = acc + evaluate(Var("zb", i), s) * evaluate(lam_zb, s)
     half = ParaComplex(0.5, 0.0) * evaluate(p.lam, s).exp() * acc
-    one = ONE
-    return one + half, one - half
+    return ONE + half, ONE - half
 
 
 def audit_hamilton(p: HamiltonianProblem, s: EvalState, t: float | None = None) -> float:
@@ -421,21 +444,20 @@ def audit_hamilton(p: HamiltonianProblem, s: EvalState, t: float | None = None) 
     the denominators are recomputed here from lam's partials rather than
     taken from the ExplicitODE.
     """
-    d_plus, d_minus = _denominator_values(p, s)
+    terms = _hamilton_terms(p)
+    d_plus, d_minus = _denominator_values(p, terms, s)
     if not d_plus.invertible:
         raise SingularDenominator("D+", t)
     if not d_minus.invertible:
         raise SingularDenominator("D-", t)
-    ode = synthesize_ham(p)
-    j = ParaComplex(0.0, 1.0)
     worst = 0.0
-    for i in p.chart.indices():
-        Z_i = evaluate(ode.rhs_z[i - 1], s)
-        Zb_i = evaluate(ode.rhs_zb[i - 1], s)
-        Hz = evaluate(differentiate(p.H, z_var(i)), s)
-        Hzb = evaluate(differentiate(p.H, zb_var(i)), s)
-        r_dz = j * d_minus * Zb_i - Hz
-        r_dzb = -j * d_plus * Z_i - Hzb
+    for *_, h_z, h_zb, rhs_z, rhs_zb in terms:
+        Z_i = evaluate(rhs_z, s)
+        Zb_i = evaluate(rhs_zb, s)
+        Hz = evaluate(h_z, s)
+        Hzb = evaluate(h_zb, s)
+        r_dz = J * d_minus * Zb_i - Hz
+        r_dzb = -J * d_plus * Z_i - Hzb
         worst = max(worst, abs(r_dz), abs(r_dzb))
     return worst
 

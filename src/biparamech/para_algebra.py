@@ -6,9 +6,11 @@ The idempotents ``e+ = (1+j)/2`` and ``e- = (1-j)/2`` satisfy
 ``e+ - e- = j``, so every value factors through the pair
 ``(u, v) = (a+b, a-b)``.  Multiplication, division, powers and the
 transcendental functions all act componentwise on ``(u, v)``, which is
-where this module computes them.  A value with ``u = 0`` or ``v = 0`` is a
-zero divisor and has no inverse; the lines ``a = b`` and ``a = -b`` make up
-the zero-divisor locus.
+where this module computes them.  A ``ParaComplex`` holds both pairs, so
+a leg it computed is never rounded back through ``(a, b)``: ``e+ * x`` is
+exact on the legs even when a leg is subnormal.  A value with ``u = 0`` or
+``v = 0`` is a zero divisor and has no inverse; the lines ``a = b`` and
+``a = -b`` make up the zero-divisor locus.
 """
 
 from __future__ import annotations
@@ -44,36 +46,55 @@ class IdempotentPair:
     v: float
 
     def to_para(self) -> "ParaComplex":
-        return ParaComplex((self.u + self.v) / 2.0, (self.u - self.v) / 2.0)
+        return ParaComplex.from_idempotent(self.u, self.v)
 
 
-@dataclass(frozen=True)
 class ParaComplex:
-    """A split-complex number a + b*j in canonical coordinates."""
+    """A split-complex number a + b*j, held in both coordinate pairs.
 
-    a: float
-    b: float
+    A value built from ``(a, b)`` keeps them exactly and takes
+    ``u = a+b``, ``v = a-b``; one built from legs (``from_idempotent``)
+    keeps the legs exactly and takes ``a = (u+v)/2``, ``b = (u-v)/2``.
+    Products, quotients, powers and functions run on the legs; sums,
+    differences, negation and conjugation are linear and compute both
+    pairs directly.  Equality, hashing and ``repr`` use ``(a, b)``.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
+    __slots__ = ("a", "b", "u", "v")
+
+    def __init__(self, a: float, b: float) -> None:
+        a = float(a)
+        b = float(b)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_u(self, a + b)
+        _set_v(self, a - b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ParaComplex is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ParaComplex is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ParaComplex:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"ParaComplex(a={self.a!r}, b={self.b!r})"
 
     # -- idempotent representation -------------------------------------
-
-    @property
-    def u(self) -> float:
-        return self.a + self.b
-
-    @property
-    def v(self) -> float:
-        return self.a - self.b
 
     def components(self) -> IdempotentPair:
         return IdempotentPair(self.u, self.v)
 
     @classmethod
     def from_idempotent(cls, u: float, v: float) -> "ParaComplex":
-        return cls((u + v) / 2.0, (u - v) / 2.0)
+        return _from_legs(float(u), float(v))
 
     @property
     def invertible(self) -> bool:
@@ -85,7 +106,7 @@ class ParaComplex:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return ParaComplex(self.a + o.a, self.b + o.b)
+        return _make(self.a + o.a, self.b + o.b, self.u + o.u, self.v + o.v)
 
     __radd__ = __add__
 
@@ -93,19 +114,19 @@ class ParaComplex:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return ParaComplex(self.a - o.a, self.b - o.b)
+        return _make(self.a - o.a, self.b - o.b, self.u - o.u, self.v - o.v)
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return ParaComplex(o.a - self.a, o.b - self.b)
+        return _make(o.a - self.a, o.b - self.b, o.u - self.u, o.v - self.v)
 
     def __mul__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return ParaComplex.from_idempotent(self.u * o.u, self.v * o.v)
+        return _from_legs(self.u * o.u, self.v * o.v)
 
     __rmul__ = __mul__
 
@@ -115,7 +136,7 @@ class ParaComplex:
             return NotImplemented
         if not o.invertible:
             raise ZeroDivisor(f"division by zero divisor {o}")
-        return ParaComplex.from_idempotent(self.u / o.u, self.v / o.v)
+        return _from_legs(self.u / o.u, self.v / o.v)
 
     def __rtruediv__(self, other):
         o = _coerce(other)
@@ -124,18 +145,18 @@ class ParaComplex:
         return o.__truediv__(self)
 
     def __neg__(self) -> "ParaComplex":
-        return ParaComplex(-self.a, -self.b)
+        return _make(-self.a, -self.b, -self.u, -self.v)
 
     def __pow__(self, k: int) -> "ParaComplex":
         if not isinstance(k, int):
             return NotImplemented
         if k < 0 and not self.invertible:
             raise ZeroDivisor(f"negative power of zero divisor {self}")
-        return ParaComplex.from_idempotent(self.u**k, self.v**k)
+        return _from_legs(self.u**k, self.v**k)
 
     def conj(self) -> "ParaComplex":
         """Para-conjugation a + b*j -> a - b*j (swaps the idempotent components)."""
-        return ParaComplex(self.a, -self.b)
+        return _make(self.a, -self.b, self.v, self.u)
 
     def __abs__(self) -> float:
         """Sup norm in the idempotent basis, max(|u|, |v|)."""
@@ -161,6 +182,25 @@ class ParaComplex:
     def __str__(self) -> str:
         sign = "+" if self.b >= 0 else "-"
         return f"{self.a}{sign}{abs(self.b)}j"
+
+
+_set_a, _set_b, _set_u, _set_v = (ParaComplex.__dict__[k].__set__ for k in ParaComplex.__slots__)
+_new = object.__new__
+
+
+def _make(a: float, b: float, u: float, v: float) -> ParaComplex:
+    """A value with both coordinate pairs given; the ring ops pass floats,
+    so __init__'s conversions are skipped."""
+    w = _new(ParaComplex)
+    _set_a(w, a)
+    _set_b(w, b)
+    _set_u(w, u)
+    _set_v(w, v)
+    return w
+
+
+def _from_legs(u: float, v: float) -> ParaComplex:
+    return _make((u + v) / 2.0, (u - v) / 2.0, u, v)
 
 
 def _coerce(x) -> ParaComplex | None:
@@ -211,7 +251,7 @@ def apply_function(tag: str, x: ParaComplex) -> ParaComplex:
     leg = FUNCTIONS.get(tag)
     if leg is None:
         raise ValueError(f"unknown function {tag!r}")
-    return ParaComplex.from_idempotent(leg(x.u), leg(x.v))
+    return _from_legs(leg(x.u), leg(x.v))
 
 
 # ---------------------------------------------------------------------------

@@ -555,12 +555,11 @@ def _lookup(state, family: str, index: int) -> ParaComplex:
     return seq[index - 1]
 
 
-# Evaluation runs on the idempotent legs and recombines to canonical
-# coordinates once, at the root.  Recombining at every node would quantize
-# a small leg at the ulp of a large one (legs of x^16 can differ by 1e14,
-# at which point (a, b) storage keeps two digits of the small leg) and
-# that loss was observable in finite-difference audits.  The interpreter
-# below and the lowered code share the checks and their messages.
+# Evaluation runs on plain float legs and builds one ParaComplex, at the
+# root, which keeps those legs exactly; folding the same tree with
+# ParaComplex's ring ops gives the same legs bit for bit, at an object per
+# node.  The interpreter below and the lowered code share the checks and
+# their messages.
 
 
 def _zero_divisor(e: Expr):

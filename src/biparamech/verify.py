@@ -283,8 +283,10 @@ def selftest_algebra(seed: int) -> Report:
             abs((mu * xu) * (mu * xu) - mu * (xu * xu)),
             abs((mv * xv) * (mv * xv) - mv * (xv * xv)),
         )
-        # the same identities through canonical arithmetic, which rounds on
-        # every recombination: within 1e-15 relative
+        # the same identities through ParaComplex's ring ops, compared on
+        # (a, b): a product keeps its legs exactly and halves them into
+        # (a, b) once, so this measures 0.0 in practice; the bound is 1e-15
+        # relative
         round_dev = max(round_dev, _canon_dev(E_PLUS * x + E_MINUS * x, x))
         round_dev = max(round_dev, _canon_dev((E_PLUS * x) * (E_MINUS * x), ZERO))
         round_dev = max(round_dev, _canon_dev((E_PLUS - E_MINUS) * x, J * x))

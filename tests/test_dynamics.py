@@ -622,3 +622,15 @@ def test_integration_matches_textbook_solve_sample_for_sample(case):
     for a, b in zip(got, want):
         assert a.t == b.t
         assert [(repr(w.u), repr(w.v)) for w in a.z + a.zb] == [(repr(w.u), repr(w.v)) for w in b.z + b.zb]
+
+
+def test_integrate_samples_carry_the_legs_of_their_csv_row():
+    # a sample is built from the (a, b) its CSV row prints, so its legs are
+    # the ones a reader of the CSV rebuilds, and the energy column agrees
+    # with them; the stepping itself runs on the flat leg list
+    p, s0, cfg = shipped("ham_conserve.json")
+    samples = integrate(make_ham_rhs(synthesize_ham(p)), s0, cfg).samples
+    assert len(samples) > 200
+    for s in samples:
+        for w in s.z + s.zb:
+            assert w.u == w.a + w.b and w.v == w.a - w.b

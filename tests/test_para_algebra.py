@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biparamech.para_algebra import (
@@ -176,6 +176,9 @@ class TestRingProperties:
         st.floats(min_value=-5, max_value=5, allow_nan=False),
     )
     @settings(max_examples=80, deadline=None)
+    # exp(5j) keeps its e- leg e^-5 exactly; from (cosh 5, sinh 5) it would
+    # lose about two digits to cancellation
+    @example(a1=0.0, b1=5.0, a2=0.0, b2=-5.0)
     def test_exp_addition_law(self, a1, b1, a2, b2):
         x, y = pc(a1, b1), pc(a2, b2)
         lhs = (x + y).exp()
@@ -184,15 +187,66 @@ class TestRingProperties:
 
     @given(finite, finite)
     @settings(max_examples=80, deadline=None)
+    # a subnormal leg: halving it into (a, b) would lose its last bit
+    @example(a=0.0, b=5e-324)
     def test_idempotent_projections_recombine(self, a, b):
-        # Exact on the (u, v) pairs; the canonical round-trip may round in
-        # the last bit, hence the scaled 1e-15 bound on the stored values.
+        # Exact on the (u, v) pairs, which products keep; the sums recombine
+        # through (a, b), hence the scaled 1e-15 bound.
         x = pc(a, b)
         assert (E_PLUS * x).components() == IdempotentPair(x.u, 0.0)
         assert (E_MINUS * x).components() == IdempotentPair(0.0, x.v)
         tol = 1e-15 * max(1.0, abs(x))
         assert abs(E_PLUS * x + E_MINUS * x - x) <= tol
         assert abs(J * (J * x) - x) <= tol
+
+
+class TestValueType:
+    def test_fields_cannot_be_assigned(self):
+        x = pc(1.0, 2.0)
+        for name in ("a", "b", "u", "v"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0.0)
+        with pytest.raises(AttributeError):
+            x.w = 0.0
+        with pytest.raises(AttributeError):
+            del x.a
+        assert (x.a, x.b, x.u, x.v) == (1.0, 2.0, 3.0, -1.0)
+
+    def test_equal_values_hash_equal(self):
+        x = pc(0.1, 0.2) * pc(0.3, 0.7)  # built from legs
+        y = pc(x.a, x.b)  # the same (a, b), legs a+b and a-b
+        assert x == y
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
+        assert pc(1, 2) == pc(1.0, 2.0) and hash(pc(1, 2)) == hash(pc(1.0, 2.0))
+
+    def test_not_equal_to_other_types(self):
+        assert pc(1.0, 0.0) != 1.0
+        assert pc(1.0, 0.0) != (1.0, 0.0)
+
+    def test_repr(self):
+        assert repr(pc(1, -2.5)) == "ParaComplex(a=1.0, b=-2.5)"
+        assert repr(ParaComplex.from_idempotent(3.0, -1.0)) == "ParaComplex(a=1.0, b=2.0)"
+
+    def test_from_idempotent_keeps_subnormal_legs(self):
+        x = ParaComplex.from_idempotent(5e-324, -5e-324)
+        assert (x.u, x.v) == (5e-324, -5e-324)
+        assert ParaComplex.from_idempotent(1e308, 5e-324).v == 5e-324
+
+    def test_negation_keeps_negative_zero_in_both_pairs(self):
+        x = -pc(0.0, 0.0)
+        assert all(math.copysign(1.0, f) == -1.0 for f in (x.a, x.b, x.u, x.v))
+        y = -ParaComplex.from_idempotent(0.0, 0.0)
+        assert all(math.copysign(1.0, f) == -1.0 for f in (y.a, y.b, y.u, y.v))
+
+    def test_linear_ops_compute_both_pairs(self):
+        # from (a, b) = (0.5, 0.5) the e- legs below would come out 0.0
+        x = ParaComplex.from_idempotent(1.0, 1e-17)
+        y = pc(0.0, 2e-17)
+        assert ((x + y).u, (x + y).v) == (x.u + y.u, x.v + y.v)
+        assert ((x + y).a, (x + y).b) == (x.a + y.a, x.b + y.b)
+        assert ((x - y).u, (x - y).v) == (x.u - y.u, x.v - y.v)
+        assert (x.conj().u, x.conj().v) == (x.v, x.u)
 
 
 def one_term(terms):

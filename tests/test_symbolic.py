@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from biparamech.para_algebra import (
     INVERTIBILITY_FLOOR,
+    ONE,
+    ZERO,
     DomainError,
     ParaComplex,
     ZeroDivisor,
+    apply_function,
 )
 from biparamech.symbolic import (
     _eval_pair,
@@ -510,6 +513,50 @@ class TestLowerAtEdgeStates:
                     else:
                         assert isinstance(got, list), (to_text(tree), got)
                         assert _legs_agree(got, want), to_text(tree)
+
+
+def _ring_fold(e, s) -> ParaComplex:
+    """e evaluated with ParaComplex's own ring ops, node by node."""
+    if isinstance(e, Constant):
+        return e.value
+    if isinstance(e, Var):
+        return getattr(s, e.family)[e.index - 1]
+    if isinstance(e, Sum):
+        acc = ZERO
+        for child in e.children:
+            acc = acc + _ring_fold(child, s)
+        return acc
+    if isinstance(e, Product):
+        acc = ONE
+        for child in e.children:
+            acc = acc * _ring_fold(child, s)
+        return acc
+    if isinstance(e, Negate):
+        return -_ring_fold(e.child, s)
+    if isinstance(e, Power):
+        return _ring_fold(e.base, s) ** e.exponent
+    if isinstance(e, Quotient):
+        return _ring_fold(e.num, s) / _ring_fold(e.den, s)
+    return apply_function(e.fn, _ring_fold(e.arg, s))
+
+
+class TestRingOpEvaluation:
+    def test_ring_ops_give_the_interpreters_legs_exactly(self):
+        # ParaComplex keeps the legs its products, quotients, powers and
+        # functions compute, so folding a tree with them is the leg
+        # interpreter, bit for bit
+        from biparamech.verify import random_expression, random_state
+
+        rng = random.Random(1209)
+        for _ in range(400):
+            e = random_expression(rng)
+            s = random_state(rng, 2)
+            got = _outcome(lambda: _ring_fold(e, s))
+            want = _outcome(lambda: _eval_pair(e, s))
+            if isinstance(want, type):
+                assert got is want, to_text(e)
+            else:
+                assert repr((got.u, got.v)) == repr(want), to_text(e)
 
 
 # ---------------------------------------------------------------------------
