@@ -41,7 +41,6 @@ from .symbolic import (
     compile_expr,
     differentiate,
     lower,
-    simplify,
     z_var,
     zb_var,
 )
@@ -411,7 +410,7 @@ def _series_roots(p: LagrangianProblem) -> tuple:
     lz = [differentiate(p.L, z_var(i)) for i in p.chart.indices()]
     lzb = [differentiate(p.L, zb_var(i)) for i in p.chart.indices()]
     roots = [Product((grow, d)) for d in lzb] + [Product((shrink, d)) for d in lz]
-    return tuple(simplify(e) for e in roots + lz + lzb)
+    return tuple(roots + lz + lzb)
 
 
 def residual_series(p: LagrangianProblem, tr: Trajectory):

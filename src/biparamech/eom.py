@@ -29,7 +29,6 @@ from .symbolic import (
     ExpressionError,
     J_EXPR,
     Negate,
-    Normalized,
     ONE_EXPR,
     Product,
     Quotient,
@@ -277,12 +276,7 @@ class ExplicitODE:
 
 def _lam_rate_terms(lam: Expr, chart: CoordinateChart) -> tuple:
     """Partials of lam in unknown order (z1..zn, zb1..zbn)."""
-    cols = []
-    for k in chart.indices():
-        cols.append(simplify(differentiate(lam, z_var(k))))
-    for k in chart.indices():
-        cols.append(simplify(differentiate(lam, zb_var(k))))
-    return tuple(cols)
+    return tuple(simplify(differentiate(lam, Var(*slot))) for slot in chart.slots())
 
 
 @lru_cache(maxsize=128)
@@ -292,43 +286,25 @@ def synthesize_el(p: LagrangianProblem) -> ImplicitODE:
     Row A_i carries j*exp(lam) against the dzb_i-partials of L, row B_i
     carries j*exp(-lam) against the dz_i-partials; the conformal factor
     contributes rate-of-lam terms, and the xi-free partial of L moves to
-    the right-hand side.
+    the right-hand side.  The entries are the chain rule's trees, which
+    el_equation_texts expands and lower() folds; each first partial of L
+    is one object in its row's 2n entries and in b.
     """
     ep, em = _exp_of(p.lam), _exp_neg(p.lam)
     lam_cols = _lam_rate_terms(p.lam, p.chart)
-
-    def columns(of: Expr) -> list:
-        cols = []
-        for k in p.chart.indices():
-            cols.append(differentiate(of, z_var(k)))
-        for k in p.chart.indices():
-            cols.append(differentiate(of, zb_var(k)))
-        return cols
-
-    # each first partial is simplified once and enters its row's 2n
-    # entries and its b entry in that form; the columns differentiate it raw
+    wrt = [Var(*slot) for slot in p.chart.slots()]
     lzb = [differentiate(p.L, zb_var(i)) for i in p.chart.indices()]
     lz = [differentiate(p.L, z_var(i)) for i in p.chart.indices()]
-    lzb_s = [simplify(d) for d in lzb]
-    lz_s = [simplify(d) for d in lz]
-    M: list = []
-    b: list = []
-    for Lzb, Lzb_s, Lz_s in zip(lzb, lzb_s, lz_s):
-        known = Normalized(Lzb_s)
-        row = []
-        for c, lam_c in zip(columns(Lzb), lam_cols):
-            entry = Product((J_EXPR, ep, Sum((c, Product((lam_c, known))))))
-            row.append(simplify(entry))
-        M.append(tuple(row))
-        b.append(simplify(Negate(Normalized(Lz_s))))
-    for Lz, Lz_s, Lzb_s in zip(lz, lz_s, lzb_s):
-        known = Normalized(Lz_s)
-        row = []
-        for c, lam_c in zip(columns(Lz), lam_cols):
-            entry = Product((J_EXPR, em, Sum((c, Negate(Product((lam_c, known)))))))
-            row.append(simplify(entry))
-        M.append(tuple(row))
-        b.append(Lzb_s)
+    M = [
+        tuple(Product((J_EXPR, ep, Sum((differentiate(d, v), Product((lam_c, d))))))
+              for v, lam_c in zip(wrt, lam_cols))
+        for d in lzb
+    ] + [
+        tuple(Product((J_EXPR, em, Sum((differentiate(d, v), Negate(Product((lam_c, d)))))))
+              for v, lam_c in zip(wrt, lam_cols))
+        for d in lz
+    ]
+    b = [Negate(d) for d in lz] + lzb
     # an overflowing constant in L is an input error even where every term
     # that holds it differentiates to zero
     simplify(p.L)
@@ -464,14 +440,13 @@ def audit_hamilton(p: HamiltonianProblem, s: EvalState, t: float | None = None) 
 
 def el_equation_texts(ode: ImplicitODE) -> list[str]:
     """Render each implicit row as '<lhs> = <rhs>' with xi/xib unknowns."""
-    n = ode.chart.n
     unknowns = [xi_var(i) for i in ode.chart.indices()] + [
         xib_var(i) for i in ode.chart.indices()
     ]
     lines = []
-    for r in range(2 * n):
-        lhs = simplify(Sum(tuple(Product((ode.M[r][c], unknowns[c])) for c in range(2 * n))))
-        lines.append(f"{to_text(lhs)} = {to_text(ode.b[r])}")
+    for row, rhs in zip(ode.M, ode.b):
+        lhs = simplify(Sum(tuple(Product((m, x)) for m, x in zip(row, unknowns))))
+        lines.append(f"{to_text(lhs)} = {to_text(simplify(rhs))}")
     return lines
 
 

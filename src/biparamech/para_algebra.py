@@ -152,7 +152,7 @@ class ParaComplex:
             return NotImplemented
         if k < 0 and not self.invertible:
             raise ZeroDivisor(f"negative power of zero divisor {self}")
-        return _from_legs(self.u**k, self.v**k)
+        return _from_legs(_pow_leg(self.u, k), _pow_leg(self.v, k))
 
     def conj(self) -> "ParaComplex":
         """Para-conjugation a + b*j -> a - b*j (swaps the idempotent components)."""
@@ -213,7 +213,14 @@ def _coerce(x) -> ParaComplex | None:
 
 # The named functions on one real leg.  Every evaluator applies these to
 # both legs, so a value, a folded constant and a compiled closure agree:
-# exp overflows to inf, and sin/cos of a non-finite leg give nan.
+# exp and powers overflow to inf, and sin/cos of a non-finite leg give nan.
+
+
+def _pow_leg(x: float, k: int) -> float:
+    try:
+        return x**k
+    except OverflowError:
+        return -math.inf if x < 0.0 and k % 2 else math.inf
 
 
 def _exp_leg(x: float) -> float:

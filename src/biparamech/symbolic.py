@@ -21,9 +21,10 @@ Numbers are decimal with optional fraction and exponent; variables are
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterator
 
 from .para_algebra import (
@@ -35,6 +36,7 @@ from .para_algebra import (
     DomainError,
     ParaComplex,
     ZeroDivisor,
+    _pow_leg,
     apply_function,
 )
 
@@ -176,6 +178,18 @@ class Apply(Expr):
 class Negate(Expr):
     child: Expr
 
+
+def _hashed_once(structural):
+    # kept in __dict__, as sort_key is: an lru_cache key may be a whole system
+    def __hash__(self):
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = structural(self)
+        return self.__dict__["_hash"]
+    return __hash__
+
+
+for _node in (Constant, Var, Sum, Product, Power, Quotient, Apply, Negate):
+    _node.__hash__ = _hashed_once(_node.__hash__)
 
 ZERO_EXPR = Constant(ZERO)
 ONE_EXPR = Constant(ONE)
@@ -515,6 +529,8 @@ def differentiate(e: Expr, var: Var) -> Expr:
         return Product((k, Power(e.base, e.exponent - 1), db))
     if isinstance(e, Quotient):
         dn = differentiate(e.num, var)
+        if isinstance(e.den, Constant):  # no square to overflow: d(n/c) = dn/c
+            return dn if dn is ZERO_EXPR else Quotient(dn, e.den)
         dd = differentiate(e.den, var)
         num = Sum((Product((dn, e.den)), Negate(Product((e.num, dd)))))
         return Quotient(num, Power(e.den, 2))
@@ -599,7 +615,7 @@ def _eval_pair(e: Expr, state):
         k = e.exponent
         if k < 0 and (abs(u) < INVERTIBILITY_FLOOR or abs(v) < INVERTIBILITY_FLOOR):
             _zero_divisor(e)
-        return u**k, v**k
+        return _pow_leg(u, k), _pow_leg(v, k)
     if isinstance(e, Quotient):
         nu, nv = _eval_pair(e.num, state)
         du, dv = _eval_pair(e.den, state)
@@ -637,30 +653,18 @@ _LOWERED_GLOBALS = {
     "DomainError": DomainError,
     "_zero_divisor": _zero_divisor,
     "_domain_failure": _domain_failure,
+    "leg_pow": _pow_leg,
     **{f"leg_{name}": leg for name, leg in FUNCTIONS.items()},
 }
 _FLOOR = repr(INVERTIBILITY_FLOOR)
 
 
-def _literal(x: float) -> str:
-    text = repr(x)  # inf and nan are names in _LOWERED_GLOBALS
-    return f"({text})" if text.startswith("-") else text
+class _Vanishing(float):
+    """A zero leg of a term simplify() drops from a sum (a literal zero, or
+    a product with one); a sum leaves it out, elsewhere it is that zero."""
 
 
-def _template(e: Expr, arity: int) -> str:
-    """The Python expression of one leg of e, with {k} for child k's leg."""
-    if isinstance(e, (Sum, Product)):
-        op, empty = (" + ", "0.0") if isinstance(e, Sum) else (" * ", "1.0")
-        return op.join(f"{{{k}}}" for k in range(arity)) or empty
-    if isinstance(e, Negate):
-        return "-{0}"
-    if isinstance(e, Power):
-        return f"{{0}} ** {e.exponent}"
-    if isinstance(e, Quotient):
-        return "{0} / {1}"
-    if isinstance(e, Apply):
-        return f"leg_{e.fn}({{0}})"
-    raise TypeError(f"not an expression node: {e!r}")
+_VANISHING = _Vanishing(0.0)
 
 
 @lru_cache(maxsize=256)
@@ -670,48 +674,97 @@ def lower(roots: tuple, slots: tuple) -> Callable[[list], list]:
     ``slots`` names the variables as (family, index) pairs.  The function
     takes their legs as one flat list ``y = [u(s0), v(s0), u(s1), v(s1),
     ...]`` and returns the roots' legs in the same interleaved layout.
-    Structurally equal subexpressions, within a root or across roots, are
-    computed once.  The arithmetic is evaluate()'s, leg by leg, and a zero
-    divisor or domain failure names the offending subexpression as
-    evaluate() does.  The result is memoized per (roots, slots).
+    Equal leg computations, within a root or across roots, are computed
+    once.  The arithmetic is evaluate()'s, leg by leg, and a zero divisor
+    or domain failure names the offending subexpression as evaluate()
+    does.  Legs fold as they are built: literal operands give a finite
+    literal that raises nothing; a factor 1.0 and a term -0.0 go, exactly;
+    a product with a literal zero is 0.0, which a sum drops, as simplify()
+    does; one operand left is an alias; a passing literal denominator is
+    not checked.  The result is memoized per (roots, slots).
     """
     where = {slot: k for k, slot in enumerate(slots)}
     lines: list[str] = []
     nodes: list[Expr] = []  # the checks' nodes, rendered only when one fails
-    names: dict[tuple, tuple] = {}  # (template, children's legs) -> legs
+    names: dict[str, str] = {}  # hash-consing: a leg's code -> the local holding it
+    done: dict[int, tuple] = {}  # id(node) -> (node, legs): shared subtrees once
+    checked: set[str] = set()  # zero-divisor tests already emitted
 
-    def legs_of(e: Expr) -> tuple[str, str]:
+    def text(leg) -> str:
+        if not isinstance(leg, float):
+            return leg
+        literal = repr(leg)  # inf and nan are names in _LOWERED_GLOBALS
+        return f"({literal})" if literal.startswith("-") else literal
+
+    def bind(code: str) -> str:
+        if code not in names:
+            names[code] = f"t{len(names)}"
+            lines.append(f"{names[code]} = {code}")
+        return names[code]
+
+    def fold(e: Expr, args: list):
+        """One leg of e from its children's legs: a float literal or a name."""
+        if isinstance(e, (Sum, Product)):
+            is_sum = isinstance(e, Sum)
+            if is_sum:
+                args = [a for a in args if not isinstance(a, _Vanishing)]
+            elif any(a == 0.0 for a in args if isinstance(a, float)):
+                return _VANISHING
+            if not args:
+                return _VANISHING if is_sum else 1.0
+            exact = "-0.0" if is_sum else "1.0"  # x + -0.0 and x * 1.0 are x
+            args = [a for a in args if not (isinstance(a, float) and repr(a) == exact)] or args
+            if len(args) == 1:
+                return args[0]
+            op = lambda *legs: reduce(operator.add if is_sum else operator.mul, legs)
+            code = (" + " if is_sum else " * ").join(map(text, args))
+        elif isinstance(e, Negate):
+            op, code = operator.neg, f"-{text(args[0])}"
+        elif isinstance(e, Power):
+            op, code = partial(_pow_leg, k=e.exponent), f"leg_pow({text(args[0])}, {e.exponent})"
+        elif isinstance(e, Quotient):  # a failing check on a literal raises first
+            op, code = operator.truediv, f"{text(args[0])} / {text(args[1])}"
+        else:
+            op, code = FUNCTIONS[e.fn], f"leg_{e.fn}({text(args[0])})"
+        if all(isinstance(a, float) for a in args):
+            try:
+                value = op(*args)
+                if math.isfinite(value):
+                    return value
+                simplify(e)  # raises, as derive does, if e is a constant that overflows
+            except ArithmeticError:  # a zero divisor or a domain failure
+                pass
+        return bind(code)
+
+    def legs_of(e: Expr) -> tuple:
         if isinstance(e, Constant):
-            return _literal(e.value.u), _literal(e.value.v)
+            legs = e.value.u, e.value.v
+            return tuple(map(_Vanishing, legs)) if is_zero(e) else legs
         if isinstance(e, Var):
             k = where.get((e.family, e.index))
             if k is None:
                 raise ExpressionError(f"no slot binds {e.name}")
-            key = "{0}", ((f"y[{2 * k}]", f"y[{2 * k + 1}]"),)
-        else:
-            kids = tuple(legs_of(c) for c in children_of(e))
-            key = _template(e, len(kids)), kids
-        if key in names:  # hash-consing: an equal key computes an equal value
-            return names[key]
-        template, kids = key
-        legs = names[key] = f"u{len(names)}", f"v{len(names)}"
+            return bind(f"y[{2 * k}]"), bind(f"y[{2 * k + 1}]")
+        if id(e) in done:
+            return done[id(e)][1]
+        kids = [legs_of(c) for c in children_of(e)]
         if isinstance(e, Quotient) or isinstance(e, Power) and e.exponent < 0:
+            tests = " or ".join(f"abs({text(d)}) < {_FLOOR}" for d in kids[-1]
+                                if not (isinstance(d, float) and abs(d) >= INVERTIBILITY_FLOOR))
+            if tests and tests not in checked:
+                checked.add(tests)
+                nodes.append(e)
+                lines.append(f"if {tests}: _zero_divisor(nodes[{len(nodes) - 1}])")
+        first = len(lines)
+        legs = tuple(fold(e, [c[side] for c in kids]) for side in (0, 1))
+        if isinstance(e, Apply) and len(lines) > first:
             nodes.append(e)
-            du, dv = kids[-1]
-            lines.append(
-                f"if abs({du}) < {_FLOOR} or abs({dv}) < {_FLOOR}: "
-                f"_zero_divisor(nodes[{len(nodes) - 1}])"
-            )
-        assign = [f"{leg} = {template.format(*(c[side] for c in kids))}"
-                  for side, leg in enumerate(legs)]
-        if isinstance(e, Apply):
-            nodes.append(e)
-            assign = ["try:", *(f"    {a}" for a in assign), "except DomainError:",
-                      f"    _domain_failure(nodes[{len(nodes) - 1}])"]
-        lines.extend(assign)
+            lines[first:] = ["try:", *(f"    {a}" for a in lines[first:]), "except DomainError:",
+                             f"    _domain_failure(nodes[{len(nodes) - 1}])"]
+        done[id(e)] = e, legs
         return legs
 
-    out = [leg for root in roots for leg in legs_of(root)]
+    out = [text(leg) for root in roots for leg in legs_of(root)]
     body = "".join(f"    {line}\n" for line in lines)
     source = f"def lowered(y):\n{body}    return [{', '.join(out)}]\n"
     namespace = dict(_LOWERED_GLOBALS, nodes=tuple(nodes))
@@ -772,26 +825,15 @@ def _structural_key(e: Expr):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-@dataclass(frozen=True)
-class Normalized(Expr):
-    """A subtree already in simplify()'s normal form, taken as is.
-
-    For a caller that puts one simplified tree into many inputs of
-    simplify(); the wrapper never appears in simplify()'s output, and no
-    other function accepts it.
-    """
-
-    expr: Expr
-
-
 def simplify(e: Expr) -> Expr:
     """Constant folding, flattening, expansion and term collection.
 
     The result evaluates to the same values (to roundoff) and is canonical:
     structurally equal inputs produce identical trees, and terms that cancel
-    exactly disappear.
+    exactly disappear.  A subtree that appears in e more than once, as the
+    same object, is normalized once; that memo lives for this call only.
     """
-    return _normalize(e)
+    return _normalize(e, {})
 
 
 def _negate_normalized(e: Expr) -> Expr:
@@ -810,24 +852,30 @@ def _negate_normalized(e: Expr) -> Expr:
     return _rebuild_term(-coeff, factors)
 
 
-def _normalize(e: Expr) -> Expr:
+def _normalize(e: Expr, memo: dict) -> Expr:
     if isinstance(e, (Constant, Var)):
         return e
+    if id(e) not in memo:  # the entry holds e, so its id is not reused
+        memo[id(e)] = e, _normalize_node(e, memo)
+    return memo[id(e)][1]
+
+
+def _normalize_node(e: Expr, memo: dict) -> Expr:
     if isinstance(e, Negate):
-        return _negate_normalized(_normalize(e.child))
+        return _negate_normalized(_normalize(e.child, memo))
     if isinstance(e, Sum):
         terms: list[tuple[ParaComplex, tuple]] = []
         for c in e.children:
-            _gather_terms(_normalize(c), terms)
+            _gather_terms(_normalize(c, memo), terms)
         return _rebuild_terms(_collect(terms))
     if isinstance(e, Product):
-        return _normalize_product([_normalize(c) for c in e.children])
+        return _normalize_product([_normalize(c, memo) for c in e.children])
     if isinstance(e, Power):
-        return _normalize_power(_normalize(e.base), e.exponent)
+        return _normalize_power(_normalize(e.base, memo), e.exponent)
     if isinstance(e, Quotient):
-        return _normalize_quotient(_normalize(e.num), _normalize(e.den))
+        return _normalize_quotient(_normalize(e.num, memo), _normalize(e.den, memo))
     if isinstance(e, Apply):
-        arg = _normalize(e.arg)
+        arg = _normalize(e.arg, memo)
         if isinstance(arg, Constant):
             # fold only a finite result: exp(1000) stays a call rather than
             # becoming a constant with an inf leg and a nan component
@@ -838,8 +886,6 @@ def _normalize(e: Expr) -> Expr:
             except DomainError:
                 pass
         return Apply(e.fn, arg)
-    if isinstance(e, Normalized):
-        return e.expr
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -999,8 +1045,6 @@ def _normalize_power(base: Expr, k: int) -> Expr:
             return Constant(_folded(base.value**k, "power"))
         except ZeroDivisor:
             return Power(base, k)
-        except OverflowError:
-            raise ExpressionError("constant power overflows") from None
     if isinstance(base, Power):
         return _normalize_power(base.base, base.exponent * k)
     if isinstance(base, Product):

@@ -185,7 +185,7 @@ def random_expression(rng: random.Random, depth: int = 3):
 def _try_eval(e, s):
     try:
         v = evaluate(e, s)
-    except (ZeroDivisor, DomainError, OverflowError):
+    except (ZeroDivisor, DomainError):
         return None
     return v if v.is_finite() else None
 
@@ -416,7 +416,7 @@ def check_fd(expr, samples: int, seed: int) -> Report:
                 sym = evaluate(partial, s)
                 fd = _fd_partial(expr, s, family, i, FD_STEP)
                 fd2 = _fd_partial(expr, s, family, i, FD_STEP / 2)
-            except (ZeroDivisor, DomainError, OverflowError):
+            except (ZeroDivisor, DomainError):
                 ok = False
                 break
             if not (sym.is_finite() and fd.is_finite() and fd2.is_finite()):

@@ -8,6 +8,7 @@ import glob
 import json
 import math
 import os
+import pathlib
 import re
 
 import pytest
@@ -17,6 +18,7 @@ from biparamech.cli import main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(REPO, "problems")
+DATA = pathlib.Path(REPO) / "tests" / "data"
 
 
 def oscillator_doc():
@@ -96,6 +98,8 @@ def test_derive_two_charts(tmp_path, capsys):
         # every term holding the overflow differentiates to zero
         ("z1*zb1 + 0*(1e300*1e300)", 2),
         ("1e308 + 1e308 + z1*zb1", 2),
+        # only the second partial, 2*1e308, overflows
+        ("z1*zb1 + 1e308*zb1^2", 2),
     ],
 )
 def test_derive_with_overflowing_constants(tmp_path, capsys, function, code):
@@ -104,6 +108,8 @@ def test_derive_with_overflowing_constants(tmp_path, capsys, function, code):
     assert main(["derive", write_doc(tmp_path, doc)]) == code
     if code == 2:
         assert "overflows" in capsys.readouterr().err
+        # integrate, which does not expand, folds the same constants
+        assert main(["integrate", write_doc(tmp_path, doc), "-o", str(tmp_path / "x.csv")]) == 2
 
 
 def test_derive_hamiltonian_with_overflow_in_a_zero_term(tmp_path, capsys):
@@ -329,6 +335,57 @@ def test_integrate_degenerate_lagrangian_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "t=0.0" in err
     assert not (tmp_path / "x.csv").exists()  # nothing is opened before integrating
+
+
+def test_constant_denominator_derives_and_integrates(tmp_path, capsys):
+    # d(num/c) = dn/c: the quotient rule's c^2 = 1e400 would overflow
+    doc = oscillator_doc()
+    doc["function"] = "z1*zb1 + zb1/1e200"
+    prob = write_doc(tmp_path, doc)
+    assert main(["derive", prob]) == 0
+    assert main(["integrate", prob, "-o", str(tmp_path / "x.csv")]) == 0
+
+
+def _rkf45(doc):
+    doc = dict(doc, integrator="rkf45", tol=1e-8)
+    del doc["dt"]
+    return doc
+
+
+def test_overflowing_power_leaves_the_finite_domain(tmp_path, capsys):
+    # 40*z1*zb1^39 overflows to inf in b at the start, so the first stage's
+    # derivative is infinite: RK4 aborts, RKF45 rejects every trial step
+    doc = json.loads((DATA / "power_overflow.json").read_text())
+    assert main(["integrate", write_doc(tmp_path, doc), "-o", str(tmp_path / "x.csv")]) == 3
+    assert "state left the finite domain at t=0.0" in capsys.readouterr().err
+    assert main(["integrate", write_doc(tmp_path, _rkf45(doc)), "-o", str(tmp_path / "x.csv")]) == 3
+    assert "step size underflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_power_overflow_in_m_is_singular_not_a_crash(tmp_path, capsys, method):
+    # zb1^38 overflows to inf in M, whose scaled pivot then fails
+    doc = oscillator_doc()
+    doc["function"] = "z1*zb1 + zb1^40"
+    doc["initial"]["zb"] = [[1e10, 0.0]]
+    doc = doc if method == "rk4" else _rkf45(doc)
+    assert main(["integrate", write_doc(tmp_path, doc), "-o", str(tmp_path / "x.csv")]) == 3
+    assert "singular e+ component system at t=0.0" in capsys.readouterr().err
+
+
+def test_nested_quotient_integrates(tmp_path, capsys):
+    # expanding the quotient rule's nested squares once made this take a
+    # minute and then overflow the compiler's recursion; the chain rule's
+    # trees stay small
+    from biparamech.cli import load_problem
+    from biparamech.eom import synthesize_el
+    from biparamech.symbolic import walk
+
+    path = str(DATA / "nested_quotient.json")
+    ode = synthesize_el(load_problem(path).problem)
+    roots = [e for row in ode.M for e in row] + list(ode.b)
+    assert sum(1 for root in roots for _ in walk(root)) < 20_000  # 10,138
+    assert main(["integrate", path, "-o", str(tmp_path / "x.csv")]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -265,11 +265,18 @@ class TestEnergy:
 # ---------------------------------------------------------------------------
 
 
+def simplified(ode):
+    """M and b with each entry simplified: synthesize_el returns the chain
+    rule's trees, and only their normal form has a fixed shape."""
+    return (tuple(tuple(simplify(e) for e in row) for row in ode.M),
+            tuple(simplify(e) for e in ode.b))
+
+
 class TestSynthesizeEL:
     def test_bilinear_flat_system(self):
-        ode = synthesize_el(lagrangian("z1*zb1"))
-        assert ode.M == ((c(0.0, 1.0), c(0.0)), (c(0.0), c(0.0, 1.0)))
-        assert ode.b == (simplify(parse("-zb1", C1)), simplify(parse("z1", C1)))
+        M, b = simplified(synthesize_el(lagrangian("z1*zb1")))
+        assert M == ((c(0.0, 1.0), c(0.0)), (c(0.0), c(0.0, 1.0)))
+        assert b == (simplify(parse("-zb1", C1)), simplify(parse("z1", C1)))
 
     def test_constant_factor_scales_rows(self):
         ode = synthesize_el(lagrangian("z1*zb1", lam="0.5"))
@@ -278,9 +285,9 @@ class TestSynthesizeEL:
         assert close(evaluate(ode.M[1][1], s), J * pc(math.exp(-0.5)))
 
     def test_degenerate_linear_lagrangian(self):
-        ode = synthesize_el(lagrangian("z1"))
-        assert ode.M == ((c(0.0), c(0.0)), (c(0.0), c(0.0)))
-        assert ode.b == (c(-1.0), c(0.0))
+        M, b = simplified(synthesize_el(lagrangian("z1")))
+        assert M == ((c(0.0), c(0.0)), (c(0.0), c(0.0)))
+        assert b == (c(-1.0), c(0.0))
 
     def test_system_contains_no_velocity_symbols(self):
         from biparamech.symbolic import vars_of

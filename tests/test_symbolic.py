@@ -515,6 +515,87 @@ class TestLowerAtEdgeStates:
                         assert _legs_agree(got, want), to_text(tree)
 
 
+def _same_leg(got, want) -> bool:
+    """repr-equal, except where lower() folds a term simplify() drops and
+    the interpreter computes it: a literal zero term of a sum, or a product
+    with a literal zero factor.  Then a zero may differ in sign, and 0*inf
+    is nan in the interpreter only (see the test after the next)."""
+    return repr(got) == repr(want) or got == want == 0.0 or math.isnan(want)
+
+
+def _edge_state(rng, n):
+    legs = [ParaComplex.from_idempotent(rng.choice(_EDGE_LEGS), rng.choice(_EDGE_LEGS))
+            for _ in range(2 * n)]
+    return EvalState(z=tuple(legs[:n]), zb=tuple(legs[n:]))
+
+
+class TestLowerFolds:
+    def test_unsimplified_el_legs_match_the_interpreter(self):
+        # synthesize_el's trees hold literal zeros and ones, which the
+        # folds take out
+        from biparamech.eom import LagrangianProblem, synthesize_el
+        from biparamech.verify import random_expression
+
+        rng = random.Random(7)
+        exact = 0
+        for k in range(60):
+            lam = ZERO_EXPR if k % 2 else random_expression(rng, depth=2)
+            p = LagrangianProblem(C2, random_expression(rng, depth=2), lam)
+            ode = synthesize_el(p)
+            roots = tuple(e for row in ode.M for e in row) + ode.b
+            fn = lower(roots, C2.slots())
+            for _ in range(3):
+                s = _edge_state(rng, 2)
+                got = _outcome(lambda: fn([leg for w in s.z + s.zb for leg in (w.u, w.v)]))
+                want = [_outcome(lambda: _eval_pair(r, s)) for r in roots]
+                if any(isinstance(w, type) for w in want):
+                    assert got is next(w for w in want if isinstance(w, type))
+                    continue
+                want = [leg for pair in want for leg in pair]
+                assert all(map(_same_leg, got, want)), (to_text(p.L), got, want)
+                exact += sum(x != 0.0 and math.isfinite(x) and x == y for x, y in zip(got, want))
+        assert exact > 400  # 472 nonzero finite legs compare bit for bit
+
+    def test_a_literal_zero_product_absorbs_a_non_finite_factor(self):
+        # 0*exp(1000) is dropped as simplify() drops it, where the
+        # interpreter computes 0*inf = nan
+        big = Apply("exp", zb_var(1))
+        s = EvalState(z=(ParaComplex(0.5, 0.25),), zb=(ParaComplex(1000.0, 0.0),))
+        y = [0.75, 0.25, 1000.0, 1000.0]
+        for tree, want in ((Product((ZERO_EXPR, big)), [0.0, 0.0]),
+                           (Sum((z_var(1), Product((big, ZERO_EXPR)))), [0.75, 0.25])):
+            assert all(math.isnan(leg) for leg in _eval_pair(tree, s))
+            assert lower((tree,), (("z", 1), ("zb", 1)))(y) == want
+
+    @pytest.mark.parametrize("tree", [
+        Product((z_var(1), ONE_EXPR)),
+        Product((ONE_EXPR, z_var(1), ONE_EXPR)),
+        Sum((z_var(1), Negate(ZERO_EXPR))),
+        Sum((z_var(1), ZERO_EXPR)),
+        Sum((z_var(1), Product((c(0.0), z_var(1))))),
+        Sum((Sum((z_var(1),)),)),
+        Product((z_var(1),)),
+    ], ids=to_text)
+    def test_exact_folds_and_aliases_emit_no_line(self, tree):
+        fn = lower((tree,), (("z", 1), ("zb", 1)))
+        # only z1's two legs are bound to locals
+        assert fn.__code__.co_varnames == ("y", "t0", "t1")
+        assert fn([0.5, -2.0, 3.0, 4.0]) == [0.5, -2.0]
+
+    def test_literal_subtrees_fold_and_passing_checks_go(self):
+        tree = Quotient(Product((z_var(1), Apply("exp", c(0.5)))), Sum((c(2.0), c(0.5))))
+        fn = lower((tree,), (("z", 1),))
+        # z1's legs, then the product's and the quotient's
+        assert fn.__code__.co_varnames == ("y", "t0", "t1", "t2", "t3", "t4", "t5")
+        assert "_zero_divisor" not in fn.__code__.co_names
+        assert fn([1.0, -1.0]) == list(_eval_pair(tree, EvalState(z=(ParaComplex(0.0, 1.0),), zb=())))
+
+    def test_a_failing_literal_check_stays(self):
+        fn = lower((Quotient(z_var(1), Product((c(2.0), c(0.0)))),), (("z", 1),))
+        with pytest.raises(ZeroDivisor, match="zero-divisor denominator"):
+            fn([1.0, 1.0])
+
+
 def _ring_fold(e, s) -> ParaComplex:
     """e evaluated with ParaComplex's own ring ops, node by node."""
     if isinstance(e, Constant):
