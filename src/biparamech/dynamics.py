@@ -7,7 +7,9 @@ in the same layout, built by lowering a synthesized system into one
 straight-line function (symbolic.lower).  ParaComplex values appear only at
 the edges: integrate's start state and samples, and el_rhs/ham_rhs.  A
 right-hand side raises DegenerateLagrangian or SingularDenominator without
-a time; integrate, el_rhs and ham_rhs re-raise them with one.
+a time; integrate, el_rhs and ham_rhs re-raise them with one.  An entry of
+M or b that overflowed makes a step non-finite: integrate aborts or rejects
+it, and el_rhs and energy_along raise StepFailure.
 
 The implicit Euler-Lagrange system M*xdot = b is solved at every
 evaluation instead of symbolically inverting M, which blows up for n > 1
@@ -38,7 +40,6 @@ from .symbolic import (
     Apply,
     Negate,
     Product,
-    compile_expr,
     differentiate,
     lower,
     z_var,
@@ -161,18 +162,6 @@ def _leg_solver(m: int):
     return namespace["solve"]
 
 
-def solve_para_linear(mu, bu, mv, bv):
-    """Solve M*x = b on the legs: (mu, bu) are the e+ legs of M and b,
-    (mv, bv) the e- legs, and the legs (xu, xv) of x come back.  A pivot
-    below PIVOT_TOL of its row scale raises DegenerateLagrangian naming
-    the leg."""
-    u = [x for row in mu for x in row] + list(bu)
-    v = [x for row in mv for x in row] + list(bv)
-    w = [leg for pair in zip(u, v) for leg in pair]
-    solve = _leg_solver(len(bu))
-    return solve(w, 0, "e+"), solve(w, 1, "e-")
-
-
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
@@ -196,43 +185,57 @@ def _timed(rhs, y, t):
         raise SingularDenominator(exc.which, t=t) from None
 
 
+def _sampled(rhs, y, t):
+    """_timed outside integrate, where nothing rejects a step: a non-finite
+    entry of M or b is a StepFailure."""
+    try:
+        return _timed(rhs, y, t)
+    except _NonFinite:
+        raise StepFailure("state left the finite domain", t=t) from None
+
+
 def _at_state(rhs, s):
     n = len(s.z)
-    dy = _timed(rhs, _legs(s.z + s.zb), getattr(s, "t", None))
+    dy = _sampled(rhs, _legs(s.z + s.zb), getattr(s, "t", None))
     return _values(dy[: 2 * n]), _values(dy[2 * n :])
 
 
 @lru_cache(maxsize=64)
-def _el_leg_rhs(ode: ImplicitODE):
+def make_el_rhs(ode: ImplicitODE):
+    """rhs(y) -> dy for an implicit EL system: M(y) and b(y) from one
+    lowered function, then the para-linear solve.  A pivot that fails
+    because an entry of M or b is not finite is a non-finite step, not a
+    degenerate system."""
     # built before the lowering, so its compile reuses memory lower() frees
     solve = _leg_solver(2 * ode.chart.n)
     values = lower(tuple(e for row in ode.M for e in row) + ode.b, ode.chart.slots())
 
     def rhs(y):
         w = values(y)
-        xu = solve(w, 0, "e+")
+        try:
+            xu, xv = solve(w, 0, "e+"), solve(w, 1, "e-")
+        except DegenerateLagrangian:
+            if all(map(math.isfinite, w)):
+                raise
+            raise _NonFinite from None
         dy = xu + xu
-        dy[0::2] = xu
-        dy[1::2] = solve(w, 1, "e-")
+        dy[0::2], dy[1::2] = xu, xv
         return dy
 
     return rhs
 
 
-def make_el_rhs(ode: ImplicitODE):
-    """rhs(y) -> dy for an implicit EL system: M(y) and b(y) from one
-    lowered function, then the para-linear solve."""
-    return _el_leg_rhs(ode)
-
-
 def el_rhs(ode: ImplicitODE, s):
     """(dz, dzb) at a ParaComplex state s: M(s) and b(s), then the
     para-linear solve.  A degenerate system raises with s.t, if s has one."""
-    return _at_state(_el_leg_rhs(ode), s)
+    return _at_state(make_el_rhs(ode), s)
 
 
 @lru_cache(maxsize=64)
-def _ham_leg_rhs(ode: ExplicitODE):
+def make_ham_rhs(ode: ExplicitODE):
+    """rhs(y) -> dy for an explicit Hamilton system.  The denominators are
+    checked at every call, so a singular state raises SingularDenominator
+    naming D+ or D- instead of a bare zero-divisor error."""
     slots = ode.chart.slots()
     # lowered apart from the flow, so D+- are checked before the flow's
     # quotients by them can raise a bare ZeroDivisor
@@ -250,17 +253,10 @@ def _ham_leg_rhs(ode: ExplicitODE):
     return rhs
 
 
-def make_ham_rhs(ode: ExplicitODE):
-    """rhs(y) -> dy for an explicit Hamilton system.  The denominators are
-    checked at every call, so a singular state raises SingularDenominator
-    naming D+ or D- instead of a bare zero-divisor error."""
-    return _ham_leg_rhs(ode)
-
-
 def ham_rhs(ode: ExplicitODE, s):
     """(dz, dzb) at a ParaComplex state s; a singular denominator raises
     with s.t, if s has one."""
-    return _at_state(_ham_leg_rhs(ode), s)
+    return _at_state(make_ham_rhs(ode), s)
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +460,13 @@ def energy_along(p, tr: Trajectory):
     each sample, so a degenerate system raises with the failing time.
     """
     if isinstance(p, HamiltonianProblem):
-        f = compile_expr(p.H)
-        return [f(s) for s in tr.samples]
+        h = lower((p.H,), p.chart.slots())
+        return [ParaComplex.from_idempotent(*h(_legs(s.z + s.zb))) for s in tr.samples]
     velocities = tuple((f, i) for f in ("xi", "xib") for i in p.chart.indices())
     e_fn = lower((energy(p),), p.chart.slots() + velocities)
-    rhs = _el_leg_rhs(synthesize_el(p))
+    rhs = make_el_rhs(synthesize_el(p))
     out = []
     for s in tr.samples:
         y = _legs(s.z + s.zb)
-        out.append(ParaComplex.from_idempotent(*e_fn(y + _timed(rhs, y, s.t))))
+        out.append(ParaComplex.from_idempotent(*e_fn(y + _sampled(rhs, y, s.t))))
     return out

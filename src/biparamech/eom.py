@@ -128,35 +128,6 @@ class OneForm:
             raise ValueError("coefficient arrays must have length n")
 
 
-# Basis covectors are named by (family, index) tokens; a wedge monomial is a
-# tuple of tokens in canonical order (all dz before dzb, indices ascending).
-Token = tuple[str, int]
-
-
-def _token_rank(tok: Token) -> tuple[int, int]:
-    family, index = tok
-    return (0 if family == "z" else 1, index)
-
-
-def _canonical_wedge(tokens: tuple) -> tuple[int, tuple]:
-    """Sort a wedge monomial, tracking the permutation sign.
-
-    Returns (0, ()) when a covector repeats (the monomial vanishes).
-    """
-    toks = list(tokens)
-    sign = 1
-    for i in range(1, len(toks)):
-        k = i
-        while k > 0 and _token_rank(toks[k - 1]) > _token_rank(toks[k]):
-            toks[k - 1], toks[k] = toks[k], toks[k - 1]
-            sign = -sign
-            k -= 1
-    for i in range(1, len(toks)):
-        if toks[i] == toks[i - 1]:
-            return 0, ()
-    return sign, tuple(toks)
-
-
 @dataclass
 class TwoForm:
     chart: CoordinateChart
@@ -166,56 +137,8 @@ class TwoForm:
         return not self.coeff
 
 
-def _all_tokens(chart: CoordinateChart) -> list[Token]:
-    return [("z", i) for i in chart.indices()] + [("zb", i) for i in chart.indices()]
-
-
-def exterior_derivative(terms: dict, chart: CoordinateChart) -> dict:
-    """Formal d on a k-form given as {wedge-monomial tuple: Expr}."""
-    out: dict = {}
-    for key, coeff in terms.items():
-        for tok in _all_tokens(chart):
-            partial = simplify(differentiate(coeff, Var(tok[0], tok[1])))
-            if is_zero(partial):
-                continue
-            sign, canon = _canonical_wedge((tok,) + tuple(key))
-            if sign == 0:
-                continue
-            piece = partial if sign > 0 else Negate(partial)
-            out[canon] = piece if canon not in out else Sum((out[canon], piece))
-    cleaned = {}
-    for key in sorted(out, key=lambda k: tuple(_token_rank(t) for t in k)):
-        c = simplify(out[key])
-        if not is_zero(c):
-            cleaned[key] = c
-    return cleaned
-
-
-def _one_form_terms(w: OneForm) -> dict:
-    terms: dict = {}
-    for i in w.chart.indices():
-        for family, coeff in (("z", w.coeff_dz[i - 1]), ("zb", w.coeff_dzb[i - 1])):
-            if not is_zero(coeff):
-                terms[((family, i),)] = coeff
-    return terms
-
-
-def _neg_d_of_one_form(w: OneForm) -> TwoForm:
-    d = exterior_derivative(_one_form_terms(w), w.chart)
-    coeff = {}
-    for key, c in d.items():
-        neg = simplify(Negate(c))
-        if not is_zero(neg):
-            coeff[key] = neg
-    return TwoForm(w.chart, coeff)
-
-
 def _exp_of(lam: Expr) -> Expr:
     return simplify(Apply("exp", lam))
-
-
-def _exp_neg(lam: Expr) -> Expr:
-    return simplify(Apply("exp", Negate(lam)))
 
 
 def vertical_differential(p: LagrangianProblem) -> OneForm:
@@ -224,7 +147,7 @@ def vertical_differential(p: LagrangianProblem) -> OneForm:
     Coefficient of dz_i is -j*exp(lam)*dL/dzb_i; of dzb_i it is
     +j*exp(-lam)*dL/dz_i.
     """
-    ep, em = _exp_of(p.lam), _exp_neg(p.lam)
+    ep, em = _exp_of(p.lam), _exp_of(Negate(p.lam))
     coeff_dz = []
     coeff_dzb = []
     for i in p.chart.indices():
@@ -234,14 +157,32 @@ def vertical_differential(p: LagrangianProblem) -> OneForm:
 
 
 def lagrangian_two_form(p: LagrangianProblem) -> TwoForm:
-    """Negated exterior derivative of the vertical differential."""
-    return _neg_d_of_one_form(vertical_differential(p))
+    """omega_L = -d(theta): the coefficient of dq_a^dq_b, a before b in slot
+    order, is -(d_a theta_b - d_b theta_a); zero coefficients are left out."""
+    w = vertical_differential(p)
+    slots = p.chart.slots()
+    theta = w.coeff_dz + w.coeff_dzb
+    coeff = {}
+    for ia, a in enumerate(slots):
+        for ib in range(ia + 1, len(slots)):
+            b = slots[ib]
+            plus = simplify(differentiate(theta[ib], Var(*a)))
+            minus = simplify(differentiate(theta[ia], Var(*b)))
+            pieces = [] if is_zero(plus) else [plus]
+            if not is_zero(minus):
+                pieces.append(Negate(minus))
+            if pieces:
+                d = simplify(pieces[0] if len(pieces) == 1 else Sum(tuple(pieces)))
+                neg = simplify(Negate(d))
+                if not is_zero(neg):
+                    coeff[(a, b)] = neg
+    return TwoForm(p.chart, coeff)
 
 
 def energy(p: LagrangianProblem) -> Expr:
     """Energy on the velocity phase: formal xi/xib variables stand for the
     velocities, so the result has 4n variables."""
-    ep, em = _exp_of(p.lam), _exp_neg(p.lam)
+    ep, em = _exp_of(p.lam), _exp_of(Negate(p.lam))
     terms = []
     for i in p.chart.indices():
         terms.append(
@@ -290,7 +231,7 @@ def synthesize_el(p: LagrangianProblem) -> ImplicitODE:
     el_equation_texts expands and lower() folds; each first partial of L
     is one object in its row's 2n entries and in b.
     """
-    ep, em = _exp_of(p.lam), _exp_neg(p.lam)
+    ep, em = _exp_of(p.lam), _exp_of(Negate(p.lam))
     lam_cols = _lam_rate_terms(p.lam, p.chart)
     wrt = [Var(*slot) for slot in p.chart.slots()]
     lzb = [differentiate(p.L, zb_var(i)) for i in p.chart.indices()]
@@ -348,13 +289,12 @@ def _identity_terms(p: LagrangianProblem) -> tuple[tuple, tuple]:
     Built once per problem, like synthesize_el, and kept in tuples because
     the TwoForm that lagrangian_two_form returns is mutable.
     """
-    tokens = _all_tokens(p.chart)
+    slots = p.chart.slots()
     omega = tuple(
-        (tokens.index(a), tokens.index(b), w)
-        for (a, b), w in lagrangian_two_form(p).coeff.items()
+        (slots.index(a), slots.index(b), w) for (a, b), w in lagrangian_two_form(p).coeff.items()
     )
     e = energy(p)
-    dE = tuple(simplify(differentiate(e, Var(f, i))) for f, i in tokens)
+    dE = tuple(simplify(differentiate(e, Var(*slot))) for slot in slots)
     return omega, dE
 
 

@@ -38,17 +38,6 @@ class KindMismatch(ValueError):
 INVERTIBILITY_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class IdempotentPair:
-    """Coordinates (u, v) of a value in the basis (e+, e-)."""
-
-    u: float
-    v: float
-
-    def to_para(self) -> "ParaComplex":
-        return ParaComplex.from_idempotent(self.u, self.v)
-
-
 class ParaComplex:
     """A split-complex number a + b*j, held in both coordinate pairs.
 
@@ -88,9 +77,6 @@ class ParaComplex:
         return f"ParaComplex(a={self.a!r}, b={self.b!r})"
 
     # -- idempotent representation -------------------------------------
-
-    def components(self) -> IdempotentPair:
-        return IdempotentPair(self.u, self.v)
 
     @classmethod
     def from_idempotent(cls, u: float, v: float) -> "ParaComplex":

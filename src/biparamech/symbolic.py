@@ -7,7 +7,8 @@ quantities (energies, synthesized equation rows) but are not part of the
 input grammar.  Expressions are immutable and compare structurally.
 
 Grammar accepted by :func:`parse` (standard precedence, ``^`` binds
-tighter than unary minus, ``*``/``/`` and ``+``/``-`` associate left)::
+tighter than unary minus, ``*``/``/`` and ``+``/``-`` associate left; a
+chain of ``+``/``-`` is one flat Sum and a chain of ``*`` one Product)::
 
     expr    := term (("+" | "-") term)*
     term    := factor (("*" | "/") factor)*
@@ -90,39 +91,9 @@ class CoordinateChart:
 
 
 class Expr:
-    """Base node.  Arithmetic operators build trees without simplifying."""
+    """Base node."""
 
     __slots__ = ()
-
-    def __add__(self, other):
-        return Sum((self, as_expr(other)))
-
-    def __radd__(self, other):
-        return Sum((as_expr(other), self))
-
-    def __sub__(self, other):
-        return Sum((self, Negate(as_expr(other))))
-
-    def __rsub__(self, other):
-        return Sum((as_expr(other), Negate(self)))
-
-    def __mul__(self, other):
-        return Product((self, as_expr(other)))
-
-    def __rmul__(self, other):
-        return Product((as_expr(other), self))
-
-    def __truediv__(self, other):
-        return Quotient(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Quotient(as_expr(other), self)
-
-    def __pow__(self, k: int):
-        return Power(self, k)
-
-    def __neg__(self):
-        return Negate(self)
 
 
 @dataclass(frozen=True)
@@ -250,10 +221,6 @@ def is_zero(e: Expr) -> bool:
     return isinstance(e, Constant) and e.value.a == 0.0 and e.value.b == 0.0
 
 
-def is_constant(e: Expr) -> bool:
-    return not any(isinstance(n, Var) for n in walk(e))
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -284,6 +251,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _chain(node, items: list) -> Expr:
+    # one flat node per chain, so a long input does not nest deeply
+    return items[0] if len(items) == 1 else node(tuple(items))
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]], chart: CoordinateChart):
         self.tokens = tokens
@@ -312,22 +284,21 @@ class _Parser:
         self.advance()
 
     def parse_expr(self) -> Expr:
-        acc = self.parse_term()
-        while True:
-            op = self.accept_op("+", "-")
-            if op is None:
-                return acc
+        terms = [self.parse_term()]
+        while (op := self.accept_op("+", "-")) is not None:
             rhs = self.parse_term()
-            acc = Sum((acc, rhs if op == "+" else Negate(rhs)))
+            terms.append(rhs if op == "+" else Negate(rhs))
+        return _chain(Sum, terms)
 
     def parse_term(self) -> Expr:
-        acc = self.parse_factor()
-        while True:
-            op = self.accept_op("*", "/")
-            if op is None:
-                return acc
+        factors = [self.parse_factor()]
+        while (op := self.accept_op("*", "/")) is not None:
             rhs = self.parse_factor()
-            acc = Product((acc, rhs)) if op == "*" else Quotient(acc, rhs)
+            if op == "*":
+                factors.append(rhs)
+            else:
+                factors = [Quotient(_chain(Product, factors), rhs)]
+        return _chain(Product, factors)
 
     def parse_factor(self) -> Expr:
         if self.accept_op("-"):
@@ -770,22 +741,6 @@ def lower(roots: tuple, slots: tuple) -> Callable[[list], list]:
     namespace = dict(_LOWERED_GLOBALS, nodes=tuple(nodes))
     exec(compile(source, "<lowered>", "exec"), namespace)
     return namespace["lowered"]
-
-
-def compile_expr(e: Expr) -> Callable[..., ParaComplex]:
-    """evaluate() for hot loops: the state's legs go through lower()'s
-    code, and the value is recombined at the root.  Errors name the
-    offending subexpression as evaluate()'s do."""
-    if isinstance(e, (Constant, Var)):
-        return lambda s: evaluate(e, s)
-    slots = tuple(sorted(vars_of(e), key=lambda fi: (_FAMILY_RANK[fi[0]], fi[1])))
-    fn = lower((e,), slots)
-
-    def compiled(s) -> ParaComplex:
-        ws = [_lookup(s, family, index) for family, index in slots]
-        return ParaComplex.from_idempotent(*fn([leg for w in ws for leg in (w.u, w.v)]))
-
-    return compiled
 
 
 # ---------------------------------------------------------------------------

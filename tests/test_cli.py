@@ -363,14 +363,30 @@ def test_overflowing_power_leaves_the_finite_domain(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
-def test_power_overflow_in_m_is_singular_not_a_crash(tmp_path, capsys, method):
-    # zb1^38 overflows to inf in M, whose scaled pivot then fails
-    doc = oscillator_doc()
-    doc["function"] = "z1*zb1 + zb1^40"
-    doc["initial"]["zb"] = [[1e10, 0.0]]
+def test_power_overflow_in_m_leaves_the_finite_domain(tmp_path, capsys, method):
+    # 1560*zb1^38 overflows to inf in M, whose scaled pivot then fails: the
+    # state is finite and the system is not degenerate, so this is a step
+    # that left the finite domain, not a singular system
+    doc = json.loads((DATA / "overflowed_entry.json").read_text())
     doc = doc if method == "rk4" else _rkf45(doc)
     assert main(["integrate", write_doc(tmp_path, doc), "-o", str(tmp_path / "x.csv")]) == 3
-    assert "singular e+ component system at t=0.0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if method == "rk4":
+        assert "state left the finite domain at t=0.0" in err
+    else:
+        assert "step size underflow" in err and err.rstrip().endswith("at t=0.0")
+    assert "singular" not in err
+    assert main(["audit", str(DATA / "overflowed_entry.json")]) == 0
+
+
+def test_long_sum_derives_and_integrates(tmp_path, capsys):
+    # a 1,500-term chain parses to one flat Sum, so nothing recurses 1,500 deep
+    doc = oscillator_doc()
+    doc["function"] = " + ".join(f"{k}*z1*zb1" for k in range(1, 1501))
+    doc["t1"] = 0.1
+    prob = write_doc(tmp_path, doc)
+    assert main(["derive", prob]) == 0
+    assert main(["integrate", prob, "-o", str(tmp_path / "x.csv")]) == 0
 
 
 def test_nested_quotient_integrates(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from biparamech.cli import load_problem
 from biparamech.dynamics import (
     PIVOT_TOL,
+    _leg_solver,
     IntegratorConfig,
     PhaseState,
     StepFailure,
@@ -19,7 +20,6 @@ from biparamech.dynamics import (
     make_el_rhs,
     make_ham_rhs,
     residual_series,
-    solve_para_linear,
 )
 from biparamech.eom import (
     DegenerateLagrangian,
@@ -69,9 +69,21 @@ def osc_exact(t):
 # ---------------------------------------------------------------------------
 
 
+def solve_legs(mu, bu, mv, bv):
+    """The emitted leg solver on leg matrices: (mu, bu) are the e+ legs of
+    M and b, (mv, bv) the e- legs, interleaved into the layout that
+    make_el_rhs's lowered function returns; the legs (xu, xv) of x come
+    back."""
+    u = [x for row in mu for x in row] + list(bu)
+    v = [x for row in mv for x in row] + list(bv)
+    w = [leg for pair in zip(u, v) for leg in pair]
+    solve = _leg_solver(len(bu))
+    return solve(w, 0, "e+"), solve(w, 1, "e-")
+
+
 def solve(M, b):
-    """solve_para_linear on ParaComplex M and b, recombined."""
-    xu, xv = solve_para_linear(
+    """solve_legs on ParaComplex M and b, recombined."""
+    xu, xv = solve_legs(
         [[w.u for w in row] for row in M], [w.u for w in b],
         [[w.v for w in row] for row in M], [w.v for w in b],
     )
@@ -191,7 +203,7 @@ def last_row_pivots(m, rng):
 
 
 class TestEmittedSolveMatchesTextbook:
-    """solve_para_linear against the looped reference, m = 1..8."""
+    """The emitted leg solver against the looped reference, m = 1..8."""
 
     def cases(self, m, rng):
         def leg():
@@ -229,7 +241,7 @@ class TestEmittedSolveMatchesTextbook:
         for mu, bu, mv, bv in self.cases(m, rng):
             pivots = []
             want = outcome(textbook_para, mu, bu, mv, bv, pivots)
-            assert outcome(solve_para_linear, mu, bu, mv, bv) == want
+            assert outcome(solve_legs, mu, bu, mv, bv) == want
             seen.update(pivots)
         # every unrolled swap branch ran: each candidate row was a pivot
         assert seen >= {(k, r) for k in range(m) for r in range(k + 1, m)}
@@ -242,7 +254,7 @@ class TestEmittedSolveMatchesTextbook:
         pivots = []
         want = outcome(textbook_para, mu, b, mv, b, pivots)
         assert pivots == [(k, m - 1) for k in range(m)]
-        assert outcome(solve_para_linear, mu, b, mv, b) == want
+        assert outcome(solve_legs, mu, b, mv, b) == want
 
     @pytest.mark.parametrize("m", [1, 2, 5, 8])
     def test_nan_entry(self, m):
@@ -256,7 +268,7 @@ class TestEmittedSolveMatchesTextbook:
                 bu[where - m * m] = math.nan
             mv = [row[::-1] for row in mu]
             want = outcome(textbook_para, mu, bu, mv, bu)
-            assert outcome(solve_para_linear, mu, bu, mv, bu) == want
+            assert outcome(solve_legs, mu, bu, mv, bu) == want
 
     @pytest.mark.parametrize("m", [2, 3, 8])
     @pytest.mark.parametrize("leg", ["e+", "e-"])
@@ -272,7 +284,7 @@ class TestEmittedSolveMatchesTextbook:
             bad[-1][-1] += 1e-15
         mu, mv = (bad, good) if leg == "e+" else (good, bad)
         b = [1.0] * m
-        got = outcome(solve_para_linear, mu, b, mv, b)
+        got = outcome(solve_legs, mu, b, mv, b)
         assert got == outcome(textbook_para, mu, b, mv, b)
         assert got == (DegenerateLagrangian, f"{kind} {leg} component system")
 
@@ -299,6 +311,16 @@ class TestElRhs:
         with pytest.raises(DegenerateLagrangian) as exc:
             el_rhs(ode, PhaseState(t=1.5, z=(pc(1.0),), zb=(pc(1.0),)))
         assert exc.value.t == 1.5
+
+    def test_overflowed_entry_is_a_step_failure(self):
+        # 1560*zb1^38 is inf in M at zb1 = 1e10, so every pivot fails its
+        # row scale; the state is finite and the system is not degenerate
+        p = lagrangian("z1*zb1 + zb1^40")
+        s = PhaseState(t=0.5, z=(pc(1.0),), zb=(pc(1e10),))
+        with pytest.raises(StepFailure, match=r"^state left the finite domain at t=0\.5$"):
+            el_rhs(synthesize_el(p), s)
+        with pytest.raises(StepFailure, match=r"^state left the finite domain at t=0\.5$"):
+            energy_along(p, Trajectory(samples=[s]))
 
     def test_conformal_factor_scales_velocity(self):
         ode = synthesize_el(lagrangian("z1*zb1", lam="0.5"))

@@ -18,7 +18,6 @@ from biparamech.eom import (
     audit_lagrange,
     el_equation_texts,
     energy,
-    exterior_derivative,
     ham_equation_texts,
     lagrangian_two_form,
     synthesize_el,
@@ -30,6 +29,7 @@ from biparamech.symbolic import (
     CoordinateChart,
     EvalState,
     ExpressionError,
+    Product,
     Var,
     differentiate,
     evaluate,
@@ -86,7 +86,7 @@ def hamiltonian(text, lam="0", chart=C1):
 class TestProblems:
     def test_rejects_out_of_chart_variables(self):
         with pytest.raises(ExpressionError):
-            LagrangianProblem(C1, parse("z1*zb1", C2) * Var("z", 2), parse("0", C1))
+            LagrangianProblem(C1, Product((parse("z1*zb1", C2), Var("z", 2))), parse("0", C1))
 
     def test_rejects_velocity_symbols_in_function(self):
         with pytest.raises(ExpressionError):
@@ -200,33 +200,24 @@ class TestLagrangianTwoForm:
                 got = evaluate(phi.coeff[key], s) if key in phi.coeff else pc(0.0)
                 assert close(got, want, 1e-6)
 
-
-class TestExteriorDerivativeMachinery:
-    def test_d_squared_is_zero_on_random_one_forms(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            terms = {}
-            for fam in ("z", "zb"):
-                for i in (1, 2):
-                    coeff = simplify(
-                        parse(
-                            f"{round(rng.uniform(-2, 2), 3)}*z{i}^2*zb{3 - i}"
-                            f" + {round(rng.uniform(-2, 2), 3)}*z{3 - i}*zb{i}",
-                            C2,
-                        )
-                    )
-                    terms[((fam, i),)] = coeff
-            once = exterior_derivative(terms, C2)
-            twice = exterior_derivative(once, C2)
-            assert twice == {}
-
-    def test_wedge_antisymmetry_canonicalization(self):
-        # dzb1-then-dz1 ordering must flip sign into the canonical slot
-        terms = {(("zb", 1),): parse("z1*zb1", C1)}
-        d = exterior_derivative(terms, C1)
-        key = (("z", 1), ("zb", 1))
-        assert set(d) == {key}
-        assert d[key] == simplify(parse("zb1", C1))
+    def test_two_coordinates_all_pairs_in_slot_order(self):
+        p = lagrangian(
+            "z1^2*zb2 + z2^2*zb1 + 0.3*z1*z2*zb1*zb2 + 0.2*zb1^2*zb2", lam="0.1*z1*zb2", chart=C2
+        )
+        w = vertical_differential(p)
+        terms = {(slot,): coeff for slot, coeff in zip(C2.slots(), w.coeff_dz + w.coeff_dzb)}
+        phi = lagrangian_two_form(p)
+        slots = C2.slots()
+        for a, b in phi.coeff:
+            assert slots.index(a) < slots.index(b)
+        pairs = [(a, b) for k, a in enumerate(slots) for b in slots[k + 1:]]
+        assert set(phi.coeff) == set(pairs)
+        rng = random.Random(12)
+        for _ in range(4):
+            s = rand_state(rng, n=2)
+            for key in pairs:
+                want = -fd_two_form_coeff(terms, C2, key, s)
+                assert close(evaluate(phi.coeff[key], s), want, 1e-6)
 
 
 # ---------------------------------------------------------------------------

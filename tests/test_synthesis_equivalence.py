@@ -98,7 +98,7 @@ def reference_synthesize_el(p):
     """synthesize_el as it was when it simplified every entry, each from
     the raw first partial.  The caller patches eom.differentiate, which
     _lam_rate_terms uses, to the reference one."""
-    ep, em = eom._exp_of(p.lam), eom._exp_neg(p.lam)
+    ep, em = eom._exp_of(p.lam), eom._exp_of(Negate(p.lam))
     lam_cols = eom._lam_rate_terms(p.lam, p.chart)
     d = reference_differentiate
 
