@@ -133,6 +133,8 @@ class LoadedProblem:
         self.t1 = _real(doc, "t1")
         if not self.t1 > self.t0:
             raise ProblemFileError("'t1' must exceed 't0'")
+        if not math.isfinite(self.t1 - self.t0):
+            raise ProblemFileError("'t1' - 't0' must be finite")
 
         integrator = doc["integrator"]
         if integrator not in ("rk4", "rkf45"):
@@ -231,23 +233,20 @@ def _csv_text(lp: LoadedProblem, tr) -> str:
     header = ["t"]
     for i in range(1, n + 1):
         header += [f"z{i}_a", f"z{i}_b", f"zb{i}_a", f"zb{i}_b"]
-    energies = residuals = None
+    # a row holds z1..zn before zb1..zbn; the CSV pairs z_i with zb_i
+    rows = tr.rows
+    columns = [tr.times]
+    for i in range(n):
+        columns += [[r[k] for r in rows] for k in (2 * i, 2 * i + 1, 2 * (n + i), 2 * (n + i) + 1)]
     if lp.emit_energy:
         header += ["H_a", "H_b"]
         energies = energy_along(lp.problem, tr)
+        columns += [[e.a for e in energies], [e.b for e in energies]]
         if lp.kind == "lagrangian":
             header += ["residual"]
-            residuals = residual_series(lp.problem, tr)
+            columns.append(residual_series(lp.problem, tr))
     lines = [",".join(header)]
-    for k, s in enumerate(tr.samples):
-        row = [repr(s.t)]
-        for i in range(n):
-            row += [repr(s.z[i].a), repr(s.z[i].b), repr(s.zb[i].a), repr(s.zb[i].b)]
-        if energies is not None:
-            row += [repr(energies[k].a), repr(energies[k].b)]
-        if residuals is not None:
-            row.append(repr(residuals[k]))
-        lines.append(",".join(row))
+    lines += [",".join(map(repr, row)) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -264,11 +263,13 @@ def cmd_integrate(args) -> int:
     lp = load_problem(args.file)
     tr = integrate(lp.rhs(), lp.start(), lp.config())
     _write(args.output, _csv_text(lp, tr))
-    print(f"wrote {len(tr.samples)} samples to {args.output}")
+    print(f"wrote {len(tr.times)} samples to {args.output}")
     return 0
 
 
 def cmd_audit(args) -> int:
+    if args.samples < 1:
+        raise ProblemFileError("--samples must be at least 1")
     lp = load_problem(args.file)
     seed = _seed_from(args)
     report = audit_battery(lp.problem, args.samples, seed, name="audit")

@@ -4,8 +4,11 @@ time stepping, all on the idempotent legs (u, v) = (a+b, a-b).
 A state is one flat leg list y = [u(z1), v(z1), ..., u(zbn), v(zbn)] in
 the order of CoordinateChart.slots(), and a right-hand side is rhs(y) -> dy
 in the same layout, built by lowering a synthesized system into one
-straight-line function (symbolic.lower).  ParaComplex values appear only at
-the edges: integrate's start state and samples, and el_rhs/ham_rhs.  A
+straight-line function (symbolic.lower).  A Trajectory keeps one flat row
+[a(z1), b(z1), ..., a(zbn), b(zbn)] per sample in the same order, and its
+readers take the legs a+b, a-b straight from the rows.  ParaComplex values
+appear only at the edges: integrate's start state, Trajectory.samples, the
+values energy_along returns, and el_rhs/ham_rhs.  A
 right-hand side raises DegenerateLagrangian or SingularDenominator without
 a time; integrate, el_rhs and ham_rhs re-raise them with one.  An entry of
 M or b that overflowed makes a step non-finite: integrate aborts or rejects
@@ -22,7 +25,7 @@ same code object solves either leg.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .eom import (
@@ -94,6 +97,8 @@ class IntegratorConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not self.t1 > self.t0:
             raise ValueError("t1 must exceed t0")
+        if not math.isfinite(self.t1 - self.t0):
+            raise ValueError("t1 - t0 must be finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
         if self.method == "rk4":
@@ -104,14 +109,45 @@ class IntegratorConfig:
                 raise ValueError("rkf45 requires tol > 0")
 
 
-@dataclass
 class Trajectory:
-    samples: list
-    diagnostics: dict = field(default_factory=dict)
+    """Sample times plus one flat row per sample, [a(z1), b(z1), ...,
+    a(zbn), b(zbn)] in the order of CoordinateChart.slots().
+
+    Trajectory(samples=[...]) takes PhaseState values apart into rows.
+    samples is a read-only view of the rows as PhaseState values, built on
+    first access."""
+
+    def __init__(self, samples=None, diagnostics=None, *, times=None, rows=None):
+        if samples is not None:
+            times = [s.t for s in samples]
+            rows = [_row(s) for s in samples]
+        self.times = times
+        self.rows = rows
+        self.diagnostics = {} if diagnostics is None else diagnostics
+        self._samples = None
 
     @property
-    def times(self):
-        return [s.t for s in self.samples]
+    def samples(self) -> tuple:
+        if self._samples is None:
+            self._samples = tuple(map(_phase_state, self.times, self.rows))
+        return self._samples
+
+
+def _row(s) -> list:
+    return [x for w in s.z + s.zb for x in (w.a, w.b)]
+
+
+def _phase_state(t, row):
+    cells = iter(row)
+    w = [ParaComplex(a, b) for a, b in zip(cells, cells)]
+    n = len(w) // 2
+    return PhaseState(t=t, z=tuple(w[:n]), zb=tuple(w[n:]))
+
+
+def _row_legs(row) -> list:
+    """The legs (a+b, a-b) of a row, as ParaComplex(a, b) computes them."""
+    cells = iter(row)
+    return [x for a, b in zip(cells, cells) for x in (a + b, a - b)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +327,11 @@ _RKF_ERR = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.
 
 def _run_rk4(deriv, y, cfg, record):
     span = cfg.t1 - cfg.t0
-    nfull = int(math.floor(span / cfg.dt + 1e-9))
+    quotient = span / cfg.dt + 1e-9
+    # compared before int(), which cannot take an infinite quotient
+    if quotient > cfg.max_steps + 1:
+        raise StepFailure(f"{quotient:.3g} steps exceed max_steps={cfg.max_steps}", t=cfg.t0)
+    nfull = int(math.floor(quotient))
     remainder = span - nfull * cfg.dt
     if remainder <= cfg.dt * 1e-9:
         remainder = 0.0
@@ -367,11 +407,11 @@ def integrate(rhs, s0: PhaseState, cfg: IntegratorConfig) -> Trajectory:
 
     y is the state's flat leg list (see the module docstring).  Classical
     fixed-step RK4, or RKF45 with mixed absolute/relative error control on
-    each leg.  One PhaseState sample per accepted step; the first holds
-    s0's own values, not a round trip through the legs.  A singular
-    right-hand side re-raises with the time of the failing stage.
+    each leg.  One row per accepted step, holding (a, b) = ((u+v)/2, (u-v)/2)
+    of the step's legs; the first row holds s0's own (a, b), not a round
+    trip through the legs.  A singular right-hand side re-raises with the
+    time of the failing stage.
     """
-    n = len(s0.z)
 
     def deriv(t, y):
         for v in y:
@@ -379,18 +419,17 @@ def integrate(rhs, s0: PhaseState, cfg: IntegratorConfig) -> Trajectory:
                 raise _NonFinite
         return _timed(rhs, y, t)
 
-    samples = [PhaseState(t=cfg.t0, z=s0.z, zb=s0.zb)]
+    times = [cfg.t0]
+    rows = [_row(s0)]
 
     def record(t, y):
-        # built from (a, b), so a sample's legs are a+b and a-b of its CSV
-        # row, the values a reader of the CSV rebuilds
-        w = [ParaComplex((y[k] + y[k + 1]) / 2.0, (y[k] - y[k + 1]) / 2.0)
-             for k in range(0, 4 * n, 2)]
-        samples.append(PhaseState(t=t, z=tuple(w[:n]), zb=tuple(w[n:])))
+        times.append(t)
+        legs = iter(y)
+        rows.append([x for u, v in zip(legs, legs) for x in ((u + v) / 2.0, (u - v) / 2.0)])
 
     run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
     run(deriv, _legs(s0.z + s0.zb), cfg, record)
-    return Trajectory(samples=samples)
+    return Trajectory(times=times, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +456,18 @@ def residual_series(p: LagrangianProblem, tr: Trajectory):
     samples.  Returns one max-abs residual per sample; the two boundary
     samples have no centered neighbor and come back as nan.
     """
-    samples = tr.samples
-    out = [math.nan] * len(samples)
-    if len(samples) < 3:
+    times = tr.times
+    out = [math.nan] * len(times)
+    if len(times) < 3:
         return out
     n = p.chart.n
     fn = lower(_series_roots(p), p.chart.slots())
-    vals = [fn(_legs(s.z + s.zb)) for s in samples]
-    for k in range(1, len(samples) - 1):
+    vals = [fn(_row_legs(row)) for row in tr.rows]
+    for k in range(1, len(times) - 1):
         # three-point first derivative, exact to second order even when the
         # last step was shortened to land on t1
-        h1 = samples[k].t - samples[k - 1].t
-        h2 = samples[k + 1].t - samples[k].t
+        h1 = times[k] - times[k - 1]
+        h2 = times[k + 1] - times[k]
         denom = h1 * h2 * (h1 + h2)
         wm = -h2 * h2 / denom
         w0 = (h2 * h2 - h1 * h1) / denom
@@ -461,12 +500,12 @@ def energy_along(p, tr: Trajectory):
     """
     if isinstance(p, HamiltonianProblem):
         h = lower((p.H,), p.chart.slots())
-        return [ParaComplex.from_idempotent(*h(_legs(s.z + s.zb))) for s in tr.samples]
+        return [ParaComplex.from_idempotent(*h(_row_legs(row))) for row in tr.rows]
     velocities = tuple((f, i) for f in ("xi", "xib") for i in p.chart.indices())
     e_fn = lower((energy(p),), p.chart.slots() + velocities)
     rhs = make_el_rhs(synthesize_el(p))
     out = []
-    for s in tr.samples:
-        y = _legs(s.z + s.zb)
-        out.append(ParaComplex.from_idempotent(*e_fn(y + _sampled(rhs, y, s.t))))
+    for t, row in zip(tr.times, tr.rows):
+        y = _row_legs(row)
+        out.append(ParaComplex.from_idempotent(*e_fn(y + _sampled(rhs, y, t))))
     return out

@@ -699,6 +699,8 @@ def audit_battery(p, samples: int, seed: int, name: str = "audit") -> Report:
     error (DegenerateLagrangian or SingularDenominator) the integrator
     would raise on it.
     """
+    if samples < 1:
+        raise ValueError("audit_battery needs samples >= 1")
     rng = random.Random(seed)
     worst = 0.0
     done = 0

@@ -13,8 +13,21 @@ import re
 
 import pytest
 
+import biparamech.dynamics
 import biparamech.verify
-from biparamech.cli import main
+from biparamech.cli import LoadedProblem, _csv_text, main
+from biparamech.dynamics import (
+    PhaseState,
+    Trajectory,
+    _run_rk4,
+    _run_rkf45,
+    integrate,
+    make_el_rhs,
+    residual_series,
+)
+from biparamech.eom import HamiltonianProblem, energy, synthesize_el
+from biparamech.para_algebra import ParaComplex
+from biparamech.symbolic import lower
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(REPO, "problems")
@@ -230,6 +243,20 @@ def test_t1_not_after_t0_rejected(tmp_path, capsys):
     _expect_2(tmp_path, capsys, doc)
 
 
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_infinite_span_rejected(tmp_path, capsys, method):
+    # both ends are finite, but t1 - t0 overflows to inf
+    doc = dict(oscillator_doc(), t0=-1e308, t1=1e308)
+    _expect_2(tmp_path, capsys, doc if method == "rk4" else _rkf45(doc))
+
+
+def test_infinite_span_file_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["integrate", str(DATA / "infinite_span.json"), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: 't1' - 't0' must be finite"]
+    assert not out.exists()
+
+
 def test_negative_dt_rejected(tmp_path, capsys):
     doc = oscillator_doc()
     doc["dt"] = -0.001
@@ -337,6 +364,28 @@ def test_integrate_degenerate_lagrangian_exit_3(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()  # nothing is opened before integrating
 
 
+def test_overflowing_step_count_exit_3(tmp_path, capsys):
+    # span/dt is inf: the step budget refuses it before int() sees it
+    out = tmp_path / "x.csv"
+    assert main(["integrate", str(DATA / "step_count_overflow.json"), "-o", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "exceed max_steps" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["el_quadratic.json", "ham_soft.json"])
+def test_integrate_builds_no_phase_state(tmp_path, capsys, monkeypatch, name):
+    # the only shipped files with emit_energy: the CSV, energy and residual
+    # columns are all read from the trajectory's rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate built a PhaseState")
+
+    monkeypatch.setattr(biparamech.dynamics, "PhaseState", refuse)
+    out = tmp_path / "x.csv"
+    assert main(["integrate", os.path.join(PROBLEMS, name), "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) > 1000
+
+
 def test_constant_denominator_derives_and_integrates(tmp_path, capsys):
     # d(num/c) = dn/c: the quotient rule's c^2 = 1e400 would overflow
     doc = oscillator_doc()
@@ -436,6 +485,16 @@ def test_audit_degenerate_lagrangian_exit_3(capsys):
     prob = os.path.join(PROBLEMS, "failing", "degenerate_L.json")
     assert main(["audit", prob, "--samples", "10"]) == 3
     assert re.search(r"^error: .*degenerate", capsys.readouterr().err, re.M)
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_audit_rejects_nonpositive_samples(capsys, count):
+    # no state checked is no evidence: a bad flag, not a PASS
+    prob = os.path.join(PROBLEMS, "failing", "degenerate_L.json")
+    assert main(["audit", prob, "--samples", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --samples must be at least 1"]
 
 
 def test_audit_seed_determinism(tmp_path, capsys):
@@ -597,3 +656,102 @@ def test_every_shipped_example_round_trips(tmp_path, capsys):
 def test_failing_fixtures_are_segregated():
     for path in glob.glob(os.path.join(PROBLEMS, "failing", "*.json")):
         assert os.path.dirname(path).endswith("failing")
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer against the PhaseState-based one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _legs(s):
+    return [leg for w in s.z + s.zb for leg in (w.u, w.v)]
+
+
+def _phase_state_samples(lp):
+    """integrate's samples as its record built them: one PhaseState of
+    ParaComplex((u+v)/2, (u-v)/2) per accepted step after the start."""
+    n, s0, cfg, rhs = lp.n, lp.start(), lp.config(), lp.rhs()
+    samples = [PhaseState(t=cfg.t0, z=s0.z, zb=s0.zb)]
+
+    def record(t, y):
+        w = [ParaComplex((y[k] + y[k + 1]) / 2.0, (y[k] - y[k + 1]) / 2.0)
+             for k in range(0, 4 * n, 2)]
+        samples.append(PhaseState(t=t, z=tuple(w[:n]), zb=tuple(w[n:])))
+
+    run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
+    run(lambda t, y: rhs(y), _legs(s0), cfg, record)
+    return samples
+
+
+def _phase_state_energies(p, samples):
+    """energy_along read off each sample's own legs."""
+    if isinstance(p, HamiltonianProblem):
+        h = lower((p.H,), p.chart.slots())
+        return [ParaComplex.from_idempotent(*h(_legs(s))) for s in samples]
+    velocities = tuple((f, i) for f in ("xi", "xib") for i in p.chart.indices())
+    e_fn = lower((energy(p),), p.chart.slots() + velocities)
+    rhs = make_el_rhs(synthesize_el(p))
+    return [ParaComplex.from_idempotent(*e_fn(_legs(s) + rhs(_legs(s)))) for s in samples]
+
+
+def _phase_state_csv(lp, samples):
+    n = lp.n
+    header = ["t"]
+    for i in range(1, n + 1):
+        header += [f"z{i}_a", f"z{i}_b", f"zb{i}_a", f"zb{i}_b"]
+    energies = residuals = None
+    if lp.emit_energy:
+        header += ["H_a", "H_b"]
+        energies = _phase_state_energies(lp.problem, samples)
+        if lp.kind == "lagrangian":
+            header += ["residual"]
+            residuals = residual_series(lp.problem, Trajectory(samples=samples))
+    lines = [",".join(header)]
+    for k, s in enumerate(samples):
+        row = [repr(s.t)]
+        for i in range(n):
+            row += [repr(s.z[i].a), repr(s.z[i].b), repr(s.zb[i].a), repr(s.zb[i].b)]
+        if energies is not None:
+            row += [repr(energies[k].a), repr(energies[k].b)]
+        if residuals is not None:
+            row.append(repr(residuals[k]))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _conformal_n3():
+    # the benchmark's coupled conformal family at n = 3, with energy columns
+    terms = [f"z{i}*zb{i} + 0.3*zb{i}^2" for i in (1, 2, 3)] + ["0.1*z1*zb2", "0.1*z2*zb3"]
+    return {
+        "n": 3,
+        "kind": "lagrangian",
+        "function": " + ".join(terms),
+        "lambda": "0.2*z1*zb1 + 0.2*z2*zb2 + 0.2*z3*zb3",
+        "initial": {"z": [[0.5, 0.1], [0.6, -0.1], [0.4, 0.05]],
+                    "zb": [[0.2, 0.1], [0.3, -0.05], [0.25, 0.0]]},
+        "t0": 0.0,
+        "t1": 0.05,
+        "integrator": "rk4",
+        "dt": 0.001,
+        "emit_energy": True,
+    }
+
+
+def _shipped_docs():
+    out = []
+    for path in sorted(glob.glob(os.path.join(PROBLEMS, "*.json"))):
+        with open(path, encoding="utf-8") as fh:
+            out.append(pytest.param(json.load(fh), id=os.path.basename(path)))
+    return out + [pytest.param(_conformal_n3(), id="conformal_n3")]
+
+
+@pytest.mark.parametrize("doc", _shipped_docs())
+def test_csv_text_matches_phase_state_writer(doc):
+    lp = LoadedProblem(doc)
+    got = _csv_text(lp, integrate(lp.rhs(), lp.start(), lp.config()))
+    want = _phase_state_csv(lp, _phase_state_samples(lp))
+    # the first differing line, so a failure does not diff whole files
+    pairs = zip(got.splitlines(), want.splitlines())
+    assert next(((k, g, w) for k, (g, w) in enumerate(pairs) if g != w), None) is None
+    assert len(got) == len(want)
+    assert got == want

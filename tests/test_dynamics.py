@@ -368,6 +368,12 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(method="rk4", t0=1.0, t1=1.0, dt=0.1)
 
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_infinite_span(self, method):
+        # finite ends whose difference overflows
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(method=method, t0=-1e308, t1=1e308, dt=0.1, tol=1e-9)
+
 
 class TestIntegrate:
     def test_zero_rhs_constant_trajectory(self):
@@ -473,6 +479,13 @@ class TestIntegrate:
         with pytest.raises(StepFailure):
             integrate(rhs, PhaseState(t=0.0, z=(pc(1.0),), zb=(pc(0.0),)), cfg)
 
+    def test_infinite_step_count_hits_max_steps(self):
+        rhs = lambda y: [0.0] * 4
+        cfg = IntegratorConfig(method="rk4", t0=0.0, t1=1e300, dt=1e-300)
+        with pytest.raises(StepFailure, match="exceed max_steps") as exc:
+            integrate(rhs, PhaseState(t=0.0, z=(pc(1.0),), zb=(pc(0.0),)), cfg)
+        assert exc.value.t == 0.0
+
     def test_degenerate_rhs_error_carries_time(self):
         ode = synthesize_el(lagrangian("z1"))
         rhs = make_el_rhs(ode)
@@ -480,6 +493,46 @@ class TestIntegrate:
         with pytest.raises(DegenerateLagrangian) as exc:
             integrate(rhs, PhaseState(t=2.0, z=(pc(1.0),), zb=(pc(1.0),)), cfg)
         assert exc.value.t == 2.0
+
+
+class TestTrajectory:
+    def test_samples_round_trip(self):
+        given = [
+            PhaseState(t=0.0, z=(pc(1.0, 2.0), pc(-0.5, 0.25)), zb=(pc(3.0), pc(0.0, -1.0))),
+            PhaseState(t=0.5, z=(pc(0.4, 0.1), pc(5e-324)), zb=(pc(-0.0, 1e300), pc(2.5, 2.5))),
+        ]
+        tr = Trajectory(samples=given)
+        assert tr.times == [0.0, 0.5]
+        assert tr.rows[0] == [1.0, 2.0, -0.5, 0.25, 3.0, 0.0, 0.0, -1.0]
+        assert tr.samples == tuple(given)
+        for got, want in zip(tr.samples, given):
+            for x, y in zip(got.z + got.zb, want.z + want.zb):
+                assert (x.a, x.b, x.u, x.v) == (y.a, y.b, y.u, y.v)
+
+    def test_samples_are_a_read_only_view_built_once(self):
+        tr = Trajectory(times=[0.0, 1.0], rows=[[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.25, -0.25]])
+        first = tr.samples
+        assert tr.samples is first
+        assert first[1] == PhaseState(t=1.0, z=(pc(0.5, 0.5),), zb=(pc(0.25, -0.25),))
+        with pytest.raises(AttributeError):
+            tr.samples = []
+        with pytest.raises(AttributeError):
+            first.append(first[0])
+
+    def test_integrate_rows_are_a_b_of_the_step_legs(self):
+        # dz1/dt = z1 on the legs: each step scales both legs alike
+        rhs = lambda y: [y[0], y[1], 0.0, 0.0]
+        s0 = PhaseState(t=0.0, z=(pc(0.4, 0.1),), zb=(pc(0.3, -0.1),))
+        cfg = IntegratorConfig(method="rk4", t0=0.0, t1=0.3, dt=0.1)
+        tr = integrate(rhs, s0, cfg)
+        assert tr.rows[0] == [0.4, 0.1, 0.3, -0.1]
+        assert len(tr.times) == len(tr.rows) == 4
+        for t, row, s in zip(tr.times, tr.rows, tr.samples):
+            assert s.t == t
+            assert [s.z[0].a, s.z[0].b, s.zb[0].a, s.zb[0].b] == row
+        # zb1 stands still, and each later row is rebuilt from its legs
+        u, v = s0.zb[0].u, s0.zb[0].v
+        assert tr.rows[-1][2:] == [(u + v) / 2.0, (u - v) / 2.0]
 
 
 # ---------------------------------------------------------------------------

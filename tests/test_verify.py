@@ -255,6 +255,11 @@ class TestAuditBattery:
         r = audit_battery(fixture_problem("hamiltonian", "H4"), 50, 9)
         assert r.all_pass
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_is_an_error(self, samples):
+        with pytest.raises(ValueError):
+            audit_battery(fixture_problem("lagrangian", "L3"), samples, 9)
+
     def test_singular_draws_exhaust_the_budget(self, monkeypatch):
         def singular(p, s, t=None):
             raise SingularDenominator("D+")
