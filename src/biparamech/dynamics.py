@@ -8,11 +8,11 @@ straight-line function (symbolic.lower).  A Trajectory keeps one flat row
 [a(z1), b(z1), ..., a(zbn), b(zbn)] per sample in the same order, and its
 readers take the legs a+b, a-b straight from the rows.  ParaComplex values
 appear only at the edges: integrate's start state, Trajectory.samples, the
-values energy_along returns, and el_rhs/ham_rhs.  A
+values energy_along returns, and at_state (el_rhs/ham_rhs).  A
 right-hand side raises DegenerateLagrangian or SingularDenominator without
-a time; integrate, el_rhs and ham_rhs re-raise them with one.  An entry of
-M or b that overflowed makes a step non-finite: integrate aborts or rejects
-it, and el_rhs and energy_along raise StepFailure.
+a time; integrate and at_state re-raise them with one.  An entry of M or b
+that overflowed makes a step non-finite: integrate aborts or rejects it,
+and at_state and energy_along raise StepFailure.
 
 The implicit Euler-Lagrange system M*xdot = b is solved at every
 evaluation instead of symbolically inverting M, which blows up for n > 1
@@ -230,7 +230,8 @@ def _sampled(rhs, y, t):
         raise StepFailure("state left the finite domain", t=t) from None
 
 
-def _at_state(rhs, s):
+def at_state(rhs, s):
+    """(dz, dzb) from rhs at a ParaComplex state s, as el_rhs takes them."""
     n = len(s.z)
     dy = _sampled(rhs, _legs(s.z + s.zb), getattr(s, "t", None))
     return _values(dy[: 2 * n]), _values(dy[2 * n :])
@@ -264,7 +265,7 @@ def make_el_rhs(ode: ImplicitODE):
 def el_rhs(ode: ImplicitODE, s):
     """(dz, dzb) at a ParaComplex state s: M(s) and b(s), then the
     para-linear solve.  A degenerate system raises with s.t, if s has one."""
-    return _at_state(make_el_rhs(ode), s)
+    return at_state(make_el_rhs(ode), s)
 
 
 @lru_cache(maxsize=64)
@@ -292,7 +293,7 @@ def make_ham_rhs(ode: ExplicitODE):
 def ham_rhs(ode: ExplicitODE, s):
     """(dz, dzb) at a ParaComplex state s; a singular denominator raises
     with s.t, if s has one."""
-    return _at_state(make_ham_rhs(ode), s)
+    return at_state(make_ham_rhs(ode), s)
 
 
 # ---------------------------------------------------------------------------

@@ -304,8 +304,8 @@ def audit_lagrange(p: LagrangianProblem, s: EvalState, xi: Semispray) -> float:
     X is the velocity data (dz_i/dt, dzb_i/dt).  The identity is the paper's
     form of the Euler-Lagrange law, and it is evaluated from the two-form and
     the energy alone, through evaluate(): neither synthesize_el's M and b
-    nor the lowered code of symbolic.lower enter, so this audit and el_rhs
-    can disagree when either is wrong.
+    nor the lowered code of symbolic.lower enter, so this audit and the
+    right-hand side make_el_rhs builds can disagree when either is wrong.
     """
     n = p.chart.n
     omega, dE = _identity_terms(p)

@@ -558,49 +558,86 @@ def _domain_failure(e: Expr):
     raise DomainError(f"domain failure in '{to_text(e)}'") from None
 
 
-def _eval_pair(e: Expr, state):
-    if isinstance(e, Constant):
-        return e.value.u, e.value.v
-    if isinstance(e, Var):
-        w = _lookup(state, e.family, e.index)
-        return w.u, w.v
-    if isinstance(e, Sum):
-        u = v = 0.0
-        for c in e.children:
-            cu, cv = _eval_pair(c, state)
-            u += cu
-            v += cv
-        return u, v
-    if isinstance(e, Product):
-        u = v = 1.0
-        for c in e.children:
-            cu, cv = _eval_pair(c, state)
-            u *= cu
-            v *= cv
-        return u, v
-    if isinstance(e, Negate):
-        u, v = _eval_pair(e.child, state)
-        return -u, -v
-    if isinstance(e, Power):
-        u, v = _eval_pair(e.base, state)
-        k = e.exponent
-        if k < 0 and (abs(u) < INVERTIBILITY_FLOOR or abs(v) < INVERTIBILITY_FLOOR):
-            _zero_divisor(e)
-        return _pow_leg(u, k), _pow_leg(v, k)
-    if isinstance(e, Quotient):
-        nu, nv = _eval_pair(e.num, state)
-        du, dv = _eval_pair(e.den, state)
-        if abs(du) < INVERTIBILITY_FLOOR or abs(dv) < INVERTIBILITY_FLOOR:
-            _zero_divisor(e)
-        return nu / du, nv / dv
-    if isinstance(e, Apply):
-        u, v = _eval_pair(e.arg, state)
-        leg = FUNCTIONS[e.fn]
-        try:
-            return leg(u), leg(v)
-        except DomainError:
-            _domain_failure(e)
+def _eval_constant(e, state):
+    return e.value.u, e.value.v
+
+
+def _eval_var(e, state):
+    try:
+        w = getattr(state, e.family)[e.index - 1]
+    except (AttributeError, TypeError, IndexError):
+        w = _lookup(state, e.family, e.index)  # raises the state's error
+    return w.u, w.v
+
+
+def _eval_sum(e, state):
+    u = v = 0.0
+    for c in e.children:
+        cu, cv = _EVAL[type(c)](c, state)
+        u += cu
+        v += cv
+    return u, v
+
+
+def _eval_product(e, state):
+    u = v = 1.0
+    for c in e.children:
+        cu, cv = _EVAL[type(c)](c, state)
+        u *= cu
+        v *= cv
+    return u, v
+
+
+def _eval_negate(e, state):
+    u, v = _EVAL[type(e.child)](e.child, state)
+    return -u, -v
+
+
+def _eval_power(e, state):
+    u, v = _EVAL[type(e.base)](e.base, state)
+    k = e.exponent
+    if k < 0 and (abs(u) < INVERTIBILITY_FLOOR or abs(v) < INVERTIBILITY_FLOOR):
+        _zero_divisor(e)
+    return _pow_leg(u, k), _pow_leg(v, k)
+
+
+def _eval_quotient(e, state):
+    nu, nv = _EVAL[type(e.num)](e.num, state)
+    du, dv = _EVAL[type(e.den)](e.den, state)
+    if abs(du) < INVERTIBILITY_FLOOR or abs(dv) < INVERTIBILITY_FLOOR:
+        _zero_divisor(e)
+    return nu / du, nv / dv
+
+
+def _eval_apply(e, state):
+    u, v = _EVAL[type(e.arg)](e.arg, state)
+    leg = FUNCTIONS[e.fn]
+    try:
+        return leg(u), leg(v)
+    except DomainError:
+        _domain_failure(e)
+
+
+def _not_a_node(e, state):
     raise TypeError(f"not an expression node: {e!r}")
+
+
+class _Dispatch(dict):
+    def __missing__(self, cls):
+        return _not_a_node
+
+
+# the interpreter: one function per node type, found by one probe on the
+# exact type instead of a chain of isinstance tests; any other type, at the
+# root or as a child, is not a node
+_EVAL = _Dispatch({
+    Constant: _eval_constant, Var: _eval_var, Sum: _eval_sum, Product: _eval_product,
+    Negate: _eval_negate, Power: _eval_power, Quotient: _eval_quotient, Apply: _eval_apply,
+})
+
+
+def _eval_pair(e: Expr, state):
+    return _EVAL[type(e)](e, state)
 
 
 def evaluate(e: Expr, state) -> ParaComplex:

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .dynamics import el_rhs, ham_rhs, energy_along
+from .dynamics import at_state, energy_along, make_el_rhs, make_ham_rhs
 from .eom import (
     DegenerateLagrangian,
     HamiltonianProblem,
@@ -36,6 +36,7 @@ from .para_algebra import (
     ParaComplex,
     StructureKind,
     ZeroDivisor,
+    _make,
     structure_apply,
 )
 from .symbolic import (
@@ -48,6 +49,7 @@ from .symbolic import (
     Product,
     Quotient,
     Sum,
+    _eval_pair,
     differentiate,
     evaluate,
     is_zero,
@@ -110,9 +112,12 @@ STATE_MARGIN = 1e-3
 
 def random_value(rng: random.Random) -> ParaComplex:
     while True:
-        w = ParaComplex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        if min(abs(w.u), abs(w.v)) > STATE_MARGIN:
-            return w
+        # bit for bit what rng.uniform(-2.0, 2.0) returns
+        a = -2.0 + 4.0 * rng.random()
+        b = -2.0 + 4.0 * rng.random()
+        u, v = a + b, a - b
+        if min(abs(u), abs(v)) > STATE_MARGIN:
+            return _make(a, b, u, v)
 
 
 def random_state(rng: random.Random, n: int) -> EvalState:
@@ -531,12 +536,15 @@ def _classical_el_oracle(L, chart):
     second = [[differentiate(first, x) for x in wrt] for first in lzb + lz]
 
     def rhs(s):
-        rows = [[J * evaluate(e, s) for e in row] for row in second]
-        b = [-evaluate(e, s) for e in lz] + [evaluate(e, s) for e in lzb]
-        xu = _oracle_solve([[w.u for w in row] for row in rows], [w.u for w in b])
+        # legs straight from the interpreter: j*w has legs (u, -v), -w has
+        # legs (-u, -v)
+        rows = [[_eval_pair(e, s) for e in row] for row in second]
+        b = [(-u, -v) for u, v in (_eval_pair(e, s) for e in lz)]
+        b += [_eval_pair(e, s) for e in lzb]
+        xu = _oracle_solve([[u for u, _ in row] for row in rows], [u for u, _ in b])
         if xu is None:
             return None
-        xv = _oracle_solve([[w.v for w in row] for row in rows], [w.v for w in b])
+        xv = _oracle_solve([[-v for _, v in row] for row in rows], [v for _, v in b])
         if xv is None:
             return None
         vals = tuple(ParaComplex.from_idempotent(u, v) for u, v in zip(xu, xv))
@@ -582,7 +590,7 @@ def check_reduction(p, samples: int, seed: int, name: str = "reduction") -> Repo
     done = 0
     guard = 0
     if isinstance(p, LagrangianProblem):
-        ode = synthesize_el(p)
+        rhs = make_el_rhs(synthesize_el(p))
         oracle = _classical_el_oracle(p.L, chart)
         while done < samples:
             guard += 1
@@ -593,7 +601,7 @@ def check_reduction(p, samples: int, seed: int, name: str = "reduction") -> Repo
             if base is None:
                 continue
             try:
-                got = el_rhs(ode, s)
+                got = at_state(rhs, s)
             except DegenerateLagrangian:
                 continue
             worst = max(
@@ -602,12 +610,12 @@ def check_reduction(p, samples: int, seed: int, name: str = "reduction") -> Repo
             )
             done += 1
     else:
-        ode = synthesize_ham(p)
+        rhs = make_ham_rhs(synthesize_ham(p))
         oracle = _classical_ham_oracle(p.H, chart)
         while done < samples:
             s = random_state(rng, chart.n)
             base = oracle(s)
-            got = ham_rhs(ode, s)
+            got = at_state(rhs, s)
             worst = max(
                 worst,
                 _value_dev(got[0] + got[1], base[0] + base[1]),
@@ -706,7 +714,7 @@ def audit_battery(p, samples: int, seed: int, name: str = "audit") -> Report:
     done = 0
     guard = 0
     if isinstance(p, LagrangianProblem):
-        ode = synthesize_el(p)
+        rhs = make_el_rhs(synthesize_el(p))
         while done < samples:
             guard += 1
             if guard > samples * 200:
@@ -716,7 +724,7 @@ def audit_battery(p, samples: int, seed: int, name: str = "audit") -> Report:
                 )
             s = random_state(rng, p.chart.n)
             try:
-                dz, dzb = el_rhs(ode, s)
+                dz, dzb = at_state(rhs, s)
             except DegenerateLagrangian:
                 continue
             if max(abs(w) for w in dz + dzb) > 1e3:

@@ -467,15 +467,20 @@ def test_audit_passes_on_oscillator(tmp_path, capsys):
 
 
 def test_audit_breach_exits_4(tmp_path, capsys, monkeypatch):
-    import biparamech.dynamics
+    # the audit builds its right-hand side once; corrupt the one it builds
+    real = biparamech.verify.make_el_rhs
 
-    real = biparamech.dynamics.el_rhs
+    def corrupted(ode):
+        rhs = real(ode)
+        n = ode.chart.n
 
-    def corrupted(ode, s):
-        dz, dzb = real(ode, s)
-        return tuple(-w for w in dz), dzb
+        def wrong(y):  # dz negated: -w has legs (-u, -v)
+            dy = rhs(y)
+            return [-d for d in dy[: 2 * n]] + dy[2 * n :]
 
-    monkeypatch.setattr(biparamech.verify, "el_rhs", corrupted)
+        return wrong
+
+    monkeypatch.setattr(biparamech.verify, "make_el_rhs", corrupted)
     prob = write_doc(tmp_path, oscillator_doc())
     assert main(["audit", prob, "--samples", "10", "--seed", "3"]) == 4
     assert "CHECK audit FAIL" in capsys.readouterr().out
@@ -485,6 +490,17 @@ def test_audit_degenerate_lagrangian_exit_3(capsys):
     prob = os.path.join(PROBLEMS, "failing", "degenerate_L.json")
     assert main(["audit", prob, "--samples", "10"]) == 3
     assert re.search(r"^error: .*degenerate", capsys.readouterr().err, re.M)
+
+
+def test_audit_degenerate_lagrangian_default_samples(capsys):
+    # every one of the 100 * 200 draws is tried before the audit gives up
+    prob = os.path.join(PROBLEMS, "failing", "degenerate_L.json")
+    assert main(["audit", prob]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "error: degenerate Lagrangian: 0 of 100 states well posed in 20000 draws"
+    )
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])

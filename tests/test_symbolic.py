@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biparamech import symbolic
 from biparamech.para_algebra import (
+    FUNCTIONS,
     INVERTIBILITY_FLOOR,
     ONE,
     ZERO,
     DomainError,
     ParaComplex,
     ZeroDivisor,
+    _pow_leg,
     apply_function,
 )
 from biparamech.symbolic import (
@@ -650,6 +653,118 @@ class TestRingOpEvaluation:
                 assert got is want, to_text(e)
             else:
                 assert repr((got.u, got.v)) == repr(want), to_text(e)
+
+
+def _chain_eval_pair(e, state):
+    """The interpreter as an isinstance chain, the reference that the
+    type-dispatched _eval_pair must match bit for bit."""
+    if isinstance(e, Constant):
+        return e.value.u, e.value.v
+    if isinstance(e, Var):
+        w = symbolic._lookup(state, e.family, e.index)
+        return w.u, w.v
+    if isinstance(e, Sum):
+        u = v = 0.0
+        for c in e.children:
+            cu, cv = _chain_eval_pair(c, state)
+            u += cu
+            v += cv
+        return u, v
+    if isinstance(e, Product):
+        u = v = 1.0
+        for c in e.children:
+            cu, cv = _chain_eval_pair(c, state)
+            u *= cu
+            v *= cv
+        return u, v
+    if isinstance(e, Negate):
+        u, v = _chain_eval_pair(e.child, state)
+        return -u, -v
+    if isinstance(e, Power):
+        u, v = _chain_eval_pair(e.base, state)
+        k = e.exponent
+        if k < 0 and (abs(u) < INVERTIBILITY_FLOOR or abs(v) < INVERTIBILITY_FLOOR):
+            symbolic._zero_divisor(e)
+        return _pow_leg(u, k), _pow_leg(v, k)
+    if isinstance(e, Quotient):
+        nu, nv = _chain_eval_pair(e.num, state)
+        du, dv = _chain_eval_pair(e.den, state)
+        if abs(du) < INVERTIBILITY_FLOOR or abs(dv) < INVERTIBILITY_FLOOR:
+            symbolic._zero_divisor(e)
+        return nu / du, nv / dv
+    if isinstance(e, Apply):
+        u, v = _chain_eval_pair(e.arg, state)
+        leg = FUNCTIONS[e.fn]
+        try:
+            return leg(u), leg(v)
+        except DomainError:
+            symbolic._domain_failure(e)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _pair_outcome(evaluator, e, s):
+    """repr of both legs, or the exception's type and message."""
+    try:
+        return repr(evaluator(e, s))
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestTableDispatch:
+    def _assert_same(self, e, s):
+        want = _pair_outcome(_chain_eval_pair, e, s)
+        assert _pair_outcome(_eval_pair, e, s) == want, to_text(e)
+        return want
+
+    def test_random_trees_match_the_isinstance_chain(self):
+        from biparamech.verify import random_expression, random_state
+
+        rng = random.Random(1414)
+        failures = set()
+        for _ in range(320):
+            e = random_expression(rng)
+            # also through the zero-divisor and domain checks
+            for tree in (e, Quotient(e, z_var(1)), Power(e, -2), Apply("ln", e)):
+                for s in (random_state(rng, 2), _edge_state(rng, 2)):
+                    got = self._assert_same(tree, s)
+                    if isinstance(got, tuple):
+                        failures.add(got[0])
+        assert failures == {ZeroDivisor, DomainError}
+
+    def test_el_oracle_partials_match_the_isinstance_chain(self):
+        # the first and second partials _classical_el_oracle evaluates
+        from biparamech.verify import FIXTURE_LAGRANGIANS, fixture_problem, random_state
+
+        rng = random.Random(77)
+        for key, _, _ in FIXTURE_LAGRANGIANS:
+            p = fixture_problem("lagrangian", key)
+            slots = [Var(*slot) for slot in p.chart.slots()]
+            firsts = [differentiate(p.L, x) for x in slots]
+            partials = firsts + [differentiate(f, x) for f in firsts for x in slots]
+            for _ in range(20):
+                s = random_state(rng, p.chart.n)
+                for e in partials:
+                    assert isinstance(self._assert_same(e, s), str)
+
+    def test_unbound_variables_raise_the_same_error(self):
+        s = EvalState(z=(ParaComplex(1.0, 0.0),), zb=(ParaComplex(2.0, 0.0),))
+        for e in (xi_var(1), z_var(2), Sum((z_var(1), zb_var(3)))):
+            assert self._assert_same(e, s)[0] is ExpressionError
+        assert self._assert_same(xi_var(1), object())[0] is ExpressionError
+
+    @pytest.mark.parametrize("e", [
+        1.5,
+        "z1",
+        Sum((z_var(1), 2.0)),
+        Product((None,)),
+        Negate(3),
+        Power("z1", 2),
+        Quotient(z_var(1), 1.0),
+        Apply("exp", [z_var(1)]),
+    ], ids=repr)
+    def test_a_non_node_is_a_type_error(self, e):
+        s = EvalState(z=(ParaComplex(1.0, 0.0),), zb=(ParaComplex(2.0, 0.0),))
+        assert self._assert_same(e, s)[0] is TypeError
 
 
 # ---------------------------------------------------------------------------

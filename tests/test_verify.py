@@ -134,13 +134,18 @@ class TestCheckReduction:
     def test_perturbed_velocity_fails(self, monkeypatch):
         # the oracle still feeds the comparison: a 1e-9 relative error in
         # one synthesized velocity is caught
-        exact = biparamech.verify.el_rhs
+        exact = biparamech.verify.make_el_rhs
 
-        def perturbed(ode, s):
-            dz, dzb = exact(ode, s)
-            return (dz[0] * ParaComplex(1.0 + 1e-9, 0.0),) + dz[1:], dzb
+        def perturbed(ode):
+            rhs = exact(ode)
 
-        monkeypatch.setattr(biparamech.verify, "el_rhs", perturbed)
+            def wrong(y):  # dz1 * (1 + 1e-9) scales both of its legs
+                dy = rhs(y)
+                return [dy[0] * (1.0 + 1e-9), dy[1] * (1.0 + 1e-9)] + dy[2:]
+
+            return wrong
+
+        monkeypatch.setattr(biparamech.verify, "make_el_rhs", perturbed)
         r = check_reduction(fixture_problem("lagrangian", "L5"), 20, 42)
         assert not r.all_pass
 
@@ -269,7 +274,59 @@ class TestAuditBattery:
             audit_battery(fixture_problem("hamiltonian", "H1"), 2, 9)
 
 
+class TestRightHandSidesBuiltOnce:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        for name in ("make_el_rhs", "make_ham_rhs"):
+            def counted(ode, _real=getattr(biparamech.verify, name), _name=name):
+                calls.append(_name)
+                return _real(ode)
+
+            monkeypatch.setattr(biparamech.verify, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("samples", [1, 7, 40])
+    def test_audit_battery(self, built, samples):
+        audit_battery(fixture_problem("lagrangian", "L5"), samples, 9)
+        assert built == ["make_el_rhs"]
+        built.clear()
+        # the Hamiltonian audit evaluates its own terms, no right-hand side
+        audit_battery(fixture_problem("hamiltonian", "H5"), samples, 9)
+        assert built == []
+
+    @pytest.mark.parametrize("samples", [1, 7, 40])
+    def test_check_reduction(self, built, samples):
+        check_reduction(fixture_problem("lagrangian", "L5"), samples, 9)
+        assert built == ["make_el_rhs"]
+        built.clear()
+        check_reduction(fixture_problem("hamiltonian", "H5"), samples, 9)
+        assert built == ["make_ham_rhs"]
+
+
+def _uniform_value(rng, redrawn):
+    """random_value as drawn through rng.uniform, the reference stream."""
+    while True:
+        w = ParaComplex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        if min(abs(w.u), abs(w.v)) > 1e-3:
+            return w
+        redrawn.append(w)
+
+
 class TestRandomDraws:
+    def test_random_state_is_the_uniform_stream(self):
+        redrawn = []
+        for seed in (0, 1, 7, 42, 12345):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for n in (1, 2, 3, 1000):
+                s = random_state(rng, n)
+                want = [_uniform_value(ref, redrawn) for _ in range(2 * n)]
+                assert [repr((w.a, w.b, w.u, w.v)) for w in s.z + s.zb] == [
+                    repr((w.a, w.b, w.u, w.v)) for w in want
+                ]
+                assert rng.random() == ref.random()
+        assert redrawn  # the stream ran through draws near the cone
+
     def test_random_value_avoids_cone(self):
         rng = random.Random(1)
         for _ in range(200):
