@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes are total: 0 ok, 1 selftest failure, 2 input error, 3 runtime
-singularity (including step failures, with the failing time printed), 4
-audit threshold breach.
+singularity (including step failures, zero divisors and domain failures,
+with the failing time printed), 4 audit threshold breach.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .eom import (
     synthesize_el,
     synthesize_ham,
 )
-from .para_algebra import ParaComplex
+from .para_algebra import DomainError, ParaComplex, ZeroDivisor
 from .symbolic import CoordinateChart, ExpressionError, parse
 from .verify import audit_battery, run_all
 
@@ -441,7 +441,7 @@ def main(argv=None) -> int:
     except ExpressionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularDenominator, DegenerateLagrangian, StepFailure) as exc:
+    except (SingularDenominator, DegenerateLagrangian, StepFailure, ZeroDivisor, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -8,11 +8,12 @@ straight-line function (symbolic.lower).  A Trajectory keeps one flat row
 [a(z1), b(z1), ..., a(zbn), b(zbn)] per sample in the same order, and its
 readers take the legs a+b, a-b straight from the rows.  ParaComplex values
 appear only at the edges: integrate's start state, Trajectory.samples, the
-values energy_along returns, and at_state (el_rhs/ham_rhs).  A
-right-hand side raises DegenerateLagrangian or SingularDenominator without
-a time; integrate and at_state re-raise them with one.  An entry of M or b
-that overflowed makes a step non-finite: integrate aborts or rejects it,
-and at_state and energy_along raise StepFailure.
+values energy_along returns, and at_state.  A right-hand side raises
+DegenerateLagrangian, SingularDenominator, ZeroDivisor or DomainError
+without a time; integrate, energy_along and at_state (at a state with a
+time) re-raise them with one.  An entry of M or b that overflowed makes
+a step non-finite: integrate aborts or rejects it, and at_state and
+energy_along raise StepFailure.
 
 The implicit Euler-Lagrange system M*xdot = b is solved at every
 evaluation instead of symbolically inverting M, which blows up for n > 1
@@ -38,7 +39,7 @@ from .eom import (
     energy,
     synthesize_el,
 )
-from .para_algebra import INVERTIBILITY_FLOOR, ParaComplex
+from .para_algebra import INVERTIBILITY_FLOOR, DomainError, ParaComplex, ZeroDivisor
 from .symbolic import (
     Apply,
     Negate,
@@ -113,17 +114,12 @@ class Trajectory:
     """Sample times plus one flat row per sample, [a(z1), b(z1), ...,
     a(zbn), b(zbn)] in the order of CoordinateChart.slots().
 
-    Trajectory(samples=[...]) takes PhaseState values apart into rows.
     samples is a read-only view of the rows as PhaseState values, built on
     first access."""
 
-    def __init__(self, samples=None, diagnostics=None, *, times=None, rows=None):
-        if samples is not None:
-            times = [s.t for s in samples]
-            rows = [_row(s) for s in samples]
+    def __init__(self, times, rows):
         self.times = times
         self.rows = rows
-        self.diagnostics = {} if diagnostics is None else diagnostics
         self._samples = None
 
     @property
@@ -212,13 +208,18 @@ def _values(y) -> tuple:
 
 
 def _timed(rhs, y, t):
-    """rhs(y), with a singular state re-raised at time t."""
+    """rhs(y), with a singular state or a failing subexpression re-raised at
+    time t; with no time, the error rhs raised propagates as it is."""
+    if t is None:
+        return rhs(y)
     try:
         return rhs(y)
     except DegenerateLagrangian as exc:
         raise DegenerateLagrangian(str(exc), t=t) from None
     except SingularDenominator as exc:
         raise SingularDenominator(exc.which, t=t) from None
+    except (ZeroDivisor, DomainError) as exc:
+        raise type(exc)(f"{exc} at t={t!r}") from None
 
 
 def _sampled(rhs, y, t):
@@ -231,7 +232,9 @@ def _sampled(rhs, y, t):
 
 
 def at_state(rhs, s):
-    """(dz, dzb) from rhs at a ParaComplex state s, as el_rhs takes them."""
+    """(dz, dzb) from rhs at a ParaComplex state s.  A state with a time t
+    (a PhaseState) re-raises a failure with t; one without (an EvalState)
+    lets the error rhs raised propagate."""
     n = len(s.z)
     dy = _sampled(rhs, _legs(s.z + s.zb), getattr(s, "t", None))
     return _values(dy[: 2 * n]), _values(dy[2 * n :])
@@ -262,12 +265,6 @@ def make_el_rhs(ode: ImplicitODE):
     return rhs
 
 
-def el_rhs(ode: ImplicitODE, s):
-    """(dz, dzb) at a ParaComplex state s: M(s) and b(s), then the
-    para-linear solve.  A degenerate system raises with s.t, if s has one."""
-    return at_state(make_el_rhs(ode), s)
-
-
 @lru_cache(maxsize=64)
 def make_ham_rhs(ode: ExplicitODE):
     """rhs(y) -> dy for an explicit Hamilton system.  The denominators are
@@ -288,12 +285,6 @@ def make_ham_rhs(ode: ExplicitODE):
         return flow(y)
 
     return rhs
-
-
-def ham_rhs(ode: ExplicitODE, s):
-    """(dz, dzb) at a ParaComplex state s; a singular denominator raises
-    with s.t, if s has one."""
-    return at_state(make_ham_rhs(ode), s)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +402,8 @@ def integrate(rhs, s0: PhaseState, cfg: IntegratorConfig) -> Trajectory:
     each leg.  One row per accepted step, holding (a, b) = ((u+v)/2, (u-v)/2)
     of the step's legs; the first row holds s0's own (a, b), not a round
     trip through the legs.  A singular right-hand side re-raises with the
-    time of the failing stage.
+    time of the failing stage, and so does a zero divisor or a domain
+    failure, which names its subexpression.
     """
 
     def deriv(t, y):
@@ -430,7 +422,7 @@ def integrate(rhs, s0: PhaseState, cfg: IntegratorConfig) -> Trajectory:
 
     run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
     run(deriv, _legs(s0.z + s0.zb), cfg, record)
-    return Trajectory(times=times, rows=rows)
+    return Trajectory(times, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +489,18 @@ def energy_along(p, tr: Trajectory):
 
     Hamiltonian problems evaluate H directly.  Lagrangian problems evaluate
     the energy function with the velocities obtained from the EL solve at
-    each sample, so a degenerate system raises with the failing time.
+    each sample.  A degenerate system, a zero divisor or a domain failure
+    raises with the failing sample's time.
     """
     if isinstance(p, HamiltonianProblem):
         h = lower((p.H,), p.chart.slots())
-        return [ParaComplex.from_idempotent(*h(_row_legs(row))) for row in tr.rows]
+        return [ParaComplex.from_idempotent(*_sampled(h, _row_legs(row), t))
+                for t, row in zip(tr.times, tr.rows)]
     velocities = tuple((f, i) for f in ("xi", "xib") for i in p.chart.indices())
     e_fn = lower((energy(p),), p.chart.slots() + velocities)
     rhs = make_el_rhs(synthesize_el(p))
     out = []
     for t, row in zip(tr.times, tr.rows):
         y = _row_legs(row)
-        out.append(ParaComplex.from_idempotent(*e_fn(y + _sampled(rhs, y, t))))
+        out.append(ParaComplex.from_idempotent(*_sampled(e_fn, y + _sampled(rhs, y, t), t)))
     return out

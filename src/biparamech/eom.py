@@ -16,10 +16,10 @@ recomputed from lam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .para_algebra import J, ONE, ZERO, ParaComplex
+from .para_algebra import J, ONE, ZERO, ParaComplex, apply_function
 from .symbolic import (
     Apply,
     Constant,
@@ -35,7 +35,6 @@ from .symbolic import (
     Sum,
     Var,
     ZERO_EXPR,
-    as_expr,
     differentiate,
     evaluate,
     is_zero,
@@ -103,46 +102,13 @@ class HamiltonianProblem:
         _check_chart_vars(self.lam, self.chart, "the conformal factor")
 
 
-@dataclass(frozen=True)
-class Semispray:
-    """Velocity data: the i-th entries stand for dz_i/dt and dzb_i/dt."""
-
-    xi: tuple
-    xib: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xi", tuple(as_expr(x) for x in self.xi))
-        object.__setattr__(self, "xib", tuple(as_expr(x) for x in self.xib))
-        if len(self.xi) != len(self.xib):
-            raise ValueError("xi and xib must have equal length")
-
-
-@dataclass(frozen=True)
-class OneForm:
-    chart: CoordinateChart
-    coeff_dz: tuple
-    coeff_dzb: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.coeff_dz) != self.chart.n or len(self.coeff_dzb) != self.chart.n:
-            raise ValueError("coefficient arrays must have length n")
-
-
-@dataclass
-class TwoForm:
-    chart: CoordinateChart
-    coeff: dict = field(default_factory=dict)
-
-    def is_zero(self) -> bool:
-        return not self.coeff
-
-
 def _exp_of(lam: Expr) -> Expr:
     return simplify(Apply("exp", lam))
 
 
-def vertical_differential(p: LagrangianProblem) -> OneForm:
-    """One-form whose time derivative drives the Euler-Lagrange rows.
+def vertical_differential(p: LagrangianProblem) -> tuple:
+    """theta, the one-form whose time derivative drives the Euler-Lagrange
+    rows, as its 2n coefficients in slot order.
 
     Coefficient of dz_i is -j*exp(lam)*dL/dzb_i; of dzb_i it is
     +j*exp(-lam)*dL/dz_i.
@@ -153,16 +119,16 @@ def vertical_differential(p: LagrangianProblem) -> OneForm:
     for i in p.chart.indices():
         coeff_dz.append(simplify(Negate(Product((J_EXPR, ep, differentiate(p.L, zb_var(i)))))))
         coeff_dzb.append(simplify(Product((J_EXPR, em, differentiate(p.L, z_var(i))))))
-    return OneForm(p.chart, tuple(coeff_dz), tuple(coeff_dzb))
+    return tuple(coeff_dz + coeff_dzb)
 
 
-def lagrangian_two_form(p: LagrangianProblem) -> TwoForm:
-    """omega_L = -d(theta): the coefficient of dq_a^dq_b, a before b in slot
-    order, is -(d_a theta_b - d_b theta_a); zero coefficients are left out."""
-    w = vertical_differential(p)
+def lagrangian_two_form(p: LagrangianProblem) -> tuple:
+    """omega_L = -d(theta) as (a, b, w) for w*dq_a^dq_b, with slot indices
+    a < b in slot order: w is -(d_a theta_b - d_b theta_a); zero
+    coefficients are left out."""
+    theta = vertical_differential(p)
     slots = p.chart.slots()
-    theta = w.coeff_dz + w.coeff_dzb
-    coeff = {}
+    omega = []
     for ia, a in enumerate(slots):
         for ib in range(ia + 1, len(slots)):
             b = slots[ib]
@@ -175,8 +141,8 @@ def lagrangian_two_form(p: LagrangianProblem) -> TwoForm:
                 d = simplify(pieces[0] if len(pieces) == 1 else Sum(tuple(pieces)))
                 neg = simplify(Negate(d))
                 if not is_zero(neg):
-                    coeff[(a, b)] = neg
-    return TwoForm(p.chart, coeff)
+                    omega.append((ia, ib, neg))
+    return tuple(omega)
 
 
 def energy(p: LagrangianProblem) -> Expr:
@@ -284,32 +250,27 @@ def synthesize_ham(p: HamiltonianProblem) -> ExplicitODE:
 def _identity_terms(p: LagrangianProblem) -> tuple[tuple, tuple]:
     """The pieces of i_X omega_L = dE_L that do not depend on the state.
 
-    Returns omega_L's coefficients as (a, b, w) for w*dq_a^dq_b, and the
-    2n partials of E_L, both indexed in the order z1..zn, zb1..zbn.
-    Built once per problem, like synthesize_el, and kept in tuples because
-    the TwoForm that lagrangian_two_form returns is mutable.
+    Returns omega_L as lagrangian_two_form gives it, and the 2n partials of
+    E_L in slot order.  Built once per problem, like synthesize_el.
     """
-    slots = p.chart.slots()
-    omega = tuple(
-        (slots.index(a), slots.index(b), w) for (a, b), w in lagrangian_two_form(p).coeff.items()
-    )
+    omega = lagrangian_two_form(p)
     e = energy(p)
-    dE = tuple(simplify(differentiate(e, Var(*slot))) for slot in slots)
+    dE = tuple(simplify(differentiate(e, Var(*slot))) for slot in p.chart.slots())
     return omega, dE
 
 
-def audit_lagrange(p: LagrangianProblem, s: EvalState, xi: Semispray) -> float:
+def audit_lagrange(p: LagrangianProblem, s: EvalState, X: tuple) -> float:
     """Worst coefficient of i_X omega_L - dE_L, with E_L's velocities set to X.
 
-    X is the velocity data (dz_i/dt, dzb_i/dt).  The identity is the paper's
-    form of the Euler-Lagrange law, and it is evaluated from the two-form and
-    the energy alone, through evaluate(): neither synthesize_el's M and b
+    X holds the 2n velocities dz_i/dt, then dzb_i/dt, as ParaComplex values:
+    dz + dzb as at_state returns them.  The identity is the paper's form of
+    the Euler-Lagrange law, and it is evaluated from the two-form and the
+    energy alone, through evaluate(): neither synthesize_el's M and b
     nor the lowered code of symbolic.lower enter, so this audit and the
     right-hand side make_el_rhs builds can disagree when either is wrong.
     """
     n = p.chart.n
     omega, dE = _identity_terms(p)
-    X = tuple(evaluate(x, s) for x in xi.xi + xi.xib)
     # i_X (w dq_a^dq_b) = w*X_a dq_b - w*X_b dq_a
     contraction = [ZERO] * (2 * n)
     for a, b, w in omega:
@@ -349,11 +310,11 @@ def _denominator_values(
     for i, (lam_z, lam_zb, *_) in zip(p.chart.indices(), terms):
         acc = acc + evaluate(Var("z", i), s) * evaluate(lam_z, s)
         acc = acc + evaluate(Var("zb", i), s) * evaluate(lam_zb, s)
-    half = ParaComplex(0.5, 0.0) * evaluate(p.lam, s).exp() * acc
+    half = ParaComplex(0.5, 0.0) * apply_function("exp", evaluate(p.lam, s)) * acc
     return ONE + half, ONE - half
 
 
-def audit_hamilton(p: HamiltonianProblem, s: EvalState, t: float | None = None) -> float:
+def audit_hamilton(p: HamiltonianProblem, s: EvalState) -> float:
     """Check the synthesized flow against the pairing it must satisfy.
 
     The dz_i bracket must reproduce dH/dz_i and the dzb_i bracket dH/dzb_i;
@@ -363,9 +324,9 @@ def audit_hamilton(p: HamiltonianProblem, s: EvalState, t: float | None = None) 
     terms = _hamilton_terms(p)
     d_plus, d_minus = _denominator_values(p, terms, s)
     if not d_plus.invertible:
-        raise SingularDenominator("D+", t)
+        raise SingularDenominator("D+")
     if not d_minus.invertible:
-        raise SingularDenominator("D-", t)
+        raise SingularDenominator("D-")
     worst = 0.0
     for *_, h_z, h_zb, rhs_z, rhs_zb in terms:
         Z_i = evaluate(rhs_z, s)

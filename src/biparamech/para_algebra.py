@@ -151,20 +151,6 @@ class ParaComplex:
     def is_finite(self) -> bool:
         return math.isfinite(self.a) and math.isfinite(self.b)
 
-    # -- componentwise transcendental functions ---------------------------
-
-    def exp(self) -> "ParaComplex":
-        return apply_function("exp", self)
-
-    def ln(self) -> "ParaComplex":
-        return apply_function("ln", self)
-
-    def sin(self) -> "ParaComplex":
-        return apply_function("sin", self)
-
-    def cos(self) -> "ParaComplex":
-        return apply_function("cos", self)
-
     def __str__(self) -> str:
         sign = "+" if self.b >= 0 else "-"
         return f"{self.a}{sign}{abs(self.b)}j"
@@ -355,9 +341,9 @@ def structure_apply(
     if kind in (StructureKind.W_PLUS, StructureKind.W_MINUS):
         e = E_PLUS if kind is StructureKind.W_PLUS else E_MINUS
         if k is Basis.D_Z:
-            return [FrameVector(Basis.D_ZB, vec.index, cin * -e * lambda_value.exp())]
+            return [FrameVector(Basis.D_ZB, vec.index, cin * -e * apply_function("exp", lambda_value))]
         if k is Basis.D_ZB:
-            return [FrameVector(Basis.D_Z, vec.index, cin * e * (-lambda_value).exp())]
+            return [FrameVector(Basis.D_Z, vec.index, cin * e * apply_function("exp", -lambda_value))]
         raise KindMismatch(f"{kind.value} acts on the para-complex frame only")
 
     if kind is StructureKind.J_STAR:
@@ -374,7 +360,7 @@ def structure_apply(
     if kind in (StructureKind.W_STAR_PLUS, StructureKind.W_STAR_MINUS):
         e = E_PLUS if kind is StructureKind.W_STAR_PLUS else E_MINUS
         if k is Basis.DZ:
-            return [FrameVector(Basis.DZB, vec.index, cin * -e * lambda_value.exp())]
-        return [FrameVector(Basis.DZ, vec.index, cin * e * (-lambda_value).exp())]
+            return [FrameVector(Basis.DZB, vec.index, cin * -e * apply_function("exp", lambda_value))]
+        return [FrameVector(Basis.DZ, vec.index, cin * e * apply_function("exp", -lambda_value))]
 
     raise KindMismatch(f"unhandled structure kind {kind!r}")

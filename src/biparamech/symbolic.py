@@ -167,16 +167,6 @@ ONE_EXPR = Constant(ONE)
 J_EXPR = Constant(J)
 
 
-def as_expr(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, ParaComplex):
-        return Constant(x)
-    if isinstance(x, (int, float)):
-        return Constant(ParaComplex(float(x), 0.0))
-    raise TypeError(f"cannot interpret {x!r} as an expression")
-
-
 def z_var(i: int) -> Var:
     return Var("z", i)
 

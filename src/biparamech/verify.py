@@ -17,7 +17,6 @@ from .eom import (
     DegenerateLagrangian,
     HamiltonianProblem,
     LagrangianProblem,
-    Semispray,
     SingularDenominator,
     audit_hamilton,
     audit_lagrange,
@@ -125,6 +124,24 @@ def random_state(rng: random.Random, n: int) -> EvalState:
         z=tuple(random_value(rng) for _ in range(n)),
         zb=tuple(random_value(rng) for _ in range(n)),
     )
+
+
+def _worst_over(rng: random.Random, n: int, samples: int, measure, starved) -> float:
+    """The worst measure(s) over `samples` accepted states s drawn by
+    random_state, where measure returns None to reject s.  After
+    samples*200 draws it raises starved(done), done the states accepted."""
+    worst = 0.0
+    done = 0
+    draws = 0
+    while done < samples:
+        if draws == samples * 200:
+            raise starved(done)
+        draws += 1
+        m = measure(random_state(rng, n))
+        if m is not None:
+            worst = max(worst, m)
+            done += 1
+    return worst
 
 
 def _small_argument(rng: random.Random):
@@ -584,43 +601,25 @@ def check_reduction(p, samples: int, seed: int, name: str = "reduction") -> Repo
     """
     if not is_zero(simplify(p.lam)):
         raise ValueError("check_reduction requires the zero conformal factor")
-    rng = random.Random(seed)
-    chart = p.chart
-    worst = 0.0
-    done = 0
-    guard = 0
     if isinstance(p, LagrangianProblem):
         rhs = make_el_rhs(synthesize_el(p))
-        oracle = _classical_el_oracle(p.L, chart)
-        while done < samples:
-            guard += 1
-            if guard > samples * 200:
-                raise RuntimeError("could not sample enough well-posed states")
-            s = random_state(rng, chart.n)
-            base = oracle(s)
-            if base is None:
-                continue
-            try:
-                got = at_state(rhs, s)
-            except DegenerateLagrangian:
-                continue
-            worst = max(
-                worst,
-                _value_dev(got[0] + got[1], base[0] + base[1]),
-            )
-            done += 1
+        oracle = _classical_el_oracle(p.L, p.chart)
     else:
         rhs = make_ham_rhs(synthesize_ham(p))
-        oracle = _classical_ham_oracle(p.H, chart)
-        while done < samples:
-            s = random_state(rng, chart.n)
+        oracle = _classical_ham_oracle(p.H, p.chart)
+
+    def measure(s):
+        try:
             base = oracle(s)
+            if base is None:
+                return None
             got = at_state(rhs, s)
-            worst = max(
-                worst,
-                _value_dev(got[0] + got[1], base[0] + base[1]),
-            )
-            done += 1
+        except (DegenerateLagrangian, ZeroDivisor, DomainError):
+            return None
+        return _value_dev(got[0] + got[1], base[0] + base[1])
+
+    worst = _worst_over(random.Random(seed), p.chart.n, samples, measure,
+                        lambda done: RuntimeError("could not sample enough well-posed states"))
     return Report(
         checks=[_check(name, worst, REDUCTION_THRESHOLD)], seed=seed
     )
@@ -702,48 +701,44 @@ def fixture_problem(kind: str, name: str):
 def audit_battery(p, samples: int, seed: int, name: str = "audit") -> Report:
     """Plug-back audits at random nonsingular states, threshold 1e-10.
 
-    Draws at most samples*200 states.  When too few of them are well posed
-    the problem itself is singular, so the battery raises the runtime
-    error (DegenerateLagrangian or SingularDenominator) the integrator
-    would raise on it.
+    A state where the right-hand side or the audit meets a zero divisor or
+    a domain failure is redrawn.  Draws at most samples*200 states.  When
+    too few of them are well posed the problem itself is singular, so the
+    battery raises DegenerateLagrangian, or the last error a Hamiltonian
+    draw raised, as the integrator would.
     """
     if samples < 1:
         raise ValueError("audit_battery needs samples >= 1")
-    rng = random.Random(seed)
-    worst = 0.0
-    done = 0
-    guard = 0
     if isinstance(p, LagrangianProblem):
         rhs = make_el_rhs(synthesize_el(p))
-        while done < samples:
-            guard += 1
-            if guard > samples * 200:
-                raise DegenerateLagrangian(
-                    f"degenerate Lagrangian: {done} of {samples} states well posed"
-                    f" in {samples * 200} draws"
-                )
-            s = random_state(rng, p.chart.n)
+
+        def measure(s):
             try:
                 dz, dzb = at_state(rhs, s)
-            except DegenerateLagrangian:
-                continue
-            if max(abs(w) for w in dz + dzb) > 1e3:
-                continue  # nearly degenerate; keep the oracle well conditioned
-            worst = max(worst, audit_lagrange(p, s, Semispray(dz, dzb)))
-            done += 1
+                if max(abs(w) for w in dz + dzb) > 1e3:
+                    return None  # nearly degenerate; keep the oracle well conditioned
+                return audit_lagrange(p, s, dz + dzb)
+            except (DegenerateLagrangian, ZeroDivisor, DomainError):
+                return None
+
+        def starved(done):
+            return DegenerateLagrangian(
+                f"degenerate Lagrangian: {done} of {samples} states well posed"
+                f" in {samples * 200} draws"
+            )
     else:
-        singular = None
-        while done < samples:
-            guard += 1
-            if guard > samples * 200:
-                raise singular
-            s = random_state(rng, p.chart.n)
+        rejected = [None]  # the last error a draw raised
+
+        def measure(s):
             try:
-                worst = max(worst, audit_hamilton(p, s))
-            except SingularDenominator as exc:
-                singular = exc
-                continue
-            done += 1
+                return audit_hamilton(p, s)
+            except (SingularDenominator, ZeroDivisor, DomainError) as exc:
+                rejected[0] = exc
+                return None
+
+        def starved(done):
+            return rejected[0]
+    worst = _worst_over(random.Random(seed), p.chart.n, samples, measure, starved)
     return Report(checks=[_check(name, worst, 1e-10)], seed=seed)
 
 

@@ -428,6 +428,41 @@ def test_power_overflow_in_m_leaves_the_finite_domain(tmp_path, capsys, method):
     assert main(["audit", str(DATA / "overflowed_entry.json")]) == 0
 
 
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+@pytest.mark.parametrize(
+    "name,error",
+    [
+        ("zero_divisor_lagrangian.json", "zero-divisor denominator in '((("),
+        ("zero_divisor_hamiltonian.json", "zero-divisor denominator in '-j/(1 - 2*z1 + z1^2)'"),
+        ("ln_velocity.json", "domain failure in 'ln(z1)'"),
+        ("ln_energy.json", "domain failure in 'ln(z1)'"),
+    ],
+)
+def test_failing_subexpression_exits_3_with_its_time(tmp_path, capsys, method, name, error):
+    # z1 = 1 zeroes z1 - 1; ln(z1) needs both legs of z1 positive, and the
+    # start z1 = -1 has neither: ln_velocity meets ln in the right-hand side,
+    # ln_energy only in the energy column
+    doc = json.loads((DATA / name).read_text())
+    doc = doc if method == "rk4" else _rkf45(doc)
+    out = tmp_path / "x.csv"
+    assert main(["integrate", write_doc(tmp_path, doc), "-o", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {error}")
+    assert err[0].endswith("' at t=0.0")
+    assert not out.exists()
+
+
+def test_audit_redraws_where_ln_fails(capsys):
+    # ln(z1) fails at about three draws in four; the audit draws again there
+    # instead of raising.  The identity's terms reach 1e6 at some draws, so
+    # the absolute 1e-10 threshold decides between exit 0 and 4
+    assert main(["audit", str(DATA / "ln_velocity.json")]) in (0, 4)
+    out = capsys.readouterr().out.splitlines()
+    assert re.match(r"^CHECK audit (PASS|FAIL) measured=", out[0])
+    assert main(["audit", str(DATA / "ln_energy.json")]) == 0
+
+
 def test_long_sum_derives_and_integrates(tmp_path, capsys):
     # a 1,500-term chain parses to one flat Sum, so nothing recurses 1,500 deep
     doc = oscillator_doc()
@@ -721,7 +756,8 @@ def _phase_state_csv(lp, samples):
         energies = _phase_state_energies(lp.problem, samples)
         if lp.kind == "lagrangian":
             header += ["residual"]
-            residuals = residual_series(lp.problem, Trajectory(samples=samples))
+            rows = [[x for w in s.z + s.zb for x in (w.a, w.b)] for s in samples]
+            residuals = residual_series(lp.problem, Trajectory([s.t for s in samples], rows))
     lines = [",".join(header)]
     for k, s in enumerate(samples):
         row = [repr(s.t)]

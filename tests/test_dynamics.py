@@ -13,9 +13,8 @@ from biparamech.dynamics import (
     PhaseState,
     StepFailure,
     Trajectory,
-    el_rhs,
+    at_state,
     energy_along,
-    ham_rhs,
     integrate,
     make_el_rhs,
     make_ham_rhs,
@@ -29,8 +28,8 @@ from biparamech.eom import (
     synthesize_el,
     synthesize_ham,
 )
-from biparamech.para_algebra import ONE, ZERO, ParaComplex
-from biparamech.symbolic import CoordinateChart, lower, parse
+from biparamech.para_algebra import ONE, ZERO, DomainError, ParaComplex, ZeroDivisor
+from biparamech.symbolic import CoordinateChart, EvalState, lower, parse
 
 PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "problems")
 
@@ -57,6 +56,20 @@ def hamiltonian(text, lam="0"):
 
 
 OSC = lagrangian("z1*zb1")
+
+
+def trajectory(samples):
+    """A Trajectory holding these PhaseState values as its rows."""
+    rows = [[x for w in s.z + s.zb for x in (w.a, w.b)] for s in samples]
+    return Trajectory([s.t for s in samples], rows)
+
+
+def el_rhs(ode, s):
+    return at_state(make_el_rhs(ode), s)
+
+
+def ham_rhs(ode, s):
+    return at_state(make_ham_rhs(ode), s)
 
 
 def osc_exact(t):
@@ -320,13 +333,45 @@ class TestElRhs:
         with pytest.raises(StepFailure, match=r"^state left the finite domain at t=0\.5$"):
             el_rhs(synthesize_el(p), s)
         with pytest.raises(StepFailure, match=r"^state left the finite domain at t=0\.5$"):
-            energy_along(p, Trajectory(samples=[s]))
+            energy_along(p, trajectory([s]))
 
     def test_conformal_factor_scales_velocity(self):
         ode = synthesize_el(lagrangian("z1*zb1", lam="0.5"))
         s = PhaseState(t=0.0, z=(pc(0.0),), zb=(pc(1.0),))
         dz, _ = el_rhs(ode, s)
         assert close(dz[0], -J * pc(math.exp(-0.5)))
+
+
+class TestAtState:
+    @pytest.mark.parametrize(
+        "error",
+        [DegenerateLagrangian("singular e+ component system"), SingularDenominator("D-"),
+         ZeroDivisor("zero-divisor denominator in '1/z1'"), DomainError("domain failure in 'ln(z1)'")],
+        ids=["degenerate", "singular", "zero-divisor", "domain"],
+    )
+    def test_a_state_without_time_re_raises_the_very_error(self, error):
+        def rhs(y):
+            raise error
+
+        s = EvalState(z=(pc(1.0),), zb=(pc(0.5),))
+        with pytest.raises(type(error)) as exc:
+            at_state(rhs, s)
+        assert exc.value is error
+        assert str(exc.value) == str(error)
+
+    @pytest.mark.parametrize(
+        "error",
+        [ZeroDivisor("zero-divisor denominator in '1/z1'"), DomainError("domain failure in 'ln(z1)'")],
+        ids=["zero-divisor", "domain"],
+    )
+    def test_a_state_with_time_names_it(self, error):
+        def rhs(y):
+            raise error
+
+        s = PhaseState(t=0.25, z=(pc(1.0),), zb=(pc(0.5),))
+        with pytest.raises(type(error)) as exc:
+            at_state(rhs, s)
+        assert str(exc.value) == f"{error} at t=0.25"
 
 
 class TestHamRhs:
@@ -496,19 +541,6 @@ class TestIntegrate:
 
 
 class TestTrajectory:
-    def test_samples_round_trip(self):
-        given = [
-            PhaseState(t=0.0, z=(pc(1.0, 2.0), pc(-0.5, 0.25)), zb=(pc(3.0), pc(0.0, -1.0))),
-            PhaseState(t=0.5, z=(pc(0.4, 0.1), pc(5e-324)), zb=(pc(-0.0, 1e300), pc(2.5, 2.5))),
-        ]
-        tr = Trajectory(samples=given)
-        assert tr.times == [0.0, 0.5]
-        assert tr.rows[0] == [1.0, 2.0, -0.5, 0.25, 3.0, 0.0, 0.0, -1.0]
-        assert tr.samples == tuple(given)
-        for got, want in zip(tr.samples, given):
-            for x, y in zip(got.z + got.zb, want.z + want.zb):
-                assert (x.a, x.b, x.u, x.v) == (y.a, y.b, y.u, y.v)
-
     def test_samples_are_a_read_only_view_built_once(self):
         tr = Trajectory(times=[0.0, 1.0], rows=[[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.25, -0.25]])
         first = tr.samples
@@ -570,8 +602,8 @@ class TestResidualSeries:
         assert max(res[1:-1]) > 1e-2
 
     def test_short_trajectory_all_nan(self):
-        tr = Trajectory(
-            samples=[
+        tr = trajectory(
+            [
                 PhaseState(t=0.0, z=(pc(1.0),), zb=(pc(1.0),)),
                 PhaseState(t=1.0, z=(pc(1.0),), zb=(pc(1.0),)),
             ]
@@ -588,8 +620,8 @@ class TestResidualSeries:
 class TestEnergyAlong:
     def test_hamiltonian_directly_evaluated(self):
         p = hamiltonian("z1*zb1")
-        tr = Trajectory(
-            samples=[PhaseState(t=0.0, z=(pc(2.0),), zb=(pc(3.0),))]
+        tr = trajectory(
+            [PhaseState(t=0.0, z=(pc(2.0),), zb=(pc(3.0),))]
         )
         vals = energy_along(p, tr)
         assert close(vals[0], pc(6.0))
@@ -606,6 +638,15 @@ class TestEnergyAlong:
             max(abs(v.a - vals[0].a), abs(v.b - vals[0].b)) for v in vals
         )
         assert drift <= 1e-8
+
+    @pytest.mark.parametrize("problem", [hamiltonian, lagrangian], ids=["hamiltonian", "lagrangian"])
+    def test_a_domain_failure_names_the_sample_time(self, problem):
+        # ln(z1) at z1 = -1 is only in the energy, not in the right-hand side
+        p = problem("z1*zb1 + ln(z1)")
+        tr = trajectory([PhaseState(t=0.0, z=(pc(2.0),), zb=(pc(0.5),)),
+                         PhaseState(t=0.5, z=(pc(-1.0),), zb=(pc(0.5),))])
+        with pytest.raises(DomainError, match=r"^domain failure in 'ln\(z1\)' at t=0\.5$"):
+            energy_along(p, tr)
 
     def test_lagrangian_uses_solved_velocities(self):
         # E_L for L = z1*zb1 along its own flow: with xi1 = -j*zb1 and

@@ -108,37 +108,37 @@ class TestIdempotentBasis:
 
 class TestFunctions:
     def test_exp_of_j(self):
-        got = J.exp()
+        got = apply_function("exp", J)
         assert got.a == pytest.approx(math.cosh(1.0), rel=1e-15)
         assert got.b == pytest.approx(math.sinh(1.0), rel=1e-15)
 
     def test_exp_zero(self):
-        assert ZERO.exp() == ONE
+        assert apply_function("exp", ZERO) == ONE
 
     def test_ln_inverts_exp(self):
         x = pc(0.4, -0.2)
-        assert abs(x.exp().ln() - x) < 1e-14
+        assert abs(apply_function("ln", apply_function("exp", x)) - x) < 1e-14
 
     def test_ln_domain(self):
         with pytest.raises(DomainError):
-            pc(0, 0).ln()
+            apply_function("ln", pc(0, 0))
         with pytest.raises(DomainError):
-            pc(1, 2).ln()  # v = -1
+            apply_function("ln", pc(1, 2))  # v = -1
 
     def test_trig_componentwise(self):
         x = pc(0.7, 0.1)
-        s = x.sin()
+        s = apply_function("sin", x)
         assert s.u == pytest.approx(math.sin(x.u), rel=1e-15)
         assert s.v == pytest.approx(math.sin(x.v), rel=1e-15)
 
     def test_trig_of_non_finite_leg_is_nan(self):
         # the same leg functions serve ParaComplex and the evaluators
-        s = pc(math.inf, 0).sin()
+        s = apply_function("sin", pc(math.inf, 0))
         assert math.isnan(s.u) and math.isnan(s.v)
 
     def test_apply_function_dispatch(self):
         x = pc(0.5, 0.25)
-        assert apply_function("cos", x) == x.cos()
+        assert apply_function("cos", x) == ParaComplex.from_idempotent(math.cos(x.u), math.cos(x.v))
         with pytest.raises(ValueError):
             apply_function("tan", x)
 
@@ -180,8 +180,8 @@ class TestRingProperties:
     @example(a1=0.0, b1=5.0, a2=0.0, b2=-5.0)
     def test_exp_addition_law(self, a1, b1, a2, b2):
         x, y = pc(a1, b1), pc(a2, b2)
-        lhs = (x + y).exp()
-        rhs = x.exp() * y.exp()
+        lhs = apply_function("exp", x + y)
+        rhs = apply_function("exp", x) * apply_function("exp", y)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     @given(finite, finite)
@@ -289,10 +289,10 @@ class TestStructureTables:
         lam = ParaComplex(0.7, 0.0)
         v = one_term(structure_apply(StructureKind.W_MINUS, FrameVector(Basis.D_Z, 1), lam))
         assert v.kind is Basis.D_ZB
-        assert abs(v.coefficient - (-E_MINUS * lam.exp())) < 1e-15
+        assert abs(v.coefficient - (-E_MINUS * apply_function("exp", lam))) < 1e-15
         v = one_term(structure_apply(StructureKind.W_STAR_PLUS, FrameVector(Basis.DZB, 2), lam))
         assert v.kind is Basis.DZ
-        assert abs(v.coefficient - E_PLUS * (-lam).exp()) < 1e-15
+        assert abs(v.coefficient - E_PLUS * apply_function("exp", -lam)) < 1e-15
 
     def test_w_at_zero_matches_p(self):
         pairs = [

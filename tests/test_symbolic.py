@@ -35,7 +35,6 @@ from biparamech.symbolic import (
     UnknownVariable,
     Var,
     ZERO_EXPR,
-    as_expr,
     differentiate,
     evaluate,
     lower,
@@ -895,9 +894,3 @@ class TestHelpers:
     def test_vars_of(self):
         e = parse("z1*zb2 + exp(z2)", C2)
         assert vars_of(e) == frozenset({("z", 1), ("zb", 2), ("z", 2)})
-
-    def test_as_expr_coercion(self):
-        assert as_expr(2) == c(2.0)
-        assert as_expr(ParaComplex(1.0, 1.0)) == Constant(ParaComplex(1.0, 1.0))
-        with pytest.raises(TypeError):
-            as_expr("z1")

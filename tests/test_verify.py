@@ -26,6 +26,7 @@ from biparamech.verify import (
     Report,
     _gauss_jordan,
     _oracle_solve,
+    _worst_over,
     audit_battery,
     check_fd,
     check_reduction,
@@ -272,6 +273,110 @@ class TestAuditBattery:
         monkeypatch.setattr(biparamech.verify, "audit_hamilton", singular)
         with pytest.raises(SingularDenominator):
             audit_battery(fixture_problem("hamiltonian", "H1"), 2, 9)
+
+
+class TestWorstOver:
+    def test_stops_at_samples_accepted_states(self):
+        seen = []
+
+        def every_other(s):
+            seen.append(s)
+            return None if len(seen) % 2 else float(len(seen))
+
+        assert _worst_over(random.Random(4), 2, 5, every_other, None) == 10.0
+        assert len(seen) == 10
+        # the states are random_state's stream from the given generator
+        rng = random.Random(4)
+        assert seen == [random_state(rng, 2) for _ in range(10)]
+
+    def test_draws_at_most_samples_times_200(self):
+        seen = []
+
+        def reject(s):
+            seen.append(s)
+            return None
+
+        with pytest.raises(RuntimeError):
+            _worst_over(random.Random(4), 1, 3, reject, lambda done: RuntimeError(done))
+        assert len(seen) == 600
+
+    def test_starved_gets_the_accepted_count(self):
+        seen = []
+        counts = []
+
+        def first_three(s):
+            seen.append(s)
+            return 1.0 if len(seen) <= 3 else None
+
+        def starved(done):
+            counts.append(done)
+            return LookupError(f"{done} accepted")
+
+        with pytest.raises(LookupError, match="^3 accepted$"):
+            _worst_over(random.Random(4), 1, 4, first_three, starved)
+        assert counts == [3]
+        assert len(seen) == 800
+
+    def test_enough_states_in_the_last_draw_is_no_starvation(self):
+        seen = []
+
+        def last_only(s):
+            seen.append(s)
+            return 2.0 if len(seen) == 200 else None
+
+        assert _worst_over(random.Random(4), 1, 1, last_only, None) == 2.0
+        assert len(seen) == 200
+
+
+class TestRedrawnStates:
+    # ln(z1) fails unless both legs of z1 are positive, at about three
+    # draws in four
+    P = LagrangianProblem(C1, parse("z1*zb1 + zb1*ln(z1)", C1), parse("0", C1))
+
+    def test_audit_battery_redraws_a_domain_failure(self, monkeypatch):
+        draws = []
+        real = biparamech.verify.random_state
+
+        def counted(rng, n):
+            draws.append(n)
+            return real(rng, n)
+
+        monkeypatch.setattr(biparamech.verify, "random_state", counted)
+        r = audit_battery(self.P, 20, 9)
+        assert len(draws) > 40
+        # |dE_L| reaches 1e6 near the cone, where roundoff is about 1e-10
+        assert r.checks[0].measured < 1e-8
+
+    def test_check_reduction_redraws_a_domain_failure(self):
+        assert check_reduction(self.P, 20, 9).all_pass
+
+    def test_hamiltonian_audit_redraws_a_zero_divisor(self, monkeypatch):
+        p = HamiltonianProblem(C1, parse("z1*zb1", C1), parse("0", C1))
+        exact = biparamech.verify.audit_hamilton
+        calls = []
+
+        def flaky(p, s):
+            calls.append(s)
+            if len(calls) % 3 == 0:
+                raise biparamech.verify.ZeroDivisor("zero-divisor denominator in '1/z1'")
+            return exact(p, s)
+
+        monkeypatch.setattr(biparamech.verify, "audit_hamilton", flaky)
+        assert audit_battery(p, 10, 9).all_pass
+        assert len(calls) == 14
+
+    def test_hamiltonian_starvation_raises_the_last_error(self, monkeypatch):
+        errors = []
+
+        def failing(p, s):
+            errors.append(biparamech.verify.DomainError(f"domain failure {len(errors)}"))
+            raise errors[-1]
+
+        monkeypatch.setattr(biparamech.verify, "audit_hamilton", failing)
+        with pytest.raises(biparamech.verify.DomainError) as exc:
+            audit_battery(fixture_problem("hamiltonian", "H1"), 2, 9)
+        assert exc.value is errors[-1]
+        assert len(errors) == 400
 
 
 class TestRightHandSidesBuiltOnce:
