@@ -18,9 +18,13 @@ energy_along raise StepFailure.
 The implicit Euler-Lagrange system M*xdot = b is solved at every
 evaluation instead of symbolically inverting M, which blows up for n > 1
 and hides degeneracy behind huge expressions.  On the legs it is two
-independent real systems of size m = 2n.  Their elimination is emitted
-once per m as straight-line code with no loops (_leg_solver), and the
-same code object solves either leg.
+independent real systems of size m = 2n, solved by elimination emitted
+as straight-line code with no loops (_eliminate).  When every leg of M
+lowers to a literal, as for a constant M, the elimination is worked out
+at build time and folded into the system's one lowered function, which
+is left with b's arithmetic (_folded_el_rhs).  Any other M keeps its
+lowered function and the leg solver emitted once per m (_leg_solver),
+whose one code object solves either leg of every system of that size.
 """
 
 from __future__ import annotations
@@ -42,10 +46,13 @@ from .eom import (
 from .para_algebra import INVERTIBILITY_FLOOR, DomainError, ParaComplex, ZeroDivisor
 from .symbolic import (
     Apply,
+    Lowering,
     Negate,
     Product,
     differentiate,
+    leg_text,
     lower,
+    lowered_function,
     z_var,
     zb_var,
 )
@@ -151,44 +158,122 @@ def _row_legs(row) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _eliminate(a, which: str, tag: str):
+    """Emit Gaussian elimination with scaled partial pivoting for one leg's
+    m x m system, on the augmented rows a (column m holds b), with the
+    looped algorithm's float operations in their order.
+
+    An entry is a float literal or the name of a local that the emitted
+    code may rebind.  A step whose operands are all literals runs here and
+    only its outcome is kept: a row scale, a pivot choice and its row swap,
+    a multiplier and its f != 0.0 skip, an update, a division, a test that
+    passes.  A test that always fails ends the lines with its raise, and x
+    comes back as None.  Any other step is emitted as code that swaps and
+    updates rows in place, so M's entries must be all literals or all
+    names.  which is spliced into the raise's f-string, and tag into every
+    local the lines bind, so that two legs can share one function; x / 1.0
+    is x and x / -1.0 is -x, exactly.  Returns the lines and x's entries.
+    """
+    m = len(a)
+    lines: list[str] = []
+
+    def literal(*xs) -> bool:
+        return all(isinstance(x, float) for x in xs)
+
+    def raises(operands, decide, code: str, what: str) -> bool:
+        message = f'DegenerateLagrangian(f"{what} {which} component system")'
+        if not literal(*operands):
+            lines.append(f"if {code}: raise {message}")
+        elif decide():
+            lines.append(f"raise {message}")
+            return True
+        return False
+
+    def bound(stem: str, code: str) -> str:
+        name = f"{stem}{tag}"
+        lines.append(f"{name} = {code}")
+        return name
+
+    s = []
+    for i, row in enumerate(a):
+        if literal(*row[:m]):
+            s.append(max(abs(x) for x in row[:m]))
+        else:
+            mags = ", ".join(f"abs({leg_text(x)})" for x in row[:m])
+            s.append(bound(f"s{i}", f"max({mags})" if m > 1 else mags))
+    if raises(s, lambda: 0.0 in s, f"0.0 in ({''.join(f'{leg_text(x)}, ' for x in s)})", "zero row in"):
+        return lines, None
+    for k in range(m):
+        if literal(*(row[k] for row in a[k:]), *s[k:]):
+            piv, best = k, abs(a[k][k]) / s[k]
+            for r in range(k + 1, m):
+                mag = abs(a[r][k]) / s[r]
+                if mag > best:
+                    best, piv = mag, r
+            a[k][k:], a[piv][k:], s[k], s[piv] = a[piv][k:], a[k][k:], s[piv], s[k]
+        else:
+            if k < m - 1:
+                lines.append(f"piv = {k}; best = abs({a[k][k]}) / {s[k]}")
+            for r in range(k + 1, m):
+                lines.append(f"mag = abs({a[r][k]}) / {s[r]}")
+                lines.append(f"if mag > best: best, piv = mag, {r}")
+            for r in range(k + 1, m):
+                mine, theirs = ", ".join(a[k][k:] + [s[k]]), ", ".join(a[r][k:] + [s[r]])
+                lines.append(f"if piv == {r}: {mine}, {theirs} = {theirs}, {mine}")
+        pivot = a[k][k]
+        if raises((pivot, s[k]), lambda: abs(pivot) <= PIVOT_TOL * s[k],
+                  f"abs({leg_text(pivot)}) <= {PIVOT_TOL!r} * {leg_text(s[k])}", "singular"):
+            return lines, None
+        for r in range(k + 1, m):
+            # column k is never read again, so its update is left out
+            if not literal(a[r][k], pivot):
+                lines.append(f"f = {a[r][k]} / {pivot}")
+                lines.append("if f != 0.0:")
+                lines += [f"    {a[r][c]} -= f * {a[k][c]}" for c in range(k + 1, m + 1)]
+                continue
+            f = a[r][k] / pivot
+            if f != 0.0:
+                for c in range(k + 1, m + 1):
+                    if literal(a[r][c], a[k][c]):
+                        a[r][c] -= f * a[k][c]
+                    else:
+                        code = f"{leg_text(a[r][c])} - {leg_text(f)} * {leg_text(a[k][c])}"
+                        a[r][c] = bound(f"r{len(lines)}", code)
+    x = [0.0] * m
+    for k in range(m - 1, -1, -1):
+        total, terms = a[k][m], ""
+        for c in range(k + 1, m):
+            if not terms and literal(total, a[k][c], x[c]):
+                total -= a[k][c] * x[c]
+            else:
+                terms += f" - {leg_text(a[k][c])} * {leg_text(x[c])}"
+        pivot, code = a[k][k], f"{leg_text(total)}{terms}"
+        if not terms and literal(total, pivot):
+            x[k] = total / pivot
+        elif literal(pivot) and pivot == 1.0:  # x / 1.0 is x, exactly
+            x[k] = bound(f"x{k}", code) if terms else total
+        elif literal(pivot) and pivot == -1.0:  # and x / -1.0 is -x
+            x[k] = bound(f"x{k}", f"-({code})")
+        else:
+            x[k] = bound(f"x{k}", f"({code}) / {leg_text(pivot)}")
+    return lines, x
+
+
 @lru_cache(maxsize=None)
 def _leg_solver(m: int):
     """Emit solve(w, side, which) -> x for one leg of an m x m system
-    M*x = b, read from w as lower() lays out M's entries row by row and
-    then b's, each as its (e+, e-) legs; side 0 picks e+, 1 picks e-.
-    Gaussian elimination with scaled partial pivoting, unrolled into
-    locals with the looped algorithm's float operations in their order.
-    A zero row or a pivot below PIVOT_TOL of its row scale raises
-    DegenerateLagrangian naming the leg."""
+    M*x = b whose entries are not literals, read from w as lower() lays
+    out M's entries row by row and then b's, each as its (e+, e-) legs;
+    side 0 picks e+, 1 picks e-, so one code object per m serves both
+    legs.  _eliminate on locals, none of them literal: a zero row or a
+    pivot below PIVOT_TOL of its row scale raises DegenerateLagrangian
+    naming the leg."""
     a = [[f"a{i}_{c}" for c in range(m + 1)] for i in range(m)]  # column m holds b
     lines = [f"{a[i][c]} = w[{2 * (i * m + c)} + side]" for i in range(m) for c in range(m)]
     lines += [f"{a[i][m]} = w[{2 * (m * m + i)} + side]" for i in range(m)]
-    for i in range(m):
-        mags = ", ".join(f"abs({x})" for x in a[i][:m])
-        lines.append(f"s{i} = max({mags})" if m > 1 else f"s{i} = {mags}")
-    lines.append(f"if 0.0 in ({''.join(f's{i}, ' for i in range(m))}): "
-                 'raise DegenerateLagrangian(f"zero row in {which} component system")')
-    for k in range(m):
-        if k < m - 1:
-            lines.append(f"piv = {k}; best = abs({a[k][k]}) / s{k}")
-        for r in range(k + 1, m):
-            lines.append(f"mag = abs({a[r][k]}) / s{r}")
-            lines.append(f"if mag > best: best, piv = mag, {r}")
-        for r in range(k + 1, m):
-            mine, theirs = ", ".join(a[k][k:] + [f"s{k}"]), ", ".join(a[r][k:] + [f"s{r}"])
-            lines.append(f"if piv == {r}: {mine}, {theirs} = {theirs}, {mine}")
-        lines.append(f"if abs({a[k][k]}) <= {PIVOT_TOL!r} * s{k}: "
-                     'raise DegenerateLagrangian(f"singular {which} component system")')
-        for r in range(k + 1, m):
-            # column k is never read again, so its update is left out
-            lines.append(f"f = {a[r][k]} / {a[k][k]}")
-            lines.append("if f != 0.0:")
-            lines += [f"    {a[r][c]} -= f * {a[k][c]}" for c in range(k + 1, m + 1)]
-    for k in range(m - 1, -1, -1):
-        terms = "".join(f" - {a[k][c]} * x{c}" for c in range(k + 1, m))
-        lines.append(f"x{k} = ({a[k][m]}{terms}) / {a[k][k]}")
-    body = "".join(f"    {line}\n" for line in lines)
-    source = f"def solve(w, side, which):\n{body}    return [{', '.join(f'x{k}' for k in range(m))}]\n"
+    elimination, x = _eliminate(a, "{which}", "")
+    body = "".join(f"    {line}\n" for line in lines + elimination)
+    source = f"def solve(w, side, which):\n{body}    return [{', '.join(x)}]\n"
     namespace = {"DegenerateLagrangian": DegenerateLagrangian}
     exec(compile(source, f"<leg solver {m}>", "exec"), namespace)
     return namespace["solve"]
@@ -240,15 +325,51 @@ def at_state(rhs, s):
     return _values(dy[: 2 * n]), _values(dy[2 * n :])
 
 
+def _folded_el_rhs(low: Lowering, w: list, m: int):
+    """The lowered M and b of make_el_rhs with both legs' eliminations
+    folded in, for M's legs w[:2*m*m] all finite literals.  Only b's
+    arithmetic is left; a system that is always singular raises at every
+    call, after its b legs are found finite."""
+    x = []
+    for side, tag, which in ((0, "u", "e+"), (1, "v", "e-")):
+        a = [w[2 * i * m + side : 2 * (i + 1) * m : 2] + [w[2 * (m * m + i) + side]] for i in range(m)]
+        elimination, legs = _eliminate(a, which, tag)
+        if legs is None:  # only the raise: the lines before it raise nothing
+            b = [leg_text(v) for v in w[2 * m * m :] if not (isinstance(v, float) and math.isfinite(v))]
+            if b:
+                low.lines.append(f"if not all(map(isfinite, ({', '.join(b)}, ))): raise _NonFinite")
+            low.lines.append(elimination[-1])
+            break
+        low.lines += elimination
+        x.append(legs)
+    dy = [leg for pair in zip(*x) for leg in pair]
+    return low.function(dy, DegenerateLagrangian=DegenerateLagrangian, _NonFinite=_NonFinite,
+                        isfinite=math.isfinite)
+
+
 @lru_cache(maxsize=64)
 def make_el_rhs(ode: ImplicitODE):
-    """rhs(y) -> dy for an implicit EL system: M(y) and b(y) from one
-    lowered function, then the para-linear solve.  A pivot that fails
+    """rhs(y) -> dy for an implicit EL system, from one lowering of M and b.
+
+    When every leg of M lowers to a finite literal, as it does for a
+    constant M, the solve is folded into the lowered function
+    (_folded_el_rhs): one function per system, with the pivoting done at
+    build time.  Otherwise the lowered function returns M's and b's legs,
+    and the shared _leg_solver(m) solves each leg.  A pivot that fails
     because an entry of M or b is not finite is a non-finite step, not a
     degenerate system."""
-    # built before the lowering, so its compile reuses memory lower() frees
-    solve = _leg_solver(2 * ode.chart.n)
-    values = lower(tuple(e for row in ode.M for e in row) + ode.b, ode.chart.slots())
+    m = 2 * ode.chart.n
+    low = Lowering(ode.chart.slots())
+    entries = tuple(e for row in ode.M for e in row) + ode.b
+    w = [leg for e in entries for leg in low.legs(e)]
+    if all(isinstance(leg, float) and math.isfinite(leg) for leg in w[: 2 * m * m]):
+        return _folded_el_rhs(low, w, m)
+    # the solver's compile is the largest allocation here, so only the
+    # lowered source is alive during it
+    source, nodes = low.source(w), low.nodes
+    del low
+    solve = _leg_solver(m)
+    values = lowered_function(source, nodes)
 
     def rhs(y):
         w = values(y)
@@ -267,24 +388,22 @@ def make_el_rhs(ode: ImplicitODE):
 
 @lru_cache(maxsize=64)
 def make_ham_rhs(ode: ExplicitODE):
-    """rhs(y) -> dy for an explicit Hamilton system.  The denominators are
-    checked at every call, so a singular state raises SingularDenominator
-    naming D+ or D- instead of a bare zero-divisor error."""
-    slots = ode.chart.slots()
-    # lowered apart from the flow, so D+- are checked before the flow's
-    # quotients by them can raise a bare ZeroDivisor
-    denominators = lower((ode.denom_plus, ode.denom_minus), slots)
-    flow = lower(ode.rhs_z + ode.rhs_zb, slots)
-
-    def rhs(y):
-        pu, pv, mu, mv = denominators(y)
-        if not (abs(pu) >= INVERTIBILITY_FLOOR and abs(pv) >= INVERTIBILITY_FLOOR):
-            raise SingularDenominator("D+")
-        if not (abs(mu) >= INVERTIBILITY_FLOOR and abs(mv) >= INVERTIBILITY_FLOOR):
-            raise SingularDenominator("D-")
-        return flow(y)
-
-    return rhs
+    """rhs(y) -> dy for an explicit Hamilton system, from one lowering of
+    D+, D- and the flow.  The denominators are checked after their own
+    lines and before the flow's, so a singular state raises
+    SingularDenominator naming D+ or D- instead of a bare zero-divisor
+    error; a literal leg that passes is not checked, and the flow's
+    quotients by D+ and D- do not test them again."""
+    low = Lowering(ode.chart.slots())
+    denominators = [("D+", low.legs(ode.denom_plus)), ("D-", low.legs(ode.denom_minus))]
+    for which, legs in denominators:
+        tests = " and ".join(f"abs({leg_text(d)}) >= {INVERTIBILITY_FLOOR!r}" for d in legs
+                             if not (isinstance(d, float) and abs(d) >= INVERTIBILITY_FLOOR))
+        if tests:
+            low.lines.append(f"if not ({tests}): raise SingularDenominator({which!r})")
+        low.assume_nonzero(legs)
+    flow = [leg for e in ode.rhs_z + ode.rhs_zb for leg in low.legs(e)]
+    return low.function(flow, SingularDenominator=SingularDenominator)
 
 
 # ---------------------------------------------------------------------------

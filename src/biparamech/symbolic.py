@@ -665,42 +665,45 @@ class _Vanishing(float):
 _VANISHING = _Vanishing(0.0)
 
 
-@lru_cache(maxsize=256)
-def lower(roots: tuple, slots: tuple) -> Callable[[list], list]:
-    """Lower expressions to one straight-line Python function on the legs.
+def leg_text(leg) -> str:
+    """A leg as lowered code reads it: a local's name, or a float literal."""
+    if not isinstance(leg, float):
+        return leg
+    literal = repr(leg)  # inf and nan are names in _LOWERED_GLOBALS
+    return f"({literal})" if literal.startswith("-") else literal
 
-    ``slots`` names the variables as (family, index) pairs.  The function
-    takes their legs as one flat list ``y = [u(s0), v(s0), u(s1), v(s1),
-    ...]`` and returns the roots' legs in the same interleaved layout.
-    Equal leg computations, within a root or across roots, are computed
-    once.  The arithmetic is evaluate()'s, leg by leg, and a zero divisor
-    or domain failure names the offending subexpression as evaluate()
-    does.  Legs fold as they are built: literal operands give a finite
-    literal that raises nothing; a factor 1.0 and a term -0.0 go, exactly;
-    a product with a literal zero is 0.0, which a sum drops, as simplify()
-    does; one operand left is an alias; a passing literal denominator is
-    not checked.  The result is memoized per (roots, slots).
+
+class Lowering:
+    """lower()'s emitter, left open so that a caller can add its own lines.
+
+    legs(e) lowers e into lines and returns its two legs, each a float
+    literal or the name of a local; function(out) compiles the lines into
+    one function of y that returns out.  Equal leg computations, within a
+    root or across roots, are computed once.  The arithmetic is
+    evaluate()'s, leg by leg, and a zero divisor or domain failure names
+    the offending subexpression as evaluate() does.  Legs fold as they are
+    built: literal operands give a finite literal that raises nothing; a
+    factor 1.0 and a term -0.0 go, exactly; a product with a literal zero
+    is 0.0, which a sum drops, as simplify() does; one operand left is an
+    alias; a passing literal denominator is not checked.
     """
-    where = {slot: k for k, slot in enumerate(slots)}
-    lines: list[str] = []
-    nodes: list[Expr] = []  # the checks' nodes, rendered only when one fails
-    names: dict[str, str] = {}  # hash-consing: a leg's code -> the local holding it
-    done: dict[int, tuple] = {}  # id(node) -> (node, legs): shared subtrees once
-    checked: set[str] = set()  # zero-divisor tests already emitted
 
-    def text(leg) -> str:
-        if not isinstance(leg, float):
-            return leg
-        literal = repr(leg)  # inf and nan are names in _LOWERED_GLOBALS
-        return f"({literal})" if literal.startswith("-") else literal
+    def __init__(self, slots: tuple):
+        self.where = {slot: k for k, slot in enumerate(slots)}
+        self.lines: list[str] = []
+        self.nodes: list[Expr] = []  # the checks' nodes, rendered only when one fails
+        self.names: dict[str, str] = {}  # hash-consing: a leg's code -> the local holding it
+        self.done: dict[int, tuple] = {}  # id(node) -> (node, legs): shared subtrees once
+        self.checked: set[str] = set()  # zero-divisor tests already emitted
 
-    def bind(code: str) -> str:
+    def bind(self, code: str) -> str:
+        names = self.names
         if code not in names:
             names[code] = f"t{len(names)}"
-            lines.append(f"{names[code]} = {code}")
+            self.lines.append(f"{names[code]} = {code}")
         return names[code]
 
-    def fold(e: Expr, args: list):
+    def fold(self, e: Expr, args: list):
         """One leg of e from its children's legs: a float literal or a name."""
         if isinstance(e, (Sum, Product)):
             is_sum = isinstance(e, Sum)
@@ -715,15 +718,15 @@ def lower(roots: tuple, slots: tuple) -> Callable[[list], list]:
             if len(args) == 1:
                 return args[0]
             op = lambda *legs: reduce(operator.add if is_sum else operator.mul, legs)
-            code = (" + " if is_sum else " * ").join(map(text, args))
+            code = (" + " if is_sum else " * ").join(map(leg_text, args))
         elif isinstance(e, Negate):
-            op, code = operator.neg, f"-{text(args[0])}"
+            op, code = operator.neg, f"-{leg_text(args[0])}"
         elif isinstance(e, Power):
-            op, code = partial(_pow_leg, k=e.exponent), f"leg_pow({text(args[0])}, {e.exponent})"
+            op, code = partial(_pow_leg, k=e.exponent), f"leg_pow({leg_text(args[0])}, {e.exponent})"
         elif isinstance(e, Quotient):  # a failing check on a literal raises first
-            op, code = operator.truediv, f"{text(args[0])} / {text(args[1])}"
+            op, code = operator.truediv, f"{leg_text(args[0])} / {leg_text(args[1])}"
         else:
-            op, code = FUNCTIONS[e.fn], f"leg_{e.fn}({text(args[0])})"
+            op, code = FUNCTIONS[e.fn], f"leg_{e.fn}({leg_text(args[0])})"
         if all(isinstance(a, float) for a in args):
             try:
                 value = op(*args)
@@ -732,42 +735,77 @@ def lower(roots: tuple, slots: tuple) -> Callable[[list], list]:
                 simplify(e)  # raises, as derive does, if e is a constant that overflows
             except ArithmeticError:  # a zero divisor or a domain failure
                 pass
-        return bind(code)
+        return self.bind(code)
 
-    def legs_of(e: Expr) -> tuple:
+    def zero_test(self, legs) -> str:
+        """The test that a denominator with these legs is a zero divisor;
+        empty when every leg is a passing literal."""
+        return " or ".join(f"abs({leg_text(d)}) < {_FLOOR}" for d in legs
+                           if not (isinstance(d, float) and abs(d) >= INVERTIBILITY_FLOOR))
+
+    def assume_nonzero(self, legs) -> None:
+        """Emit no zero-divisor test on these legs: the caller's own lines
+        have raised by then unless each is at least INVERTIBILITY_FLOOR."""
+        self.checked.add(self.zero_test(legs))
+
+    def legs(self, e: Expr) -> tuple:
+        """e's two legs, each a float literal or a local's name."""
         if isinstance(e, Constant):
             legs = e.value.u, e.value.v
             return tuple(map(_Vanishing, legs)) if is_zero(e) else legs
         if isinstance(e, Var):
-            k = where.get((e.family, e.index))
+            k = self.where.get((e.family, e.index))
             if k is None:
                 raise ExpressionError(f"no slot binds {e.name}")
-            return bind(f"y[{2 * k}]"), bind(f"y[{2 * k + 1}]")
-        if id(e) in done:
-            return done[id(e)][1]
-        kids = [legs_of(c) for c in children_of(e)]
+            return self.bind(f"y[{2 * k}]"), self.bind(f"y[{2 * k + 1}]")
+        if id(e) in self.done:
+            return self.done[id(e)][1]
+        kids = [self.legs(c) for c in children_of(e)]
+        lines, nodes = self.lines, self.nodes
         if isinstance(e, Quotient) or isinstance(e, Power) and e.exponent < 0:
-            tests = " or ".join(f"abs({text(d)}) < {_FLOOR}" for d in kids[-1]
-                                if not (isinstance(d, float) and abs(d) >= INVERTIBILITY_FLOOR))
-            if tests and tests not in checked:
-                checked.add(tests)
+            tests = self.zero_test(kids[-1])
+            if tests and tests not in self.checked:
+                self.checked.add(tests)
                 nodes.append(e)
                 lines.append(f"if {tests}: _zero_divisor(nodes[{len(nodes) - 1}])")
         first = len(lines)
-        legs = tuple(fold(e, [c[side] for c in kids]) for side in (0, 1))
+        legs = tuple(self.fold(e, [c[side] for c in kids]) for side in (0, 1))
         if isinstance(e, Apply) and len(lines) > first:
             nodes.append(e)
             lines[first:] = ["try:", *(f"    {a}" for a in lines[first:]), "except DomainError:",
                              f"    _domain_failure(nodes[{len(nodes) - 1}])"]
-        done[id(e)] = e, legs
+        self.done[id(e)] = e, legs
         return legs
 
-    out = [text(leg) for root in roots for leg in legs_of(root)]
-    body = "".join(f"    {line}\n" for line in lines)
-    source = f"def lowered(y):\n{body}    return [{', '.join(out)}]\n"
-    namespace = dict(_LOWERED_GLOBALS, nodes=tuple(nodes))
+    def source(self, out: list) -> str:
+        """The lines as the source of lowered(y) -> out."""
+        body = "".join(f"    {line}\n" for line in self.lines)
+        return f"def lowered(y):\n{body}    return [{', '.join(map(leg_text, out))}]\n"
+
+    def function(self, out: list, **names) -> Callable[[list], list]:
+        """The lines compiled into lowered(y) -> out; names join its globals."""
+        return lowered_function(self.source(out), self.nodes, **names)
+
+
+def lowered_function(source: str, nodes: list, **names) -> Callable[[list], list]:
+    """Compile a Lowering's source, with its nodes and names as globals."""
+    namespace = dict(_LOWERED_GLOBALS, nodes=tuple(nodes), **names)
     exec(compile(source, "<lowered>", "exec"), namespace)
     return namespace["lowered"]
+
+
+@lru_cache(maxsize=256)
+def lower(roots: tuple, slots: tuple) -> Callable[[list], list]:
+    """Lower expressions to one straight-line Python function on the legs.
+
+    ``slots`` names the variables as (family, index) pairs.  The function
+    takes their legs as one flat list ``y = [u(s0), v(s0), u(s1), v(s1),
+    ...]`` and returns the roots' legs in the same interleaved layout.  See
+    Lowering for how the legs are computed.  The result is memoized per
+    (roots, slots).
+    """
+    low = Lowering(slots)
+    return low.function([leg for root in roots for leg in low.legs(root)])
 
 
 # ---------------------------------------------------------------------------

@@ -478,7 +478,7 @@ def _gauss_jordan(a, b):
     """Gauss-Jordan elimination with complete pivoting on [A | I | b].
 
     Returns (x, inverse) with A*x = b, or None when A is exactly singular.
-    Deliberately a different algorithm from dynamics._leg_solver's emitted
+    Deliberately a different algorithm from dynamics._eliminate's emitted
     solve (scaled partial pivoting, back substitution): reduction checks
     must cross two independent pipelines.
     """

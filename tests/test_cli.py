@@ -411,6 +411,21 @@ def test_overflowing_power_leaves_the_finite_domain(tmp_path, capsys):
     assert "step size underflow" in capsys.readouterr().err
 
 
+def test_constant_m_with_an_overflowing_b_leaves_the_finite_domain(tmp_path, capsys):
+    # el_quadratic's M is constant, so its solve is folded; b overflows at
+    # this start, and the step aborts as non-finite, not as singular
+    doc = json.loads(pathlib.Path(PROBLEMS, "el_quadratic.json").read_text())
+    doc["initial"] = {"z": [[1.7e308, 0.0]], "zb": [[1.7e308, 0.0]]}
+    assert main(["integrate", write_doc(tmp_path, doc), "-o", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == "error: state left the finite domain at t=0.0\n"
+
+
+def test_degenerate_lagrangian_aborts_at_the_start(tmp_path, capsys):
+    path = os.path.join(PROBLEMS, "failing", "degenerate_L.json")
+    assert main(["integrate", path, "-o", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == "error: zero row in e+ component system at t=0.0\n"
+
+
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
 def test_power_overflow_in_m_leaves_the_finite_domain(tmp_path, capsys, method):
     # 1560*zb1^38 overflows to inf in M, whose scaled pivot then fails: the

@@ -8,7 +8,9 @@ import pytest
 from biparamech.cli import load_problem
 from biparamech.dynamics import (
     PIVOT_TOL,
+    _folded_el_rhs,
     _leg_solver,
+    _NonFinite,
     IntegratorConfig,
     PhaseState,
     StepFailure,
@@ -23,13 +25,14 @@ from biparamech.dynamics import (
 from biparamech.eom import (
     DegenerateLagrangian,
     HamiltonianProblem,
+    ImplicitODE,
     LagrangianProblem,
     SingularDenominator,
     synthesize_el,
     synthesize_ham,
 )
-from biparamech.para_algebra import ONE, ZERO, DomainError, ParaComplex, ZeroDivisor
-from biparamech.symbolic import CoordinateChart, EvalState, lower, parse
+from biparamech.para_algebra import INVERTIBILITY_FLOOR, ONE, ZERO, DomainError, ParaComplex, ZeroDivisor
+from biparamech.symbolic import CoordinateChart, Constant, EvalState, Lowering, lower, parse, z_var, zb_var
 
 PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "problems")
 
@@ -302,6 +305,89 @@ class TestEmittedSolveMatchesTextbook:
         assert got == (DegenerateLagrangian, f"{kind} {leg} component system")
 
 
+def folded_legs(mu, bu, mv, bv):
+    """The folded solve on literal leg matrices (mu, mv) and b's legs (bu,
+    bv), which the function reads from y as the legs of z1..zm."""
+    m = len(bu)
+    low = Lowering(tuple(("z", i) for i in range(1, m + 1)))
+    w = [leg for i in range(m) for c in range(m) for leg in (mu[i][c], mv[i][c])]
+    w += [leg for i in range(1, m + 1) for leg in low.legs(z_var(i))]
+    dy = _folded_el_rhs(low, w, m)([leg for pair in zip(bu, bv) for leg in pair])
+    return dy[0::2], dy[1::2]
+
+
+class TestFoldedSolveMatchesTextbook:
+    """The elimination folded at build time for a literal M, with b read
+    from y, against the looped reference, m = 1..4."""
+
+    EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+    def cases(self, m, rng):
+        def leg():
+            return [[rng.uniform(-2, 2) for _ in range(m)] for _ in range(m)]
+
+        def vec():
+            return [rng.uniform(-2, 2) for _ in range(m)]
+
+        for _ in range(20):  # random, pivots land anywhere
+            yield leg(), vec(), leg(), vec()
+        for _ in range(5):  # a build-time row swap at every step
+            yield last_row_pivots(m, rng), vec(), last_row_pivots(m, rng), vec()
+        for _ in range(20):  # exact zeros: multipliers of +-0.0, updates by +-0.0
+            mu, mv = leg(), leg()
+            for row in mu + mv:
+                for c in range(m):
+                    if rng.random() < 0.4:
+                        row[c] = rng.choice((0.0, -0.0))
+            for i in range(m):
+                mu[i][i] = rng.choice((1.0, -1.0, 3.0))
+                mv[i][i] = rng.choice((1.0, -1.0, 3.0))
+            yield mu, vec(), mv, vec()
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_bit_for_bit(self, m):
+        rng = random.Random(700 + m)
+        seen = set()
+        for mu, bu, mv, bv in self.cases(m, rng):
+            for trial in range(4):
+                if trial:  # b holding +-0.0, +-inf and nan
+                    bu, bv = list(bu), list(bv)
+                    bu[rng.randrange(m)] = rng.choice(self.EDGES)
+                    bv[rng.randrange(m)] = rng.choice(self.EDGES)
+                pivots = []
+                want = outcome(textbook_para, mu, bu, mv, bv, pivots)
+                assert outcome(folded_legs, mu, bu, mv, bv) == want
+                seen.update(pivots)
+        assert seen >= {(k, r) for k in range(m) for r in range(k + 1, m)}
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("leg", ["e+", "e-"])
+    @pytest.mark.parametrize("kind", ["zero row in", "singular"])
+    def test_singular_leg_raises_at_every_call(self, m, leg, kind):
+        good = [[float(i == c) for c in range(m)] for i in range(m)]
+        bad = [list(row) for row in good]
+        bad[-1] = [0.0] * m if kind == "zero row in" else list(bad[0])
+        mu, mv = (bad, good) if leg == "e+" else (good, bad)
+        for b in ([1.0] * m, [-0.0] * m, [0.5, -2.0, 7.0][:m]):
+            got = outcome(folded_legs, mu, b, mv, b)
+            assert got == outcome(textbook_para, mu, b, mv, b)
+            assert got == (DegenerateLagrangian, f"{kind} {leg} component system")
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_singular_constant_m_with_a_non_finite_b_is_a_non_finite_step(self, bad):
+        # the pivot check fails at build time, and still becomes _NonFinite
+        # when an entry of b is not finite, as _leg_solver's failures do;
+        # the legs of M are e+ [[1, 2], [1, 3]] and e- [[1, 2], [2, 4]]
+        legs = (((1.0, 1.0), (2.0, 2.0)), ((1.0, 2.0), (3.0, 4.0)))
+        m = tuple(tuple(Constant(ParaComplex.from_idempotent(u, v)) for u, v in row) for row in legs)
+        rhs = make_el_rhs(ImplicitODE(C1, m, (z_var(1), zb_var(1))))
+        assert rhs.__name__ == "lowered"  # folded
+        with pytest.raises(DegenerateLagrangian, match="^singular e- component system$"):
+            rhs([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(_NonFinite):
+            rhs([1.0, 2.0, bad, 4.0])
+
+
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
@@ -324,6 +410,16 @@ class TestElRhs:
         with pytest.raises(DegenerateLagrangian) as exc:
             el_rhs(ode, PhaseState(t=1.5, z=(pc(1.0),), zb=(pc(1.0),)))
         assert exc.value.t == 1.5
+
+    def test_linear_lagrangian_raises_at_every_call_with_its_time(self):
+        # M = 0 is known when the right-hand side is built, and the zero row
+        # is still reported at each call, with that call's time
+        ode = synthesize_el(lagrangian("z1"))
+        for t, z in ((0.0, pc(0.5, 0.1)), (2.25, pc(-3.0, 1.0)), (7.0, pc(0.0))):
+            with pytest.raises(DegenerateLagrangian) as exc:
+                el_rhs(ode, PhaseState(t=t, z=(z,), zb=(pc(0.2),)))
+            assert str(exc.value) == f"zero row in e+ component system at t={t!r}"
+            assert exc.value.t == t
 
     def test_overflowed_entry_is_a_step_failure(self):
         # 1560*zb1^38 is inf in M at zb1 = 1e10, so every pivot fails its
@@ -726,8 +822,10 @@ def shipped(name):
 
 
 @pytest.mark.parametrize(
-    "case", [lambda: shipped("oscillator.json"), lambda: shipped("el_coupled.json"), conformal_l4],
-    ids=["oscillator", "el_coupled", "conformal_n4"],
+    "case",
+    [lambda: shipped("oscillator.json"), lambda: shipped("el_coupled.json"), conformal_l4,
+     lambda: shipped("el_quadratic.json"), lambda: shipped("el_exp.json")],
+    ids=["oscillator", "el_coupled", "conformal_n4", "el_quadratic", "el_exp"],
 )
 def test_integration_matches_textbook_solve_sample_for_sample(case):
     p, s0, cfg = case()
@@ -750,3 +848,69 @@ def test_integrate_samples_carry_the_legs_of_their_csv_row():
     for s in samples:
         for w in s.z + s.zb:
             assert w.u == w.a + w.b and w.v == w.a - w.b
+
+
+@pytest.mark.parametrize(
+    "name, folded",
+    [("oscillator.json", True), ("el_quadratic.json", True), ("el_coupled.json", True),
+     ("el_exp.json", False), ("el_conformal.json", False)],
+)
+def test_a_constant_m_gets_one_folded_function(name, folded):
+    # the folded solve is the lowered function itself; any other M keeps
+    # the lowered function and the shared per-m leg solver around it
+    p, _, _ = shipped(name)
+    rhs = make_el_rhs(synthesize_el(p))
+    assert (rhs.__name__ == "lowered") == folded
+
+
+def test_oscillator_rhs_calls_are_four_per_rk4_step():
+    p, s0, cfg = shipped("oscillator.json")
+    rhs = make_el_rhs(synthesize_el(p))
+    calls = 0
+
+    def counted(y):
+        nonlocal calls
+        calls += 1
+        return rhs(y)
+
+    tr = integrate(counted, s0, cfg)
+    assert len(tr.times) - 1 == 6284
+    assert calls == 25_136
+
+
+def separately_lowered_ham_rhs(ode):
+    """make_ham_rhs as two lowered functions: D+ and D- checked, then the
+    flow."""
+    slots = ode.chart.slots()
+    denominators = lower((ode.denom_plus, ode.denom_minus), slots)
+    flow = lower(ode.rhs_z + ode.rhs_zb, slots)
+
+    def rhs(y):
+        pu, pv, mu, mv = denominators(y)
+        if not (abs(pu) >= INVERTIBILITY_FLOOR and abs(pv) >= INVERTIBILITY_FLOOR):
+            raise SingularDenominator("D+")
+        if not (abs(mu) >= INVERTIBILITY_FLOOR and abs(mv) >= INVERTIBILITY_FLOOR):
+            raise SingularDenominator("D-")
+        return flow(y)
+
+    return rhs
+
+
+@pytest.mark.parametrize("name", ["ham_curved.json", "failing/singular_lambda.json"])
+def test_one_hamiltonian_lowering_matches_separate_ones(name):
+    p, s0, cfg = shipped(name)
+    ode = synthesize_ham(p)
+
+    def run(rhs):
+        try:
+            tr = integrate(rhs, s0, cfg)
+        except SingularDenominator as exc:
+            return str(exc), exc.which, exc.t
+        return tr.times, [[repr(x) for x in row] for row in tr.rows]
+
+    got = run(make_ham_rhs(ode))
+    assert got == run(separately_lowered_ham_rhs(ode))
+    if name.startswith("failing/"):
+        assert got == ("singular denominator D- at t=0.0", "D-", 0.0)
+    else:
+        assert len(got[0]) > 10
