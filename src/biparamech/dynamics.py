@@ -25,6 +25,10 @@ at build time and folded into the system's one lowered function, which
 is left with b's arithmetic (_folded_el_rhs).  Any other M keeps its
 lowered function and the leg solver emitted once per m (_leg_solver),
 whose one code object solves either leg of every system of that size.
+
+RK4 runs in a loop emitted once per leg count (_rk4_driver) that calls
+rhs four times per step, with the stage arithmetic on locals; RKF45 keeps
+the generic loop over lists.
 """
 
 from __future__ import annotations
@@ -292,6 +296,18 @@ def _values(y) -> tuple:
     return tuple(ParaComplex.from_idempotent(y[k], y[k + 1]) for k in range(0, len(y), 2))
 
 
+_TIMED_ERRORS = (DegenerateLagrangian, SingularDenominator, ZeroDivisor, DomainError)
+
+
+def _at_time(exc, t):
+    """exc, which a right-hand side raised without a time, at time t."""
+    if isinstance(exc, DegenerateLagrangian):
+        return DegenerateLagrangian(str(exc), t=t)
+    if isinstance(exc, SingularDenominator):
+        return SingularDenominator(exc.which, t=t)
+    return type(exc)(f"{exc} at t={t!r}")
+
+
 def _timed(rhs, y, t):
     """rhs(y), with a singular state or a failing subexpression re-raised at
     time t; with no time, the error rhs raised propagates as it is."""
@@ -299,12 +315,8 @@ def _timed(rhs, y, t):
         return rhs(y)
     try:
         return rhs(y)
-    except DegenerateLagrangian as exc:
-        raise DegenerateLagrangian(str(exc), t=t) from None
-    except SingularDenominator as exc:
-        raise SingularDenominator(exc.which, t=t) from None
-    except (ZeroDivisor, DomainError) as exc:
-        raise type(exc)(f"{exc} at t={t!r}") from None
+    except _TIMED_ERRORS as exc:
+        raise _at_time(exc, t) from None
 
 
 def _sampled(rhs, y, t):
@@ -411,18 +423,6 @@ def make_ham_rhs(ode: ExplicitODE):
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(deriv, t, y, h):
-    k1 = deriv(t, y)
-    k2 = deriv(t + 0.5 * h, [yi + 0.5 * h * ki for yi, ki in zip(y, k1)])
-    k3 = deriv(t + 0.5 * h, [yi + 0.5 * h * ki for yi, ki in zip(y, k2)])
-    k4 = deriv(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
-    w = h / 6.0
-    return [
-        yi + w * (a + 2.0 * (b + c) + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    ]
-
-
 _RKF_C = (0.0, 0.25, 0.375, 12.0 / 13.0, 1.0, 0.5)
 _RKF_A = (
     (),
@@ -436,7 +436,63 @@ _RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 
 _RKF_ERR = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.0 / 55.0)
 
 
-def _run_rk4(deriv, y, cfg, record):
+@lru_cache(maxsize=None)
+def _rk4_driver(m: int):
+    """Emit rk4(rhs, y, t0, dt, t1, total, times, rows): total classical RK4
+    steps from t0 on a state of m legs, appending each step's end time to
+    times and its (a, b) row to rows.  The legs, stage inputs and rates are
+    locals, with the float operations of the stage loop over lists in their
+    order.  A stage input that is not finite, or an rhs that raises
+    _NonFinite, fails the step at its start t_a; an error of _TIMED_ERRORS
+    is re-raised at its stage's time t_a, t_a + 0.5*h or t_a + h."""
+    def legs(stem: str) -> str:
+        return ", ".join(f"{stem}{i}" for i in range(m))
+
+    def finite(stem: str) -> str:
+        return f"if not ({' and '.join(f'isfinite({stem}{i})' for i in range(m))}): raise _NonFinite"
+
+    def inputs(step: str, rate: str) -> str:  # one line, one statement per leg
+        return "; ".join(f"s{i} = y{i} + {step} * {rate}{i}" for i in range(m))
+
+    row = ", ".join(f"(y{i} + y{i + 1}) / 2.0, (y{i} - y{i + 1}) / 2.0" for i in range(0, m, 2))
+    source = f"""def rk4(rhs, y, t0, dt, t1, total, times, rows):
+    {legs("y")} = y
+    for k in range(total):
+        t_a = t0 + k * dt
+        t_b = t1 if k == total - 1 else t0 + (k + 1) * dt
+        h = t_b - t_a
+        half = 0.5 * h  # yi + 0.5 * h * ki multiplies (0.5 * h) by ki
+        t = t_a
+        try:
+            {finite("y")}
+            {legs("a")} = rhs([{legs("y")}])
+            t = t_a + half
+            {inputs("half", "a")}
+            {finite("s")}
+            {legs("b")} = rhs([{legs("s")}])
+            {inputs("half", "b")}
+            {finite("s")}
+            {legs("c")} = rhs([{legs("s")}])
+            t = t_a + h
+            {inputs("h", "c")}
+            {finite("s")}
+            {legs("d")} = rhs([{legs("s")}])
+        except _NonFinite:
+            raise StepFailure("state left the finite domain", t=t_a) from None
+        except _TIMED_ERRORS as exc:
+            raise _at_time(exc, t) from None
+        w = h / 6.0
+        {"; ".join(f"y{i} = y{i} + w * (a{i} + 2.0 * (b{i} + c{i}) + d{i})" for i in range(m))}
+        times.append(t_b)
+        rows.append([{row}])
+"""
+    namespace = {"isfinite": math.isfinite, "_NonFinite": _NonFinite, "StepFailure": StepFailure,
+                 "_TIMED_ERRORS": _TIMED_ERRORS, "_at_time": _at_time}
+    exec(compile(source, f"<rk4 driver {m}>", "exec"), namespace)
+    return namespace["rk4"]
+
+
+def _run_rk4(rhs, y, cfg, times, rows):
     span = cfg.t1 - cfg.t0
     quotient = span / cfg.dt + 1e-9
     # compared before int(), which cannot take an infinite quotient
@@ -449,14 +505,7 @@ def _run_rk4(deriv, y, cfg, record):
     total = nfull + (1 if remainder else 0)
     if total > cfg.max_steps:
         raise StepFailure(f"{total} steps exceed max_steps={cfg.max_steps}", t=cfg.t0)
-    for k in range(total):
-        t_a = cfg.t0 + k * cfg.dt
-        t_b = cfg.t1 if k == total - 1 else cfg.t0 + (k + 1) * cfg.dt
-        try:
-            y = _rk4_step(deriv, t_a, y, t_b - t_a)
-        except _NonFinite:
-            raise StepFailure("state left the finite domain", t=t_a) from None
-        record(t_b, y)
+    _rk4_driver(len(y))(rhs, y, cfg.t0, cfg.dt, cfg.t1, total, times, rows)
 
 
 def _run_rkf45(deriv, y, cfg, record):
@@ -524,6 +573,12 @@ def integrate(rhs, s0: PhaseState, cfg: IntegratorConfig) -> Trajectory:
     time of the failing stage, and so does a zero divisor or a domain
     failure, which names its subexpression.
     """
+    times = [cfg.t0]
+    rows = [_row(s0)]
+    y = _legs(s0.z + s0.zb)
+    if cfg.method == "rk4":
+        _run_rk4(rhs, y, cfg, times, rows)
+        return Trajectory(times, rows)
 
     def deriv(t, y):
         for v in y:
@@ -531,16 +586,12 @@ def integrate(rhs, s0: PhaseState, cfg: IntegratorConfig) -> Trajectory:
                 raise _NonFinite
         return _timed(rhs, y, t)
 
-    times = [cfg.t0]
-    rows = [_row(s0)]
-
     def record(t, y):
         times.append(t)
         legs = iter(y)
         rows.append([x for u, v in zip(legs, legs) for x in ((u + v) / 2.0, (u - v) / 2.0)])
 
-    run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
-    run(deriv, _legs(s0.z + s0.zb), cfg, record)
+    _run_rkf45(deriv, y, cfg, record)
     return Trajectory(times, rows)
 
 

@@ -717,6 +717,8 @@ class Lowering:
             args = [a for a in args if not (isinstance(a, float) and repr(a) == exact)] or args
             if len(args) == 1:
                 return args[0]
+            if not is_sum and (negated := self.negation(args)):
+                return negated
             op = lambda *legs: reduce(operator.add if is_sum else operator.mul, legs)
             code = (" + " if is_sum else " * ").join(map(leg_text, args))
         elif isinstance(e, Negate):
@@ -736,6 +738,19 @@ class Lowering:
             except ArithmeticError:  # a zero divisor or a domain failure
                 pass
         return self.bind(code)
+
+    def negation(self, args: list) -> str | None:
+        """-x for a product with an odd number of negative literals, where x,
+        the product with their signs flipped, is one name or bound already;
+        None otherwise.  A sign flip commutes with rounding, so (-c) * a * b
+        is -(c * a * b) exactly."""
+        flips = [isinstance(a, float) and a < 0.0 for a in args]
+        if sum(flips) % 2 == 0 or all(isinstance(a, float) for a in args):
+            return None
+        code = " * ".join(leg_text(-a if flip else a) for a, flip in zip(args, flips) if a != -1.0)
+        if " * " not in code or code in self.names:
+            return self.bind(f"-{self.names.get(code, code)}")
+        return None
 
     def zero_test(self, legs) -> str:
         """The test that a denominator with these legs is a zero divisor;

@@ -18,8 +18,9 @@ import biparamech.verify
 from biparamech.cli import LoadedProblem, _csv_text, main
 from biparamech.dynamics import (
     PhaseState,
+    StepFailure,
     Trajectory,
-    _run_rk4,
+    _NonFinite,
     _run_rkf45,
     integrate,
     make_el_rhs,
@@ -468,6 +469,17 @@ def test_failing_subexpression_exits_3_with_its_time(tmp_path, capsys, method, n
     assert not out.exists()
 
 
+def test_a_zero_divisor_inside_a_step_names_its_stage_time(tmp_path, capsys):
+    # dz1/dt = -j, so z1's e+ leg a + b falls from 1.3125 at rate 1; the
+    # third step's second stage, at t = 0.25 + 0.0625, is the first state
+    # where it is 1 and z1 - 1 is a zero divisor
+    out = tmp_path / "x.csv"
+    assert main(["integrate", str(DATA / "midstep_zero_divisor.json"), "-o", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: zero-divisor denominator in '-j/(1 - 2*z1 + z1^2)' at t=0.3125"]
+    assert not out.exists()
+
+
 def test_audit_redraws_where_ln_fails(capsys):
     # ln(z1) fails at about three draws in four; the audit draws again there
     # instead of raising.  The identity's terms reach 1e6 at some draws, so
@@ -733,6 +745,43 @@ def _legs(s):
     return [leg for w in s.z + s.zb for leg in (w.u, w.v)]
 
 
+def _textbook_rk4_step(deriv, t, y, h):
+    k1 = deriv(t, y)
+    k2 = deriv(t + 0.5 * h, [yi + 0.5 * h * ki for yi, ki in zip(y, k1)])
+    k3 = deriv(t + 0.5 * h, [yi + 0.5 * h * ki for yi, ki in zip(y, k2)])
+    k4 = deriv(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
+    w = h / 6.0
+    return [
+        yi + w * (a + 2.0 * (b + c) + d)
+        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    ]
+
+
+def textbook_run_rk4(deriv, y, cfg, record):
+    """The classical RK4 loop, stage by stage over lists, that integrate's
+    emitted driver must match bit for bit."""
+    span = cfg.t1 - cfg.t0
+    quotient = span / cfg.dt + 1e-9
+    # compared before int(), which cannot take an infinite quotient
+    if quotient > cfg.max_steps + 1:
+        raise StepFailure(f"{quotient:.3g} steps exceed max_steps={cfg.max_steps}", t=cfg.t0)
+    nfull = int(math.floor(quotient))
+    remainder = span - nfull * cfg.dt
+    if remainder <= cfg.dt * 1e-9:
+        remainder = 0.0
+    total = nfull + (1 if remainder else 0)
+    if total > cfg.max_steps:
+        raise StepFailure(f"{total} steps exceed max_steps={cfg.max_steps}", t=cfg.t0)
+    for k in range(total):
+        t_a = cfg.t0 + k * cfg.dt
+        t_b = cfg.t1 if k == total - 1 else cfg.t0 + (k + 1) * cfg.dt
+        try:
+            y = _textbook_rk4_step(deriv, t_a, y, t_b - t_a)
+        except _NonFinite:
+            raise StepFailure("state left the finite domain", t=t_a) from None
+        record(t_b, y)
+
+
 def _phase_state_samples(lp):
     """integrate's samples as its record built them: one PhaseState of
     ParaComplex((u+v)/2, (u-v)/2) per accepted step after the start."""
@@ -744,7 +793,7 @@ def _phase_state_samples(lp):
              for k in range(0, 4 * n, 2)]
         samples.append(PhaseState(t=t, z=tuple(w[:n]), zb=tuple(w[n:])))
 
-    run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
+    run = textbook_run_rk4 if cfg.method == "rk4" else _run_rkf45
     run(lambda t, y: rhs(y), _legs(s0), cfg, record)
     return samples
 

@@ -1,16 +1,20 @@
 import math
 import os
 import random
+import re
 
 import numpy as np
 import pytest
 
+from biparamech import symbolic
 from biparamech.cli import load_problem
 from biparamech.dynamics import (
     PIVOT_TOL,
     _folded_el_rhs,
     _leg_solver,
     _NonFinite,
+    _run_rk4,
+    _timed,
     IntegratorConfig,
     PhaseState,
     StepFailure,
@@ -33,6 +37,7 @@ from biparamech.eom import (
 )
 from biparamech.para_algebra import INVERTIBILITY_FLOOR, ONE, ZERO, DomainError, ParaComplex, ZeroDivisor
 from biparamech.symbolic import CoordinateChart, Constant, EvalState, Lowering, lower, parse, z_var, zb_var
+from test_cli import textbook_run_rk4
 
 PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "problems")
 
@@ -876,6 +881,129 @@ def test_oscillator_rhs_calls_are_four_per_rk4_step():
     tr = integrate(counted, s0, cfg)
     assert len(tr.times) - 1 == 6284
     assert calls == 25_136
+
+
+def textbook_trajectory(rhs, y, cfg):
+    """times and rows as integrate made them with the textbook RK4 loop: a
+    finite test and _timed around each rhs call, a row per step."""
+    times, rows = [cfg.t0], []
+
+    def deriv(t, y):
+        for v in y:
+            if not math.isfinite(v):
+                raise _NonFinite
+        return _timed(rhs, y, t)
+
+    def record(t, y):
+        times.append(t)
+        legs = iter(y)
+        rows.append([x for u, v in zip(legs, legs) for x in ((u + v) / 2.0, (u - v) / 2.0)])
+
+    textbook_run_rk4(deriv, y, cfg, record)
+    return times, rows
+
+
+def emitted_trajectory(rhs, y, cfg):
+    times, rows = [cfg.t0], []
+    _run_rk4(rhs, y, cfg, times, rows)
+    return times, rows
+
+
+def rk4_outcome(run, rhs, y, cfg):
+    """What a run does, comparable bit for bit (see outcome)."""
+    try:
+        times, rows = run(rhs, list(y), cfg)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [repr(t) for t in times], [[repr(x) for x in row] for row in rows]
+
+
+def coupled_rhs(m, fail_at=None, failure=None):
+    """A nonlinear rhs on m legs that, on its call number fail_at, raises
+    failure() or, when failure is a float, returns it in every leg."""
+    calls = 0
+
+    def rhs(y):
+        nonlocal calls
+        calls += 1
+        if calls == fail_at:
+            if isinstance(failure, float):
+                return [failure] * m
+            raise failure()
+        return [-y[(i + 1) % m] + 0.25 * y[i] * y[(i + 2) % m] - 0.1 * y[i] ** 3 for i in range(m)]
+
+    return rhs
+
+
+class TestEmittedRk4MatchesTextbook:
+    """integrate's RK4 driver, emitted per leg count, against the loop over
+    lists that it replaced."""
+
+    CFG = IntegratorConfig(method="rk4", t0=0.5, t1=1.5, dt=0.25)
+    # the third step runs from t_a = 1.0 with h = 0.25
+    STAGE_TIMES = (1.0, 1.125, 1.125, 1.25)
+
+    def both(self, m, y, cfg, **failure):
+        want = rk4_outcome(textbook_trajectory, coupled_rhs(m, **failure), y, cfg)
+        assert rk4_outcome(emitted_trajectory, coupled_rhs(m, **failure), y, cfg) == want
+        return want
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 12, 16])
+    def test_bit_for_bit(self, m):
+        rng = random.Random(m)
+        y = [rng.uniform(-1, 1) for _ in range(m)]
+        for t0, t1, dt in ((0.0, 1.0, 0.01), (0.25, 1.3, 0.1)):
+            times, rows = self.both(m, y, IntegratorConfig(method="rk4", t0=t0, t1=t1, dt=dt))
+            assert len(rows) == len(times) - 1 >= 10
+        # 1.05 / 0.1 is 10.5 steps: the last one is shortened to land on t1
+        assert float(times[-1]) == 1.3 and float(times[-1]) - float(times[-2]) < 0.06
+
+    @pytest.mark.parametrize("stage", range(4))
+    @pytest.mark.parametrize("failure", [
+        lambda: DegenerateLagrangian("singular e+ component system"),
+        lambda: SingularDenominator("D-"),
+        lambda: ZeroDivisor("zero-divisor denominator in '1/(z1 - 1)'"),
+        lambda: DomainError("domain failure in 'ln(z1)'"),
+    ], ids=["degenerate", "singular", "zero-divisor", "domain"])
+    def test_a_failing_stage_reports_its_time(self, stage, failure):
+        error, message = self.both(4, [0.5, -0.25, 0.75, 0.125], self.CFG, fail_at=9 + stage,
+                                   failure=failure)
+        t = self.STAGE_TIMES[stage]
+        assert error is type(failure())
+        assert message.endswith(f" at t={t!r}")
+
+    @pytest.mark.parametrize("stage", range(4))
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_non_finite_stage_input_fails_the_step(self, stage, value):
+        # the call before stage k's returns value, so stage k's input is not
+        # finite: stage 1's input is the second step's end
+        got = self.both(4, [0.5, -0.25, 0.75, 0.125], self.CFG, fail_at=8 + stage, failure=value)
+        assert got == (StepFailure, "state left the finite domain at t=1.0")
+
+    @pytest.mark.parametrize("stage", range(4))
+    def test_an_rhs_raising_non_finite_fails_the_step(self, stage):
+        got = self.both(4, [0.5, -0.25, 0.75, 0.125], self.CFG, fail_at=9 + stage, failure=_NonFinite)
+        assert got == (StepFailure, "state left the finite domain at t=1.0")
+
+
+def test_ham_curved_negates_its_twin_products(monkeypatch):
+    # D- = 1 - 0.2*z1*zb1*exp(0.2*z1*zb1) negates D+'s product instead of
+    # multiplying it again, and j's e- leg -1.0 negates instead of multiplying
+    sources = []
+    real = symbolic.lowered_function
+
+    def capture(source, nodes, **names):
+        sources.append(source)
+        return real(source, nodes, **names)
+
+    monkeypatch.setattr(symbolic, "lowered_function", capture)
+    p, _, _ = shipped("ham_curved.json")
+    make_ham_rhs.__wrapped__(synthesize_ham(p))
+    (source,) = sources
+    assert "(-1.0) *" not in source
+    products = [line.split(" = ", 1)[1] for line in source.splitlines() if " * " in line]
+    unsigned = [re.sub(r"^\(-([^)]*)\)", r"\1", code) for code in products]
+    assert len(products) == 4 and len(set(unsigned)) == len(unsigned)
 
 
 def separately_lowered_ham_rhs(ode):

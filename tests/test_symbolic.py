@@ -596,6 +596,22 @@ class TestLowerFolds:
         assert fn.__code__.co_varnames == ("y", "t0", "t1")
         assert fn([0.5, -2.0, 3.0, 4.0]) == [0.5, -2.0]
 
+    def test_a_negated_product_negates_its_twin(self):
+        # (-0.2)*z1*zb1 after 0.2*z1*zb1 is the negation of the first one's
+        # local, and j*z1's e- leg is -(z1's), not (-1.0) * z1; a sign flip
+        # commutes with rounding, so the legs are the interpreter's bit for bit
+        roots = (Product((c(0.2), z_var(1), zb_var(1))), Product((c(-0.2), z_var(1), zb_var(1))),
+                 Product((c(0.0, 1.0), z_var(1))))
+        fn = lower(roots, (("z", 1), ("zb", 1)))
+        # z1's and zb1's legs, the two products, their negations and -v(z1)
+        assert fn.__code__.co_varnames == ("y", *(f"t{k}" for k in range(9)))
+        assert -0.2 not in fn.__code__.co_consts and -1.0 not in fn.__code__.co_consts
+        rng = random.Random(11)
+        for _ in range(200):
+            s = _edge_state(rng, 1)
+            want = [repr(leg) for r in roots for leg in _eval_pair(r, s)]
+            assert [repr(leg) for leg in fn([leg for w in s.z + s.zb for leg in (w.u, w.v)])] == want
+
     def test_literal_subtrees_fold_and_passing_checks_go(self):
         tree = Quotient(Product((z_var(1), Apply("exp", c(0.5)))), Sum((c(2.0), c(0.5))))
         fn = lower((tree,), (("z", 1),))
