@@ -271,8 +271,7 @@ def cmd_audit(args) -> int:
     if args.samples < 1:
         raise ProblemFileError("--samples must be at least 1")
     lp = load_problem(args.file)
-    seed = _seed_from(args)
-    report = audit_battery(lp.problem, args.samples, seed, name="audit")
+    report = audit_battery(lp.problem, args.samples, _seed_from(args))
     print(report.render())
     worst = max(c.measured for c in report.checks)
     print(f"max residual = {worst!r}")
@@ -435,10 +434,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ExpressionError as exc:
+    except (ProblemFileError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SingularDenominator, DegenerateLagrangian, StepFailure, ZeroDivisor, DomainError) as exc:

@@ -26,9 +26,11 @@ is left with b's arithmetic (_folded_el_rhs).  Any other M keeps its
 lowered function and the leg solver emitted once per m (_leg_solver),
 whose one code object solves either leg of every system of that size.
 
-RK4 runs in a loop emitted once per leg count (_rk4_driver) that calls
-rhs four times per step, with the stage arithmetic on locals; RKF45 keeps
-the generic loop over lists.
+Both steppers take (rhs, y, cfg, times, rows) and append each accepted
+step's time and row to times and rows themselves.  RK4 runs in a loop
+emitted once per leg count (_rk4_driver) that calls rhs four times per
+step, with the stage arithmetic on locals; RKF45 keeps its generic loop
+over lists.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .eom import (
     ImplicitODE,
     LagrangianProblem,
     SingularDenominator,
+    _AtTime,
     energy,
     synthesize_el,
 )
@@ -65,14 +68,8 @@ from .symbolic import (
 PIVOT_TOL = 1e-12
 
 
-class StepFailure(RuntimeError):
+class StepFailure(_AtTime):
     """Adaptive step-size underflow or a non-finite state."""
-
-    def __init__(self, message: str, t: float | None = None):
-        self.t = t
-        if t is not None:
-            message = f"{message} at t={t!r}"
-        super().__init__(message)
 
 
 class _NonFinite(Exception):
@@ -138,10 +135,6 @@ class Trajectory:
         if self._samples is None:
             self._samples = tuple(map(_phase_state, self.times, self.rows))
         return self._samples
-
-
-def _row(s) -> list:
-    return [x for w in s.z + s.zb for x in (w.a, w.b)]
 
 
 def _phase_state(t, row):
@@ -300,32 +293,26 @@ _TIMED_ERRORS = (DegenerateLagrangian, SingularDenominator, ZeroDivisor, DomainE
 
 
 def _at_time(exc, t):
-    """exc, which a right-hand side raised without a time, at time t."""
-    if isinstance(exc, DegenerateLagrangian):
-        return DegenerateLagrangian(str(exc), t=t)
-    if isinstance(exc, SingularDenominator):
-        return SingularDenominator(exc.which, t=t)
+    """exc, which a right-hand side raised without a time, as a new exception
+    at time t, so that an rhs may raise one stored instance again."""
+    if isinstance(exc, _AtTime):
+        return type(exc)(exc.detail, t=t)
     return type(exc)(f"{exc} at t={t!r}")
 
 
-def _timed(rhs, y, t):
-    """rhs(y), with a singular state or a failing subexpression re-raised at
-    time t; with no time, the error rhs raised propagates as it is."""
-    if t is None:
-        return rhs(y)
-    try:
-        return rhs(y)
-    except _TIMED_ERRORS as exc:
-        raise _at_time(exc, t) from None
-
-
 def _sampled(rhs, y, t):
-    """_timed outside integrate, where nothing rejects a step: a non-finite
-    entry of M or b is a StepFailure."""
+    """rhs(y) outside integrate, where nothing rejects a step: a non-finite
+    entry of M or b is a StepFailure, and a singular state or a failing
+    subexpression is re-raised at time t, or propagates as it is when t is
+    None."""
     try:
-        return _timed(rhs, y, t)
+        return rhs(y)
     except _NonFinite:
         raise StepFailure("state left the finite domain", t=t) from None
+    except _TIMED_ERRORS as exc:
+        if t is None:
+            raise
+        raise _at_time(exc, t) from None
 
 
 def at_state(rhs, s):
@@ -508,7 +495,7 @@ def _run_rk4(rhs, y, cfg, times, rows):
     _rk4_driver(len(y))(rhs, y, cfg.t0, cfg.dt, cfg.t1, total, times, rows)
 
 
-def _run_rkf45(deriv, y, cfg, record):
+def _run_rkf45(rhs, y, cfg, times, rows):
     span = cfg.t1 - cfg.t0
     tol = cfg.tol
     h_min = 1e-12 * span
@@ -532,7 +519,9 @@ def _run_rkf45(deriv, y, cfg, record):
                         kq = ks[q]
                         for idx in range(m):
                             yi[idx] += h * aq * kq[idx]
-                ks.append(deriv(t + c * h, yi))
+                if not all(map(math.isfinite, yi)):
+                    raise _NonFinite
+                ks.append(rhs(yi))
             # the error is measured leg by leg, the sup norm abs() uses
             err_norm = 0.0
             y5 = list(y)
@@ -554,11 +543,14 @@ def _run_rkf45(deriv, y, cfg, record):
         except _NonFinite:
             err_norm = math.inf
             y5 = None
+        except _TIMED_ERRORS as exc:
+            raise _at_time(exc, t + c * h) from None
         if err_norm <= 1.0:
-            t_next = cfg.t1 if cfg.t1 - (t + h) < h_min else t + h
+            t = cfg.t1 if cfg.t1 - (t + h) < h_min else t + h
             y = y5
-            record(t_next, y)
-            t = t_next
+            times.append(t)
+            legs = iter(y)
+            rows.append([x for u, v in zip(legs, legs) for x in ((u + v) / 2.0, (u - v) / 2.0)])
         h *= 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
 
 
@@ -574,24 +566,9 @@ def integrate(rhs, s0: PhaseState, cfg: IntegratorConfig) -> Trajectory:
     failure, which names its subexpression.
     """
     times = [cfg.t0]
-    rows = [_row(s0)]
-    y = _legs(s0.z + s0.zb)
-    if cfg.method == "rk4":
-        _run_rk4(rhs, y, cfg, times, rows)
-        return Trajectory(times, rows)
-
-    def deriv(t, y):
-        for v in y:
-            if not math.isfinite(v):
-                raise _NonFinite
-        return _timed(rhs, y, t)
-
-    def record(t, y):
-        times.append(t)
-        legs = iter(y)
-        rows.append([x for u, v in zip(legs, legs) for x in ((u + v) / 2.0, (u - v) / 2.0)])
-
-    _run_rkf45(deriv, y, cfg, record)
+    rows = [[x for w in s0.z + s0.zb for x in (w.a, w.b)]]
+    run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
+    run(rhs, _legs(s0.z + s0.zb), cfg, times, rows)
     return Trajectory(times, rows)
 
 

@@ -48,26 +48,27 @@ from .symbolic import (
 )
 
 
-class DegenerateLagrangian(RuntimeError):
+class _AtTime(RuntimeError):
+    """A failure whose message is detail put into the class's form, followed
+    by " at t=..." when it happened at a time t."""
+
+    form = "{}"
+
+    def __init__(self, detail: str, t: float | None = None):
+        self.detail, self.t = detail, t
+        message = self.form.format(detail)
+        super().__init__(message if t is None else f"{message} at t={t!r}")
+
+
+class DegenerateLagrangian(_AtTime):
     """The implicit Euler-Lagrange system has a singular coefficient matrix."""
 
-    def __init__(self, message: str = "degenerate Lagrangian", t: float | None = None):
-        self.t = t
-        if t is not None:
-            message = f"{message} at t={t!r}"
-        super().__init__(message)
 
+class SingularDenominator(_AtTime):
+    """A conformal denominator, which is D+ or D-, hit the zero-divisor cone."""
 
-class SingularDenominator(RuntimeError):
-    """A conformal denominator (D+ or D-) hit the zero-divisor cone."""
-
-    def __init__(self, which: str, t: float | None = None):
-        self.which = which
-        self.t = t
-        message = f"singular denominator {which}"
-        if t is not None:
-            message = f"{message} at t={t!r}"
-        super().__init__(message)
+    form = "singular denominator {}"
+    which = property(lambda self: self.detail)
 
 
 def _check_chart_vars(e: Expr, chart: CoordinateChart, what: str) -> None:

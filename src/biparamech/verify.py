@@ -83,7 +83,6 @@ class CheckResult:
 @dataclass
 class Report:
     checks: list
-    seed: int
 
     @property
     def all_pass(self) -> bool:
@@ -375,7 +374,7 @@ def selftest_algebra(seed: int) -> Report:
                 w_misses += 1
     checks.append(_check("algebra-w-at-zero-matches-p", float(w_misses), 0.0))
 
-    return Report(checks=checks, seed=seed)
+    return Report(checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +456,7 @@ def check_fd(expr, samples: int, seed: int) -> Report:
             worst = max(worst, abs(sym - fd) / scale)
         if ok:
             done += 1
-    return Report(
-        checks=[_check("fd-derivative", worst, FD_THRESHOLD)], seed=seed
-    )
+    return Report(checks=[_check("fd-derivative", worst, FD_THRESHOLD)])
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +582,6 @@ def _classical_ham_oracle(H, chart):
     return rhs
 
 
-def _value_dev(a, b) -> float:
-    worst = 0.0
-    for x, y in zip(a, b):
-        scale = max(1.0, abs(x), abs(y))
-        worst = max(worst, max(abs(x.a - y.a), abs(x.b - y.b)) / scale)
-    return worst
-
-
 def check_reduction(p, samples: int, seed: int, name: str = "reduction") -> Report:
     """Conformal synthesis vs the classical baseline at random states.
 
@@ -616,13 +605,11 @@ def check_reduction(p, samples: int, seed: int, name: str = "reduction") -> Repo
             got = at_state(rhs, s)
         except (DegenerateLagrangian, ZeroDivisor, DomainError):
             return None
-        return _value_dev(got[0] + got[1], base[0] + base[1])
+        return max(map(_canon_dev, got[0] + got[1], base[0] + base[1]), default=0.0)
 
     worst = _worst_over(random.Random(seed), p.chart.n, samples, measure,
                         lambda done: RuntimeError("could not sample enough well-posed states"))
-    return Report(
-        checks=[_check(name, worst, REDUCTION_THRESHOLD)], seed=seed
-    )
+    return Report(checks=[_check(name, worst, REDUCTION_THRESHOLD)])
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +637,7 @@ def conservation_report(p, tr) -> Report:
     else:
         threshold = float("inf")
         name = "energy-drift-lagrangian"
-    return Report(checks=[_check(name, drift, threshold)], seed=0)
+    return Report(checks=[_check(name, drift, threshold)])
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +685,7 @@ def fixture_problem(kind: str, name: str):
     raise KeyError(name)
 
 
-def audit_battery(p, samples: int, seed: int, name: str = "audit") -> Report:
+def audit_battery(p, samples: int, seed: int) -> Report:
     """Plug-back audits at random nonsingular states, threshold 1e-10.
 
     A state where the right-hand side or the audit meets a zero divisor or
@@ -739,7 +726,7 @@ def audit_battery(p, samples: int, seed: int, name: str = "audit") -> Report:
         def starved(done):
             return rejected[0]
     worst = _worst_over(random.Random(seed), p.chart.n, samples, measure, starved)
-    return Report(checks=[_check(name, worst, 1e-10)], seed=seed)
+    return Report(checks=[_check("audit", worst, 1e-10)])
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +738,6 @@ def run_all(seed: int) -> Report:
     from .dynamics import IntegratorConfig, PhaseState, integrate, make_ham_rhs
 
     report = selftest_algebra(seed)
-    report.seed = seed
     rng = random.Random(seed + 1)
 
     # parser round-trip: print, reparse, compare numerically at 10 states
@@ -767,9 +753,7 @@ def run_all(seed: int) -> Report:
             v1 = _try_eval(e, s)
             if v1 is None:
                 continue
-            v2 = evaluate(back, s)
-            scale = max(1.0, abs(v1), abs(v2))
-            worst_rt = max(worst_rt, max(abs(v1.a - v2.a), abs(v1.b - v2.b)) / scale)
+            worst_rt = max(worst_rt, _canon_dev(v1, evaluate(back, s)))
             used = True
         if used:
             done += 1

@@ -20,8 +20,11 @@ from biparamech.dynamics import (
     PhaseState,
     StepFailure,
     Trajectory,
+    _RKF_A,
+    _RKF_B5,
+    _RKF_C,
+    _RKF_ERR,
     _NonFinite,
-    _run_rkf45,
     integrate,
     make_el_rhs,
     residual_series,
@@ -627,7 +630,6 @@ def test_selftest_failure_exits_1(capsys, monkeypatch):
 
     broken = Report(
         checks=[CheckResult(name="stub", passed=False, measured=1.0, threshold=0.0)],
-        seed=0,
     )
     monkeypatch.setattr(biparamech.cli, "run_all", lambda seed: broken)
     assert main(["selftest"]) == 1
@@ -782,6 +784,63 @@ def textbook_run_rk4(deriv, y, cfg, record):
         record(t_b, y)
 
 
+def textbook_run_rkf45(deriv, y, cfg, record):
+    """The RKF45 loop as it was before its stepper appended to times and
+    rows itself: deriv(t, y) tests y and times a failure, and record(t, y)
+    takes each accepted step."""
+    span = cfg.t1 - cfg.t0
+    tol = cfg.tol
+    h_min = 1e-12 * span
+    t = cfg.t0
+    h = span / 100.0
+    attempts = 0
+    while t < cfg.t1 - 1e-15 * max(1.0, abs(cfg.t1)):
+        h = min(h, cfg.t1 - t)
+        if h < h_min:
+            raise StepFailure(f"step size underflow (h={h!r})", t=t)
+        attempts += 1
+        if attempts > cfg.max_steps:
+            raise StepFailure(f"no convergence within max_steps={cfg.max_steps}", t=t)
+        try:
+            ks = []
+            m = len(y)
+            for c, coeffs in zip(_RKF_C, _RKF_A):
+                yi = list(y)
+                for q, aq in enumerate(coeffs):
+                    if aq != 0.0:
+                        kq = ks[q]
+                        for idx in range(m):
+                            yi[idx] += h * aq * kq[idx]
+                ks.append(deriv(t + c * h, yi))
+            # the error is measured leg by leg, the sup norm abs() uses
+            err_norm = 0.0
+            y5 = list(y)
+            for idx in range(m):
+                acc5 = 0.0
+                acce = 0.0
+                for q in range(6):
+                    kqi = ks[q][idx]
+                    acc5 += _RKF_B5[q] * kqi
+                    acce += _RKF_ERR[q] * kqi
+                y5[idx] += h * acc5
+                denom = tol * (1.0 + max(abs(y[idx]), abs(y5[idx])))
+                err_i = abs(h * acce) / denom
+                # NaN fails every comparison, so test finiteness explicitly
+                if not (math.isfinite(err_i) and math.isfinite(y5[idx])):
+                    err_norm = math.inf
+                    break
+                err_norm = max(err_norm, err_i)
+        except _NonFinite:
+            err_norm = math.inf
+            y5 = None
+        if err_norm <= 1.0:
+            t_next = cfg.t1 if cfg.t1 - (t + h) < h_min else t + h
+            y = y5
+            record(t_next, y)
+            t = t_next
+        h *= 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+
+
 def _phase_state_samples(lp):
     """integrate's samples as its record built them: one PhaseState of
     ParaComplex((u+v)/2, (u-v)/2) per accepted step after the start."""
@@ -793,7 +852,7 @@ def _phase_state_samples(lp):
              for k in range(0, 4 * n, 2)]
         samples.append(PhaseState(t=t, z=tuple(w[:n]), zb=tuple(w[n:])))
 
-    run = textbook_run_rk4 if cfg.method == "rk4" else _run_rkf45
+    run = textbook_run_rk4 if cfg.method == "rk4" else textbook_run_rkf45
     run(lambda t, y: rhs(y), _legs(s0), cfg, record)
     return samples
 

@@ -9,12 +9,13 @@ import pytest
 from biparamech import symbolic
 from biparamech.cli import load_problem
 from biparamech.dynamics import (
+    _TIMED_ERRORS,
     PIVOT_TOL,
     _folded_el_rhs,
     _leg_solver,
     _NonFinite,
     _run_rk4,
-    _timed,
+    _run_rkf45,
     IntegratorConfig,
     PhaseState,
     StepFailure,
@@ -37,7 +38,7 @@ from biparamech.eom import (
 )
 from biparamech.para_algebra import INVERTIBILITY_FLOOR, ONE, ZERO, DomainError, ParaComplex, ZeroDivisor
 from biparamech.symbolic import CoordinateChart, Constant, EvalState, Lowering, lower, parse, z_var, zb_var
-from test_cli import textbook_run_rk4
+from test_cli import textbook_run_rk4, textbook_run_rkf45
 
 PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "problems")
 
@@ -883,29 +884,59 @@ def test_oscillator_rhs_calls_are_four_per_rk4_step():
     assert calls == 25_136
 
 
-def textbook_trajectory(rhs, y, cfg):
-    """times and rows as integrate made them with the textbook RK4 loop: a
-    finite test and _timed around each rhs call, a row per step."""
+def textbook_at_time(exc, t):
+    """exc, which a right-hand side raised without a time, at time t."""
+    if isinstance(exc, DegenerateLagrangian):
+        return DegenerateLagrangian(str(exc), t=t)
+    if isinstance(exc, SingularDenominator):
+        return SingularDenominator(exc.which, t=t)
+    return type(exc)(f"{exc} at t={t!r}")
+
+
+def textbook_timed(rhs, y, t):
+    """rhs(y), with a singular state or a failing subexpression re-raised at
+    time t; with no time, the error rhs raised propagates as it is."""
+    if t is None:
+        return rhs(y)
+    try:
+        return rhs(y)
+    except _TIMED_ERRORS as exc:
+        raise textbook_at_time(exc, t) from None
+
+
+def textbook_trajectory(rhs, y, cfg, stage_times=None):
+    """times and rows as integrate made them with the textbook RK4 or RKF45
+    loop: a finite test and textbook_timed around each rhs call, a row per
+    step.  stage_times, when given, collects the time of every call."""
     times, rows = [cfg.t0], []
 
     def deriv(t, y):
         for v in y:
             if not math.isfinite(v):
                 raise _NonFinite
-        return _timed(rhs, y, t)
+        if stage_times is not None:
+            stage_times.append(t)
+        return textbook_timed(rhs, y, t)
 
     def record(t, y):
         times.append(t)
         legs = iter(y)
         rows.append([x for u, v in zip(legs, legs) for x in ((u + v) / 2.0, (u - v) / 2.0)])
 
-    textbook_run_rk4(deriv, y, cfg, record)
+    run = textbook_run_rk4 if cfg.method == "rk4" else textbook_run_rkf45
+    run(deriv, y, cfg, record)
     return times, rows
 
 
 def emitted_trajectory(rhs, y, cfg):
     times, rows = [cfg.t0], []
     _run_rk4(rhs, y, cfg, times, rows)
+    return times, rows
+
+
+def rkf45_trajectory(rhs, y, cfg):
+    times, rows = [cfg.t0], []
+    _run_rkf45(rhs, y, cfg, times, rows)
     return times, rows
 
 
@@ -984,6 +1015,67 @@ class TestEmittedRk4MatchesTextbook:
     def test_an_rhs_raising_non_finite_fails_the_step(self, stage):
         got = self.both(4, [0.5, -0.25, 0.75, 0.125], self.CFG, fail_at=9 + stage, failure=_NonFinite)
         assert got == (StepFailure, "state left the finite domain at t=1.0")
+
+
+class TestRkf45MatchesTextbook:
+    """integrate's RKF45 stepper, which tests each stage input and times a
+    failure itself, against the textbook loop that took deriv(t, y) and
+    record(t, y)."""
+
+    CFG = IntegratorConfig(method="rkf45", t0=0.5, t1=1.5, tol=1e-9)
+    Y = (0.5, -0.25, 0.75, 0.125)
+    FAILURES = (
+        (lambda: DegenerateLagrangian("singular e+ component system"), "singular e+ component system"),
+        (lambda: SingularDenominator("D-"), "singular denominator D-"),
+        (lambda: ZeroDivisor("zero-divisor denominator in '1/(z1 - 1)'"),
+         "zero-divisor denominator in '1/(z1 - 1)'"),
+        (lambda: DomainError("domain failure in 'ln(z1)'"), "domain failure in 'ln(z1)'"),
+    )
+
+    def both(self, m, y, cfg, **failure):
+        want = rk4_outcome(textbook_trajectory, coupled_rhs(m, **failure), y, cfg)
+        assert rk4_outcome(rkf45_trajectory, coupled_rhs(m, **failure), y, cfg) == want
+        return want
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_bit_for_bit(self, m):
+        rng = random.Random(m)
+        y = [rng.uniform(-1, 1) for _ in range(m)]
+        for cfg in (self.CFG, IntegratorConfig(method="rkf45", t0=0.0, t1=3.0, tol=1e-7)):
+            times, rows = self.both(m, y, cfg)
+            assert len(rows) == len(times) - 1 >= 10
+            assert float(times[-1]) == cfg.t1
+
+    @pytest.mark.parametrize("stage", range(6))
+    @pytest.mark.parametrize("failure", range(4), ids=["degenerate", "singular", "zero-divisor", "domain"])
+    def test_a_failing_stage_reports_its_time(self, stage, failure):
+        # the third attempt's stage: its time is t + c*h, which the textbook
+        # passed to deriv on that call
+        stage_times = []
+        textbook_trajectory(coupled_rhs(4), list(self.Y), self.CFG, stage_times)
+        t = stage_times[12 + stage]
+        assert stage == 0 or t > stage_times[12]
+        make, message = self.FAILURES[failure]
+        got = self.both(4, self.Y, self.CFG, fail_at=13 + stage, failure=make)
+        assert got == (type(make()), f"{message} at t={t!r}")
+
+    @pytest.mark.parametrize("stage", range(6))
+    @pytest.mark.parametrize("failure", [math.inf, _NonFinite], ids=["inf", "non-finite"])
+    def test_a_non_finite_stage_is_rejected(self, stage, failure):
+        clean = self.both(4, self.Y, self.CFG)
+        got = self.both(4, self.Y, self.CFG, fail_at=13 + stage, failure=failure)
+        # the attempt is rejected, h shrinks fivefold and the run goes on to t1
+        assert got != clean
+        assert float(got[0][-1]) == self.CFG.t1
+        # and rhs never sees the non-finite stage input that follows
+        rhs, inputs = coupled_rhs(4, fail_at=13 + stage, failure=failure), []
+
+        def watched(y):
+            inputs.append(all(map(math.isfinite, y)))
+            return rhs(y)
+
+        rkf45_trajectory(watched, list(self.Y), self.CFG)
+        assert all(inputs)
 
 
 def test_ham_curved_negates_its_twin_products(monkeypatch):

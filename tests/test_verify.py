@@ -60,10 +60,9 @@ class TestReportShape:
         assert run_all(11).render() == run_all(11).render()
 
     def test_all_pass_property(self):
-        good = Report(checks=[CheckResult("a", True, 0.0, 1.0)], seed=0)
+        good = Report(checks=[CheckResult("a", True, 0.0, 1.0)])
         bad = Report(
             checks=[CheckResult("a", True, 0.0, 1.0), CheckResult("b", False, 2.0, 1.0)],
-            seed=0,
         )
         assert good.all_pass and not bad.all_pass
 
