@@ -7,11 +7,11 @@ with the failing time printed), 4 audit threshold breach.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from .dynamics import (
     IntegratorConfig,
@@ -300,7 +300,7 @@ def _read_csv(path: str):
     if not lines:
         raise ProblemFileError(f"{path} is empty")
     header = lines[0].split(",")
-    if header[0] != "t" or len(set(header)) != len(header):
+    if header[0] != "t" or len(header) < 2 or len(set(header)) != len(header):
         raise ProblemFileError(f"{path} does not look like a trajectory CSV")
     rows = []
     for ln in lines[1:]:
@@ -317,7 +317,6 @@ def _read_csv(path: str):
 
 
 def _svg_chart(header, rows, cols, width, height) -> str:
-    tcol = [r[0] for r in rows]
     series = []
     for name in cols:
         idx = header.index(name)
@@ -325,7 +324,7 @@ def _svg_chart(header, rows, cols, width, height) -> str:
         if not pts:
             raise ProblemFileError(f"column {name!r} has no finite samples")
         series.append((name, pts))
-    xs = [x for _, pts in series for x, _ in pts] or tcol
+    xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
@@ -373,6 +372,8 @@ def _svg_chart(header, rows, cols, width, height) -> str:
 
 
 def cmd_plot(args) -> int:
+    if args.width < 1 or args.height < 1:
+        raise ProblemFileError("--width and --height must be positive")
     header, rows = _read_csv(args.csv)
     if args.cols:
         cols = [c.strip() for c in args.cols.split(",") if c.strip()]
@@ -393,47 +394,66 @@ def cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="biparamech",
-        description="Synthesize and integrate conformal bi-para mechanical systems.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+# each command's arguments: a positional (a bare name) or an option (--name;
+# -o is --output) -> (type, default), where a default of ... makes it required
+_COMMANDS = {
+    "derive": {"file": (str, ...)},
+    "integrate": {"file": (str, ...), "--output": (str, ...)},
+    "audit": {"file": (str, ...), "--samples": (int, 100), "--seed": (int, None)},
+    "selftest": {"--seed": (int, None)},
+    "plot": {"csv": (str, ...), "--output": (str, ...), "--cols": (str, None),
+             "--width": (int, 640), "--height": (int, 400)},
+}
 
-    p = sub.add_parser("derive", help="print the synthesized equations")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_derive)
 
-    p = sub.add_parser("integrate", help="integrate and write a trajectory CSV")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_integrate)
+def _usage(error=None):
+    """Print one usage line per command: on stdout for help, or on stderr
+    before `error`, which comes back as a ProblemFileError to raise."""
+    lines = []
+    for command, spec in _COMMANDS.items():
+        words = [key if key[0] != "-" else f"{key} {key[2:].upper()}" for key in spec]
+        words = [w if default is ... else f"[{w}]" for w, (_, default) in zip(words, spec.values())]
+        lines.append(" ".join(["biparamech", command] + words))
+    print("usage: " + "\n       ".join(lines), file=sys.stdout if error is None else sys.stderr)
+    return None if error is None else ProblemFileError(error)
 
-    p = sub.add_parser("audit", help="plug-back audit at random states")
-    p.add_argument("file")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("selftest", help="run every verification suite")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_selftest)
-
-    p = sub.add_parser("plot", help="render trajectory columns to SVG")
-    p.add_argument("csv")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--cols", default=None)
-    p.add_argument("--width", type=int, default=640)
-    p.add_argument("--height", type=int, default=400)
-    p.set_defaults(func=cmd_plot)
-
-    return top
+def _parse(argv):
+    """The attributes argv's `cmd_*` handler reads, and `command`; None after help."""
+    if "-h" in argv or "--help" in argv:
+        return _usage()
+    if not argv or argv[0] not in _COMMANDS:
+        raise _usage(f"invalid choice: {argv[0]!r}" if argv else "no command given")
+    spec = _COMMANDS[argv[0]]
+    values = {key.lstrip("-"): default for key, (_, default) in spec.items()}
+    positional = next((key for key in spec if key[0] != "-"), None)
+    words = iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        flag = "--output" if flag == "-o" else flag
+        if flag[:2] == "--" and flag in spec:
+            value = value if eq else next(words, None)
+            if value is None:
+                raise _usage(f"argument {flag}: expected one argument")
+            try:
+                values[flag[2:]] = spec[flag][0](value)
+            except ValueError:
+                raise _usage(f"argument {flag}: invalid value: {value!r}") from None
+        elif word.startswith("-") or values.get(positional) is not ...:
+            raise _usage(f"unrecognized arguments: {word}")
+        else:
+            values[positional] = word
+    missing = [key for key in spec if values[key.lstrip("-")] is ...]
+    if missing:
+        raise _usage(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        # looked up at call time, so a wrapped cmd_* is the one that runs
+        return 0 if args is None else globals()[f"cmd_{args.command}"](args)
     except (ProblemFileError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

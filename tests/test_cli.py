@@ -4,18 +4,33 @@ Everything runs in-process through cli.main(argv) so exit codes and
 output can be asserted without subprocess overhead.
 """
 
+import argparse
 import glob
 import json
 import math
 import os
 import pathlib
 import re
+import shlex
+import subprocess
+import sys
 
 import pytest
 
+import biparamech.cli
 import biparamech.dynamics
 import biparamech.verify
-from biparamech.cli import LoadedProblem, _csv_text, main
+from biparamech.cli import (
+    LoadedProblem,
+    _csv_text,
+    _parse,
+    cmd_audit,
+    cmd_derive,
+    cmd_integrate,
+    cmd_plot,
+    cmd_selftest,
+    main,
+)
 from biparamech.dynamics import (
     PhaseState,
     StepFailure,
@@ -702,6 +717,37 @@ def test_plot_rejects_t_as_series(tmp_path, osc_csv):
     assert main(["plot", str(osc_csv), "-o", str(tmp_path / "x.svg"), "--cols", "t"]) == 2
 
 
+@pytest.mark.parametrize("size", [
+    ["--width", "0"],
+    ["--height", "0"],
+    ["--width", "-50", "--height", "3"],
+    ["--width=640", "--height=-1"],
+])
+def test_plot_rejects_nonpositive_size(tmp_path, osc_csv, capsys, size):
+    # a degenerate SVG (width="-50") is not a chart
+    svg = tmp_path / "x.svg"
+    capsys.readouterr()
+    assert main(["plot", str(osc_csv), "-o", str(svg)] + size) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --width and --height must be positive"]
+    assert not svg.exists()
+
+
+def test_plot_smallest_size(tmp_path, osc_csv):
+    svg = tmp_path / "tiny.svg"
+    assert main(["plot", str(osc_csv), "-o", str(svg), "--width", "1", "--height", "1"]) == 0
+    assert 'width="1" height="1"' in svg.read_text()
+
+
+def test_plot_csv_without_series_exit_2(tmp_path, capsys):
+    # a lone t column left nothing to draw and used to crash in min()
+    only_t = tmp_path / "t.csv"
+    only_t.write_text("t\n0.0\n1.0\n")
+    assert main(["plot", str(only_t), "-o", str(tmp_path / "x.svg")]) == 2
+    assert capsys.readouterr().err == f"error: {only_t} does not look like a trajectory CSV\n"
+
+
 @pytest.mark.parametrize("target", ["missing-parent", "directory"])
 @pytest.mark.parametrize("command", ["integrate", "plot"])
 def test_unwritable_output_exit_2(tmp_path, osc_csv, capsys, command, target):
@@ -714,6 +760,173 @@ def test_unwritable_output_exit_2(tmp_path, osc_csv, capsys, command, target):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ")
     assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the command line
+# ---------------------------------------------------------------------------
+
+
+def _textbook_build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command table replaced, verbatim."""
+    top = argparse.ArgumentParser(
+        prog="biparamech",
+        description="Synthesize and integrate conformal bi-para mechanical systems.",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("derive", help="print the synthesized equations")
+    p.add_argument("file")
+    p.set_defaults(func=cmd_derive)
+
+    p = sub.add_parser("integrate", help="integrate and write a trajectory CSV")
+    p.add_argument("file")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=cmd_integrate)
+
+    p = sub.add_parser("audit", help="plug-back audit at random states")
+    p.add_argument("file")
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(func=cmd_audit)
+
+    p = sub.add_parser("selftest", help="run every verification suite")
+    p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(func=cmd_selftest)
+
+    p = sub.add_parser("plot", help="render trajectory columns to SVG")
+    p.add_argument("csv")
+    p.add_argument("-o", "--output", required=True)
+    p.add_argument("--cols", default=None)
+    p.add_argument("--width", type=int, default=640)
+    p.add_argument("--height", type=int, default=400)
+    p.set_defaults(func=cmd_plot)
+
+    return top
+
+
+VALID_ARGV = [
+    # README
+    "derive problems/oscillator.json",
+    "integrate problems/oscillator.json -o orbit.csv",
+    "audit problems/oscillator.json --samples 100 --seed 7",
+    "selftest --seed 7",
+    "plot orbit.csv -o orbit.svg --cols z1_a,zb1_b",
+    # CI
+    "integrate tests/data/nested_quotient.json -o /tmp/nq.csv",
+    "audit problems/el_coupled.json --seed 3",
+    "plot /tmp/o.csv -o /tmp/p.svg --width 0",
+    # the benchmark workloads
+    "derive inputs/family_L3.json",
+    "integrate inputs/failing-degenerate_L.json -o failing-degenerate_L.csv",
+    "selftest --seed 654321",
+    "audit inputs/el_cubic.json --seed 12345 --samples 300",
+    "audit inputs/failing-degenerate_L.json --seed 999999",
+    # tests
+    "audit prob.json --samples 0",
+    "audit prob.json --samples -5",
+    "plot osc.csv -o sized.svg --cols z1_a --width 800 --height 300",
+    # spellings
+    "integrate problems/oscillator.json --output=orbit.csv",
+    "integrate problems/oscillator.json --output orbit.csv",
+    "integrate problems/oscillator.json -o=orbit.csv",
+    "integrate -o orbit.csv problems/oscillator.json",
+    "audit --seed 3 --samples 7 problems/oscillator.json",
+    "audit problems/oscillator.json --seed -5",
+    "audit problems/oscillator.json --seed=-5 --samples=+12",
+    "audit problems/oscillator.json --seed 1 --seed 2",
+    "plot --width 10 o.csv --height 20 -o p.svg --cols=",
+    "derive name=with=equals.json",
+    "derive ''",
+    # defaults
+    "audit problems/oscillator.json",
+    "selftest",
+    "plot orbit.csv -o orbit.svg",
+]
+
+
+@pytest.mark.parametrize("line", VALID_ARGV)
+def test_command_table_matches_textbook_parser(line):
+    argv = shlex.split(line)
+    ref = _textbook_build_parser().parse_args(argv)
+    new = _parse(argv)
+    assert getattr(biparamech.cli, f"cmd_{new.command}") is ref.func
+    assert vars(new) == {k: v for k, v in vars(ref).items() if k != "func"}
+
+
+USAGE_ERRORS = [
+    (["integrate", "problems/oscillator.json"], "required: --output"),
+    ([], "no command given"),
+    (["simulate", "problems/oscillator.json"], "invalid choice: 'simulate'"),
+    (["audit", "problems/oscillator.json", "--samples", "x"], "--samples: invalid value: 'x'"),
+    (["audit", "problems/oscillator.json", "--seed", "1.5"], "--seed: invalid value: '1.5'"),
+    (["plot", "o.csv", "-o", "p.svg", "--width", "wide"], "--width: invalid value: 'wide'"),
+    (["derive"], "required: file"),
+    (["plot", "-o", "p.svg"], "required: csv"),
+    (["derive", "a.json", "b.json"], "unrecognized arguments: b.json"),
+    (["selftest", "problems/oscillator.json"], "unrecognized arguments: problems/oscillator.json"),
+    (["selftest", "--seed"], "--seed: expected one argument"),
+    (["derive", "problems/oscillator.json", "--seed", "3"], "unrecognized arguments: --seed"),
+    (["--seed", "3", "selftest"], "invalid choice: '--seed'"),
+]
+# argparse took these as --samples and --output; abbreviations are dropped
+ABBREVIATED = [
+    (["audit", "problems/oscillator.json", "--samp", "5"], "unrecognized arguments: --samp"),
+    (["integrate", "problems/oscillator.json", "--out", "x.csv"], "unrecognized arguments: --out"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS + ABBREVIATED)
+def test_usage_error_exit_2(capsys, argv, message):
+    # a usage error is an input error: main returns 2 and raises nothing
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: biparamech ")
+    assert lines[-1].startswith("error: ") and lines[-1].endswith(message)
+    assert all(line.startswith("       biparamech ") for line in lines[1:-1])
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_textbook_parser_rejects_the_same(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        _textbook_build_parser().parse_args(argv)
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["integrate", "--help"], ["plot", "-h"]])
+def test_help_exit_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: biparamech ")
+    for command in ("derive", "integrate", "audit", "selftest", "plot"):
+        assert f"biparamech {command} " in captured.out
+
+
+def test_handler_is_looked_up_at_call_time(tmp_path, monkeypatch):
+    # a wrapper installed on the module after import is the one that runs
+    seen = []
+    monkeypatch.setattr(biparamech.cli, "cmd_derive", lambda args: seen.append(args.file) or 7)
+    assert main(["derive", "x.json"]) == 7
+    assert seen == ["x.json"]
+
+
+def test_cli_imports_no_argparse():
+    # argparse's first use (gettext, locale, a HelpFormatter per argument)
+    # cost about 6 ms of every command
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.join(REPO, 'src')!r})\n"
+        "import biparamech.cli\n"
+        "assert biparamech.cli.main(['derive', 'problems/oscillator.json']) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], cwd=REPO, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------
