@@ -316,28 +316,40 @@ def _read_csv(path: str):
     return header, rows
 
 
+def _quarter_axis(values) -> tuple:
+    """The padded (lo, hi) of a chart axis, in quarters of the data's units.
+
+    Finite samples can span more than the float range, as 1e308 and -1e308
+    do; in quarters the padded span stays finite.  Dividing by a power of
+    two is exact for normal floats, so every ratio on the axis rounds as it
+    would in the data's units.
+    """
+    lo, hi = min(values) / 4.0, max(values) / 4.0
+    pad = (hi - lo) * 0.05 or 0.25  # a flat axis: 1 in the data's units
+    return lo - pad, hi + pad
+
+
+def _label(quarters: float) -> str:
+    # a padded bound past the float range prints as the largest float
+    return f"{max(-sys.float_info.max, min(quarters * 4.0, sys.float_info.max)):.6g}"
+
+
 def _svg_chart(header, rows, cols, width, height) -> str:
     series = []
     for name in cols:
         idx = header.index(name)
-        pts = [(r[0], r[idx]) for r in rows if math.isfinite(r[idx])]
+        pts = [(r[0], r[idx]) for r in rows if math.isfinite(r[0]) and math.isfinite(r[idx])]
         if not pts:
             raise ProblemFileError(f"column {name!r} has no finite samples")
         series.append((name, pts))
-    xs = [x for _, pts in series for x, _ in pts]
-    ys = [y for _, pts in series for _, y in pts]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_pad = (x_hi - x_lo) * 0.05 or 1.0
-    y_pad = (y_hi - y_lo) * 0.05 or 1.0
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    x_lo, x_hi = _quarter_axis([x for _, pts in series for x, _ in pts])
+    y_lo, y_hi = _quarter_axis([y for _, pts in series for _, y in pts])
 
     def px(x):
-        return (x - x_lo) / (x_hi - x_lo) * width
+        return (x / 4.0 - x_lo) / (x_hi - x_lo) * width
 
     def py(y):
-        return height - (y - y_lo) / (y_hi - y_lo) * height
+        return height - (y / 4.0 - y_lo) / (y_hi - y_lo) * height
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -365,7 +377,7 @@ def _svg_chart(header, rows, cols, width, height) -> str:
         )
     parts.append(
         f'<text x="4" y="12" font-size="11" fill="#333333">'
-        f"y: [{y_lo:.6g}, {y_hi:.6g}]  t: [{x_lo:.6g}, {x_hi:.6g}]</text>"
+        f"y: [{_label(y_lo)}, {_label(y_hi)}]  t: [{_label(x_lo)}, {_label(x_hi)}]</text>"
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

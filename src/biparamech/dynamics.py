@@ -36,7 +36,6 @@ over lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .eom import (
@@ -50,7 +49,7 @@ from .eom import (
     energy,
     synthesize_el,
 )
-from .para_algebra import INVERTIBILITY_FLOOR, DomainError, ParaComplex, ZeroDivisor
+from .para_algebra import INVERTIBILITY_FLOOR, DomainError, ParaComplex, ValueType, ZeroDivisor
 from .symbolic import (
     Apply,
     Lowering,
@@ -77,45 +76,55 @@ class _NonFinite(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(ValueType):
     """A point on an integral curve: time plus both coordinate families."""
 
-    t: float
-    z: tuple
-    zb: tuple
+    _fields = ("t", "z", "zb")
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(self.z))
-        object.__setattr__(self, "zb", tuple(self.zb))
-        if len(self.z) != len(self.zb):
+    def __init__(self, t: float, z, zb) -> None:
+        z = tuple(z)
+        zb = tuple(zb)
+        if len(z) != len(zb):
             raise ValueError("z and zb must have equal length")
+        d = self.__dict__
+        d["t"] = t
+        d["z"] = z
+        d["zb"] = zb
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    method: str
-    t0: float
-    t1: float
-    dt: float | None = None
-    tol: float | None = None
-    max_steps: int = 10_000_000
+class IntegratorConfig(ValueType):
+    _fields = ("method", "t0", "t1", "dt", "tol", "max_steps")
 
-    def __post_init__(self):
-        if self.method not in ("rk4", "rkf45"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if not self.t1 > self.t0:
+    def __init__(
+        self,
+        method: str,
+        t0: float,
+        t1: float,
+        dt: float | None = None,
+        tol: float | None = None,
+        max_steps: int = 10_000_000,
+    ) -> None:
+        if method not in ("rk4", "rkf45"):
+            raise ValueError(f"unknown method {method!r}")
+        if not t1 > t0:
             raise ValueError("t1 must exceed t0")
-        if not math.isfinite(self.t1 - self.t0):
+        if not math.isfinite(t1 - t0):
             raise ValueError("t1 - t0 must be finite")
-        if self.max_steps < 1:
+        if max_steps < 1:
             raise ValueError("max_steps must be positive")
-        if self.method == "rk4":
-            if self.dt is None or not self.dt > 0:
+        if method == "rk4":
+            if dt is None or not dt > 0:
                 raise ValueError("rk4 requires dt > 0")
         else:
-            if self.tol is None or not self.tol > 0:
+            if tol is None or not tol > 0:
                 raise ValueError("rkf45 requires tol > 0")
+        d = self.__dict__
+        d["method"] = method
+        d["t0"] = t0
+        d["t1"] = t1
+        d["dt"] = dt
+        d["tol"] = tol
+        d["max_steps"] = max_steps
 
 
 class Trajectory:

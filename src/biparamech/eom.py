@@ -16,10 +16,9 @@ recomputed from lam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .para_algebra import J, ONE, ZERO, ParaComplex, apply_function
+from .para_algebra import J, ONE, ZERO, ParaComplex, ValueType, apply_function
 from .symbolic import (
     Apply,
     Constant,
@@ -81,26 +80,28 @@ def _check_chart_vars(e: Expr, chart: CoordinateChart, what: str) -> None:
             )
 
 
-@dataclass(frozen=True)
-class LagrangianProblem:
-    chart: CoordinateChart
-    L: Expr
-    lam: Expr = ZERO_EXPR
+class LagrangianProblem(ValueType):
+    _fields = ("chart", "L", "lam")
 
-    def __post_init__(self) -> None:
-        _check_chart_vars(self.L, self.chart, "the Lagrangian")
-        _check_chart_vars(self.lam, self.chart, "the conformal factor")
+    def __init__(self, chart: CoordinateChart, L: Expr, lam: Expr = ZERO_EXPR) -> None:
+        _check_chart_vars(L, chart, "the Lagrangian")
+        _check_chart_vars(lam, chart, "the conformal factor")
+        d = self.__dict__
+        d["chart"] = chart
+        d["L"] = L
+        d["lam"] = lam
 
 
-@dataclass(frozen=True)
-class HamiltonianProblem:
-    chart: CoordinateChart
-    H: Expr
-    lam: Expr = ZERO_EXPR
+class HamiltonianProblem(ValueType):
+    _fields = ("chart", "H", "lam")
 
-    def __post_init__(self) -> None:
-        _check_chart_vars(self.H, self.chart, "the Hamiltonian")
-        _check_chart_vars(self.lam, self.chart, "the conformal factor")
+    def __init__(self, chart: CoordinateChart, H: Expr, lam: Expr = ZERO_EXPR) -> None:
+        _check_chart_vars(H, chart, "the Hamiltonian")
+        _check_chart_vars(lam, chart, "the conformal factor")
+        d = self.__dict__
+        d["chart"] = chart
+        d["H"] = H
+        d["lam"] = lam
 
 
 def _exp_of(lam: Expr) -> Expr:
@@ -163,23 +164,36 @@ def energy(p: LagrangianProblem) -> Expr:
 _HALF = Constant(ParaComplex(0.5, 0.0))
 
 
-@dataclass(frozen=True)
-class ImplicitODE:
+class ImplicitODE(ValueType):
     """M*(xi1..xin, xib1..xibn) = b with coefficient entries free of xi."""
 
-    chart: CoordinateChart
-    M: tuple
-    b: tuple
+    _fields = ("chart", "M", "b")
+
+    def __init__(self, chart: CoordinateChart, M: tuple, b: tuple) -> None:
+        d = self.__dict__
+        d["chart"] = chart
+        d["M"] = M
+        d["b"] = b
 
 
-@dataclass(frozen=True)
-class ExplicitODE:
-    chart: CoordinateChart
-    rhs_z: tuple
-    rhs_zb: tuple
-    # denominators kept separately so integrators can name the singular one
-    denom_plus: Expr
-    denom_minus: Expr
+class ExplicitODE(ValueType):
+    _fields = ("chart", "rhs_z", "rhs_zb", "denom_plus", "denom_minus")
+
+    def __init__(
+        self,
+        chart: CoordinateChart,
+        rhs_z: tuple,
+        rhs_zb: tuple,
+        # denominators kept separately so integrators can name the singular one
+        denom_plus: Expr,
+        denom_minus: Expr,
+    ) -> None:
+        d = self.__dict__
+        d["chart"] = chart
+        d["rhs_z"] = rhs_z
+        d["rhs_zb"] = rhs_zb
+        d["denom_plus"] = denom_plus
+        d["denom_minus"] = denom_minus
 
 
 def _lam_rate_terms(lam: Expr, chart: CoordinateChart) -> tuple:

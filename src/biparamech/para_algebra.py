@@ -16,8 +16,8 @@ exact on the legs even when a leg is subnormal.  A value with ``u = 0`` or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 
 class ZeroDivisor(ArithmeticError):
@@ -36,6 +36,53 @@ class KindMismatch(ValueError):
 # underflow guard, not an epsilon: nearly-null values are meaningful dynamics
 # and must stay invertible.
 INVERTIBILITY_FLOOR = 1e-300
+
+
+class ValueType:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``_fields`` and writes an ``__init__``
+    that stores each one in ``self.__dict__``.  Instances compare equal
+    only to instances of the same class whose field tuples are equal, hash
+    as that tuple and print as ``Name(field=value, ...)``, which is what a
+    frozen dataclass gives; assigning or deleting an attribute raises
+    ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls._fields
+        if cls._fields:
+            # a one-field getter returns the bare value, not a 1-tuple
+            cls._get = attrgetter(*cls._fields)
+
+    def _values(self) -> tuple:
+        v = self._get(self)
+        return v if len(self._fields) > 1 else (v,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # wrapped, so a one-field value compares as a 1-tuple, identity first
+        get = self._get
+        return (get(self),) == (get(other),)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        inner = ", ".join(f"{name}={d[name]!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ParaComplex:
@@ -277,17 +324,18 @@ _STARRED = {
 }
 
 
-@dataclass(frozen=True)
-class FrameVector:
+class FrameVector(ValueType):
     """A coefficient times one frame symbol with a coordinate index (1-based)."""
 
-    kind: Basis
-    index: int
-    coefficient: ParaComplex = ONE
+    _fields = ("kind", "index", "coefficient")
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
+    def __init__(self, kind: Basis, index: int, coefficient: ParaComplex = ONE) -> None:
+        if index < 1:
             raise ValueError("frame index is 1-based")
+        d = self.__dict__
+        d["kind"] = kind
+        d["index"] = index
+        d["coefficient"] = coefficient
 
 
 def structure_apply(

@@ -24,9 +24,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from functools import lru_cache, partial, reduce
-from typing import Callable, Iterator
 
 from .para_algebra import (
     FUNCTIONS,
@@ -36,6 +35,7 @@ from .para_algebra import (
     ZERO,
     DomainError,
     ParaComplex,
+    ValueType,
     ZeroDivisor,
     _pow_leg,
     apply_function,
@@ -67,15 +67,15 @@ class IndexOutOfRange(ExpressionError):
     pass
 
 
-@dataclass(frozen=True)
-class CoordinateChart:
+class CoordinateChart(ValueType):
     """n para-complex coordinates z1..zn with formal partners zb1..zbn."""
 
-    n: int
+    _fields = ("n",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+    def __init__(self, n: int) -> None:
+        if not isinstance(n, int) or n < 1:
             raise ValueError("chart needs a positive integer coordinate count")
+        self.__dict__["n"] = n
 
     def indices(self) -> range:
         return range(1, self.n + 1)
@@ -90,77 +90,94 @@ class CoordinateChart:
 # ---------------------------------------------------------------------------
 
 
-class Expr:
-    """Base node."""
+class Expr(ValueType):
+    """Base node.
+
+    A node's hash is computed once and kept in its __dict__, as sort_key
+    is: an lru_cache key may be a whole system.
+    """
 
     __slots__ = ()
 
+    def __hash__(self) -> int:
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = hash(self._values())
+        return h
 
-@dataclass(frozen=True)
+
 class Constant(Expr):
-    value: ParaComplex
+    _fields = ("value",)
+
+    def __init__(self, value: ParaComplex) -> None:
+        self.__dict__["value"] = value
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    family: str
-    index: int
+    _fields = ("family", "index")
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown variable family {self.family!r}")
-        if self.index < 1:
+    def __init__(self, family: str, index: int) -> None:
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown variable family {family!r}")
+        if index < 1:
             raise ValueError("variable index is 1-based")
+        d = self.__dict__
+        d["family"] = family
+        d["index"] = index
 
     @property
     def name(self) -> str:
         return f"{self.family}{self.index}"
 
 
-@dataclass(frozen=True)
 class Sum(Expr):
-    children: tuple
+    _fields = ("children",)
+
+    def __init__(self, children: tuple) -> None:
+        self.__dict__["children"] = children
 
 
-@dataclass(frozen=True)
 class Product(Expr):
-    children: tuple
+    _fields = ("children",)
+
+    def __init__(self, children: tuple) -> None:
+        self.__dict__["children"] = children
 
 
-@dataclass(frozen=True)
 class Power(Expr):
-    base: Expr
-    exponent: int
+    _fields = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int) -> None:
+        d = self.__dict__
+        d["base"] = base
+        d["exponent"] = exponent
 
 
-@dataclass(frozen=True)
 class Quotient(Expr):
-    num: Expr
-    den: Expr
+    _fields = ("num", "den")
+
+    def __init__(self, num: Expr, den: Expr) -> None:
+        d = self.__dict__
+        d["num"] = num
+        d["den"] = den
 
 
-@dataclass(frozen=True)
 class Apply(Expr):
-    fn: str
-    arg: Expr
+    _fields = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: Expr) -> None:
+        d = self.__dict__
+        d["fn"] = fn
+        d["arg"] = arg
 
 
-@dataclass(frozen=True)
 class Negate(Expr):
-    child: Expr
+    _fields = ("child",)
 
+    def __init__(self, child: Expr) -> None:
+        self.__dict__["child"] = child
 
-def _hashed_once(structural):
-    # kept in __dict__, as sort_key is: an lru_cache key may be a whole system
-    def __hash__(self):
-        if "_hash" not in self.__dict__:
-            self.__dict__["_hash"] = structural(self)
-        return self.__dict__["_hash"]
-    return __hash__
-
-
-for _node in (Constant, Var, Sum, Product, Power, Quotient, Apply, Negate):
-    _node.__hash__ = _hashed_once(_node.__hash__)
 
 ZERO_EXPR = Constant(ZERO)
 ONE_EXPR = Constant(ONE)
@@ -513,14 +530,19 @@ def differentiate(e: Expr, var: Var) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalState:
+class EvalState(ValueType):
     """Values bound to the chart variables; xi families optional."""
 
-    z: tuple
-    zb: tuple
-    xi: tuple | None = None
-    xib: tuple | None = None
+    _fields = ("z", "zb", "xi", "xib")
+
+    def __init__(
+        self, z: tuple, zb: tuple, xi: tuple | None = None, xib: tuple | None = None
+    ) -> None:
+        d = self.__dict__
+        d["z"] = z
+        d["zb"] = zb
+        d["xi"] = xi
+        d["xib"] = xib
 
 
 def _lookup(state, family: str, index: int) -> ParaComplex:
@@ -831,7 +853,8 @@ def sort_key(e: Expr):
     """Total structural order used to canonicalize factor and term order.
 
     A pure function of structure, so it is computed once per node and kept
-    in the node's __dict__, which the dataclass's eq, hash and repr ignore.
+    in the node's __dict__, which eq, hash and repr ignore: they read only
+    the node's fields.
     """
     try:
         return e._sort_key

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .dynamics import at_state, energy_along, make_el_rhs, make_ham_rhs
 from .eom import (
@@ -34,6 +33,7 @@ from .para_algebra import (
     FrameVector,
     ParaComplex,
     StructureKind,
+    ValueType,
     ZeroDivisor,
     _make,
     structure_apply,
@@ -65,12 +65,15 @@ from .symbolic import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    measured: float
-    threshold: float
+class CheckResult(ValueType):
+    _fields = ("name", "passed", "measured", "threshold")
+
+    def __init__(self, name: str, passed: bool, measured: float, threshold: float) -> None:
+        d = self.__dict__
+        d["name"] = name
+        d["passed"] = passed
+        d["measured"] = measured
+        d["threshold"] = threshold
 
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -80,9 +83,17 @@ class CheckResult:
         )
 
 
-@dataclass
-class Report:
-    checks: list
+class Report(ValueType):
+    """The checks of a verification run; unlike the other value types it is
+    mutable, and so unhashable."""
+
+    _fields = ("checks",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, checks: list) -> None:
+        self.checks = checks
 
     @property
     def all_pass(self) -> bool:

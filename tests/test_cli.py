@@ -693,6 +693,35 @@ def test_plot_skips_nan_cells(tmp_path, capsys):
     assert len(pts.split()) == len(rows) - 2  # nan boundary samples dropped
 
 
+@pytest.mark.parametrize("body", [
+    "0,1e308\n1,-1e308\n",  # the span overflows
+    "0,1.75e308\n1,0\n",  # the padded top overflows
+    "-1e308,1\n1e308,2\n",  # the time span overflows
+])
+def test_plot_samples_past_the_float_range(tmp_path, body):
+    csv = tmp_path / "wide.csv"
+    csv.write_text("t,y\n" + body)
+    svg = tmp_path / "wide.svg"
+    assert main(["plot", str(csv), "-o", str(svg)]) == 0
+    text = svg.read_text()
+    assert "nan" not in text.lower() and "inf" not in text.lower()
+    pts = re.findall(r"points=\"([^\"]*)\"", text)[0].split()
+    assert len(pts) == 2
+    for p in pts:
+        x, y = map(float, p.split(","))
+        assert 0.0 <= x <= 640 and 0.0 <= y <= 400
+
+
+def test_plot_skips_rows_with_nonfinite_time(tmp_path):
+    csv = tmp_path / "t.csv"
+    csv.write_text("t,y\n0,1\ninf,2\nnan,3\n1,4\n")
+    svg = tmp_path / "t.svg"
+    assert main(["plot", str(csv), "-o", str(svg)]) == 0
+    text = svg.read_text()
+    assert "nan" not in text.lower() and "inf" not in text.lower()
+    assert len(re.findall(r"points=\"([^\"]*)\"", text)[0].split()) == 2
+
+
 def test_plot_custom_size(tmp_path, osc_csv):
     svg = tmp_path / "sized.svg"
     assert main([
@@ -915,16 +944,21 @@ def test_handler_is_looked_up_at_call_time(tmp_path, monkeypatch):
 
 def test_cli_imports_no_argparse():
     # argparse's first use (gettext, locale, a HelpFormatter per argument)
-    # cost about 6 ms of every command
+    # cost about 6 ms of every command, and dataclasses (with inspect) about
+    # half of the import; -S keeps site's own imports, typing among them,
+    # out of the set
     code = (
         "import sys\n"
         f"sys.path.insert(0, {os.path.join(REPO, 'src')!r})\n"
+        "import biparamech\n"
         "import biparamech.cli\n"
         "assert biparamech.cli.main(['derive', 'problems/oscillator.json']) == 0\n"
-        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'argparse', 'gettext', 'locale'}"
+        " & set(sys.modules)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", code], cwd=REPO, capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-S", "-c", code],
+        cwd=REPO, capture_output=True, text=True, check=True,
     )
     assert proc.stdout.splitlines()[-1] == "[]"
 
