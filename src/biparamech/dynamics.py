@@ -22,9 +22,12 @@ independent real systems of size m = 2n, solved by elimination emitted
 as straight-line code with no loops (_eliminate).  When every leg of M
 lowers to a literal, as for a constant M, the elimination is worked out
 at build time and folded into the system's one lowered function, which
-is left with b's arithmetic (_folded_el_rhs).  Any other M keeps its
-lowered function and the leg solver emitted once per m (_leg_solver),
-whose one code object solves either leg of every system of that size.
+is left with b's arithmetic (_folded_el_rhs).  The conformal system is
+M = j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T), so a constant
+Hessian H folds the same way under any lam, and each leg is left with
+one rank-one update.  Any other M keeps its lowered function and the
+leg solver emitted once per m (_leg_solver), whose one code object
+solves either leg of every system of that size.
 
 Both steppers take (rhs, y, cfg, times, rows) and append each accepted
 step's time and row to times and rows themselves.  RK4 runs in a loop
@@ -46,16 +49,21 @@ from .eom import (
     LagrangianProblem,
     SingularDenominator,
     _AtTime,
+    _exp_of,
     energy,
     synthesize_el,
 )
 from .para_algebra import INVERTIBILITY_FLOOR, DomainError, ParaComplex, ValueType, ZeroDivisor
 from .symbolic import (
+    J_EXPR,
     Apply,
+    Expr,
     Lowering,
     Negate,
     Product,
+    Sum,
     differentiate,
+    is_zero,
     leg_text,
     lower,
     lowered_function,
@@ -166,21 +174,23 @@ def _row_legs(row) -> list:
 
 def _eliminate(a, which: str, tag: str):
     """Emit Gaussian elimination with scaled partial pivoting for one leg's
-    m x m system, on the augmented rows a (column m holds b), with the
-    looped algorithm's float operations in their order.
+    m x m system, on the augmented rows a (columns m and on hold the
+    right-hand sides), with the looped algorithm's float operations in
+    their order, for each right-hand side as if it were solved alone.
 
     An entry is a float literal or the name of a local that the emitted
     code may rebind.  A step whose operands are all literals runs here and
     only its outcome is kept: a row scale, a pivot choice and its row swap,
     a multiplier and its f != 0.0 skip, an update, a division, a test that
-    passes.  A test that always fails ends the lines with its raise, and x
-    comes back as None.  Any other step is emitted as code that swaps and
-    updates rows in place, so M's entries must be all literals or all
-    names.  which is spliced into the raise's f-string, and tag into every
-    local the lines bind, so that two legs can share one function; x / 1.0
-    is x and x / -1.0 is -x, exactly.  Returns the lines and x's entries.
+    passes.  A test that always fails ends the lines with its raise, and
+    the solutions come back as None.  Any other step is emitted as code
+    that swaps and updates rows in place, so M's entries must be all
+    literals or all names.  which is spliced into the raise's f-string,
+    and tag into every local the lines bind, so that two legs can share
+    one function; x / 1.0 is x and x / -1.0 is -x, exactly.  Returns the
+    lines and one solution per right-hand side, as a list of its entries.
     """
-    m = len(a)
+    m, width = len(a), len(a[0])
     lines: list[str] = []
 
     def literal(*xs) -> bool:
@@ -195,8 +205,8 @@ def _eliminate(a, which: str, tag: str):
             return True
         return False
 
-    def bound(stem: str, code: str) -> str:
-        name = f"{stem}{tag}"
+    def bound(stem: str, code: str, suffix: str = "") -> str:
+        name = f"{stem}{tag}{suffix}"
         lines.append(f"{name} = {code}")
         return name
 
@@ -235,34 +245,38 @@ def _eliminate(a, which: str, tag: str):
             if not literal(a[r][k], pivot):
                 lines.append(f"f = {a[r][k]} / {pivot}")
                 lines.append("if f != 0.0:")
-                lines += [f"    {a[r][c]} -= f * {a[k][c]}" for c in range(k + 1, m + 1)]
+                lines += [f"    {a[r][c]} -= f * {a[k][c]}" for c in range(k + 1, width)]
                 continue
             f = a[r][k] / pivot
             if f != 0.0:
-                for c in range(k + 1, m + 1):
+                for c in range(k + 1, width):
                     if literal(a[r][c], a[k][c]):
                         a[r][c] -= f * a[k][c]
                     else:
                         code = f"{leg_text(a[r][c])} - {leg_text(f)} * {leg_text(a[k][c])}"
                         a[r][c] = bound(f"r{len(lines)}", code)
-    x = [0.0] * m
-    for k in range(m - 1, -1, -1):
-        total, terms = a[k][m], ""
-        for c in range(k + 1, m):
-            if not terms and literal(total, a[k][c], x[c]):
-                total -= a[k][c] * x[c]
+    xs = []
+    for j in range(m, width):
+        suffix = f"_{j - m}" if j > m else ""
+        x = [0.0] * m
+        for k in range(m - 1, -1, -1):
+            total, terms = a[k][j], ""
+            for c in range(k + 1, m):
+                if not terms and literal(total, a[k][c], x[c]):
+                    total -= a[k][c] * x[c]
+                else:
+                    terms += f" - {leg_text(a[k][c])} * {leg_text(x[c])}"
+            pivot, code = a[k][k], f"{leg_text(total)}{terms}"
+            if not terms and literal(total, pivot):
+                x[k] = total / pivot
+            elif literal(pivot) and pivot == 1.0:  # x / 1.0 is x, exactly
+                x[k] = bound(f"x{k}", code, suffix) if terms else total
+            elif literal(pivot) and pivot == -1.0:  # and x / -1.0 is -x
+                x[k] = bound(f"x{k}", f"-({code})", suffix)
             else:
-                terms += f" - {leg_text(a[k][c])} * {leg_text(x[c])}"
-        pivot, code = a[k][k], f"{leg_text(total)}{terms}"
-        if not terms and literal(total, pivot):
-            x[k] = total / pivot
-        elif literal(pivot) and pivot == 1.0:  # x / 1.0 is x, exactly
-            x[k] = bound(f"x{k}", code) if terms else total
-        elif literal(pivot) and pivot == -1.0:  # and x / -1.0 is -x
-            x[k] = bound(f"x{k}", f"-({code})")
-        else:
-            x[k] = bound(f"x{k}", f"({code}) / {leg_text(pivot)}")
-    return lines, x
+                x[k] = bound(f"x{k}", f"({code}) / {leg_text(pivot)}", suffix)
+        xs.append(x)
+    return lines, xs
 
 
 @lru_cache(maxsize=None)
@@ -277,7 +291,7 @@ def _leg_solver(m: int):
     a = [[f"a{i}_{c}" for c in range(m + 1)] for i in range(m)]  # column m holds b
     lines = [f"{a[i][c]} = w[{2 * (i * m + c)} + side]" for i in range(m) for c in range(m)]
     lines += [f"{a[i][m]} = w[{2 * (m * m + i)} + side]" for i in range(m)]
-    elimination, x = _eliminate(a, "{which}", "")
+    elimination, (x,) = _eliminate(a, "{which}", "")
     body = "".join(f"    {line}\n" for line in lines + elimination)
     source = f"def solve(w, side, which):\n{body}    return [{', '.join(x)}]\n"
     namespace = {"DegenerateLagrangian": DegenerateLagrangian}
@@ -333,45 +347,148 @@ def at_state(rhs, s):
     return _values(dy[: 2 * n]), _values(dy[2 * n :])
 
 
-def _folded_el_rhs(low: Lowering, w: list, m: int):
-    """The lowered M and b of make_el_rhs with both legs' eliminations
-    folded in, for M's legs w[:2*m*m] all finite literals.  Only b's
-    arithmetic is left; a system that is always singular raises at every
-    call, after its b legs are found finite."""
+def _rank_one(lines: list, yb: list, yc: list, g: list, terms: list, tag: str, which: str) -> list:
+    """Emit x = yb - yc*(g.yb)/(1 + g.yc) for one leg (Sherman-Morrison),
+    with the dot products over terms, and return x's legs.  A scalar
+    1 + g.yc at most PIVOT_TOL times 1 + sum |g_i*yc_i| raises
+    DegenerateLagrangian naming the leg, or _NonFinite when it is not
+    finite."""
+    q = [f"q{i}{tag}" for i in terms]
+    lines += [f"{name} = {leg_text(g[i])} * {leg_text(yc[i])}" for name, i in zip(q, terms)]
+    den, k = f"den{tag}", f"k{tag}"
+    lines.append(f"{den} = 1.0 + ({' + '.join(q)})")
+    scale = " + ".join(["1.0"] + [f"abs({name})" for name in q])
+    lines.append(f"if abs({den}) <= {PIVOT_TOL!r} * ({scale}): raise DegenerateLagrangian("
+                 f'"singular {which} component system") if isfinite({den}) else _NonFinite')
+    lines.append(f"{k} = ({' + '.join(f'{leg_text(g[i])} * {leg_text(yb[i])}' for i in terms)}) / {den}")
+    x = [f"dx{i}{tag}" for i in range(len(yb))]
+    lines += [f"{name} = {leg_text(b)} - {leg_text(c)} * {k}" for name, b, c in zip(x, yb, yc)]
+    return x
+
+
+def _folded_el_rhs(low: Lowering, a, b, c=None, g=None):
+    """One lowered function that returns the legs of x in (D + c*g^T)*x = b,
+    with the elimination on D worked out at build time; low holds the lines
+    that compute b, c and g.
+
+    a holds D's rows on the e+ and on the e- leg, all finite literals, and
+    b, c and g hold those vectors' legs in the same way, each a local of low
+    or a literal.  Without c the system is D*x = b and only b's arithmetic
+    is left; a D that is always singular raises at every call, after b's
+    legs are found finite.  With c, one elimination per leg gives D^-1 b
+    and D^-1 c, and _rank_one corrects them, leaving out every term of a
+    g_i that is a literal zero (a leg with none is D*x = b); a D that is
+    always singular returns None."""
     x = []
     for side, tag, which in ((0, "u", "e+"), (1, "v", "e-")):
-        a = [w[2 * i * m + side : 2 * (i + 1) * m : 2] + [w[2 * (m * m + i) + side]] for i in range(m)]
-        elimination, legs = _eliminate(a, which, tag)
+        terms = [] if c is None else [i for i, gi in enumerate(g[side])
+                                      if not (isinstance(gi, float) and gi == 0.0)]
+        columns = [b[side], c[side]] if terms else [b[side]]
+        rows = [row + [col[i] for col in columns] for i, row in enumerate(a[side])]
+        elimination, legs = _eliminate(rows, which, tag)
         if legs is None:  # only the raise: the lines before it raise nothing
-            b = [leg_text(v) for v in w[2 * m * m :] if not (isinstance(v, float) and math.isfinite(v))]
+            if c is not None:
+                return None
+            b = [leg_text(v) for pair in zip(*b) for v in pair if not (isinstance(v, float) and math.isfinite(v))]
             if b:
                 low.lines.append(f"if not all(map(isfinite, ({', '.join(b)}, ))): raise _NonFinite")
             low.lines.append(elimination[-1])
             break
         low.lines += elimination
-        x.append(legs)
+        x.append(_rank_one(low.lines, *legs, g[side], terms, tag, which) if terms else legs[0])
     dy = [leg for pair in zip(*x) for leg in pair]
     return low.function(dy, DegenerateLagrangian=DegenerateLagrangian, _NonFinite=_NonFinite,
                         isfinite=math.isfinite)
 
 
+def _entry_parts(entry: Expr, lower: bool):
+    """(j, factor, h, g, c) for an entry j*factor*(h + c*g) of M in the form
+    synthesize_el gives it, whose c*g is g*d in M's upper half and -(g*d)
+    with c = -d in its lower half; None for any other entry."""
+    match entry:
+        case Product((j, factor, Sum((h, Product((g, d)))))) if not lower:
+            return j, factor, h, g, d
+        case Product((j, factor, Sum((h, Negate(Product((g, d))))))) if lower:
+            return j, factor, h, g, Negate(d)
+    return None
+
+
+def _rank_one_split(ode: ImplicitODE):
+    """(H, g, grow, shrink) for M = j*diag(grow I_n, shrink I_n)*(H + c*g^T)
+    with c = (b[n:], b[:n]) and shrink = exp(-lam) for grow = exp(lam), the
+    form synthesize_el gives the conformal system, where g, lam's gradient,
+    is not all zero.  None for any other M."""
+    n = ode.chart.n
+    c = ode.b[n:] + ode.b[:n]
+    parts = [[_entry_parts(e, r >= n) for e in row] for r, row in enumerate(ode.M)]
+    if any(p is None for row in parts for p in row):
+        return None
+    grow, shrink, g = parts[0][0][1], parts[n][0][1], [p[3] for p in parts[0]]
+    if all(map(is_zero, g)):
+        return None
+    for r, row in enumerate(parts):
+        for k, (j, factor, _, g_k, c_r) in enumerate(row):
+            if j != J_EXPR or factor != (shrink if r >= n else grow) or g_k != g[k] or c_r != c[r]:
+                return None
+    if not (isinstance(grow, Apply) and shrink == _exp_of(Negate(grow.arg))):
+        return None
+    return [[p[2] for p in row] for row in parts], g, grow, shrink
+
+
+def _rank_one_el_rhs(ode: ImplicitODE, h: list, g: list, grow: Expr, shrink: Expr):
+    """make_el_rhs for M = j*diag(grow I_n, shrink I_n)*(H + c*g^T), when
+    every leg of H lowers to a finite literal and D = j*H is not singular;
+    None otherwise.  M*x = b is (D + c*(j*g)^T)*x = (shrink*b[:n],
+    grow*b[n:]), since j*j = 1."""
+    n = ode.chart.n
+    probe = Lowering(ode.chart.slots())
+    d = ([], [])
+    for row in h:
+        legs = [probe.legs(e) for e in row]
+        if not all(isinstance(x, float) and math.isfinite(x) for pair in legs for x in pair):
+            return None
+        d[0].append([u for u, _ in legs])
+        d[1].append([-v for _, v in legs])  # j's e- leg is -1
+    low = Lowering(ode.chart.slots())
+    low.legs(grow)  # M's order: exp(lam), lam's partials, then L's partials
+    jg = [low.legs(Product((J_EXPR, e))) for e in g]
+    scaled = [low.legs(Product((shrink if i < n else grow, e))) for i, e in enumerate(ode.b)]
+    c = [low.legs(e) for e in ode.b[n:] + ode.b[:n]]
+    return _folded_el_rhs(low, d, tuple(zip(*scaled)), tuple(zip(*c)), tuple(zip(*jg)))
+
+
 @lru_cache(maxsize=64)
 def make_el_rhs(ode: ImplicitODE):
-    """rhs(y) -> dy for an implicit EL system, from one lowering of M and b.
+    """rhs(y) -> dy for an implicit EL system, as one lowered function when
+    the solve can be folded into it, and otherwise from one lowering of M
+    and b.
 
-    When every leg of M lowers to a finite literal, as it does for a
-    constant M, the solve is folded into the lowered function
-    (_folded_el_rhs): one function per system, with the pivoting done at
-    build time.  Otherwise the lowered function returns M's and b's legs,
-    and the shared _leg_solver(m) solves each leg.  A pivot that fails
-    because an entry of M or b is not finite is a non-finite step, not a
-    degenerate system."""
+    - When every leg of M lowers to a finite literal, as it does for a
+      constant M, the lowered function is b's arithmetic followed by both
+      legs' eliminations, with the pivoting done at build time
+      (_folded_el_rhs).
+    - When M has the conformal form j*diag(exp(lam) I, exp(-lam) I)*
+      (H + c*grad(lam)^T) that synthesize_el gives it, with a Hessian H
+      whose legs all lower to finite literals and are not singular, and
+      lam is not constant, only b, grad(lam) and exp(+-lam) are lowered:
+      the elimination on j*H is folded, and each leg adds one rank-one
+      update (Sherman-Morrison) whose scalar 1 + g.y_c is the leg's pivot.
+    - Otherwise the lowered function returns M's and b's legs, and the
+      shared _leg_solver(m) solves each leg.
+
+    A pivot or a scalar that fails because an entry of M or b is not
+    finite is a non-finite step, not a degenerate system."""
+    split = _rank_one_split(ode)
+    folded = None if split is None else _rank_one_el_rhs(ode, *split)
+    if folded is not None:
+        return folded
     m = 2 * ode.chart.n
     low = Lowering(ode.chart.slots())
     entries = tuple(e for row in ode.M for e in row) + ode.b
     w = [leg for e in entries for leg in low.legs(e)]
     if all(isinstance(leg, float) and math.isfinite(leg) for leg in w[: 2 * m * m]):
-        return _folded_el_rhs(low, w, m)
+        a = tuple([w[2 * i * m + side : 2 * (i + 1) * m : 2] for i in range(m)] for side in (0, 1))
+        return _folded_el_rhs(low, a, (w[2 * m * m :: 2], w[2 * m * m + 1 :: 2]))
     # the solver's compile is the largest allocation here, so only the
     # lowered source is alive during it
     source, nodes = low.source(w), low.nodes

@@ -562,8 +562,19 @@ def _lookup(state, family: str, index: int) -> ParaComplex:
 
 
 def _zero_divisor(e: Expr):
+    """Raise ZeroDivisor naming e with its operands simplified, once its
+    check has failed: the chain rule's trees are unreadable, and simplify(e)
+    itself may cancel the divisor (0/x is 0).  e is named as it is when
+    simplify raises."""
     what = "base" if isinstance(e, Power) else "denominator"
-    raise ZeroDivisor(f"zero-divisor {what} in '{to_text(e)}'")
+    try:
+        if isinstance(e, Power):
+            shown = Power(simplify(e.base), e.exponent)
+        else:
+            shown = Quotient(simplify(e.num), simplify(e.den))
+    except (ArithmeticError, ExpressionError, RecursionError):
+        shown = e
+    raise ZeroDivisor(f"zero-divisor {what} in '{to_text(shown)}'")
 
 
 def _domain_failure(e: Expr):

@@ -445,6 +445,23 @@ def test_degenerate_lagrangian_aborts_at_the_start(tmp_path, capsys):
     assert capsys.readouterr().err == "error: zero row in e+ component system at t=0.0\n"
 
 
+def test_a_conformal_lagrangian_on_its_singular_cone_aborts_at_the_start(tmp_path, capsys):
+    # L = z1*zb1 has H = 1, and lam = 0.5*z1 makes 1 + grad(lam).H^-1 c =
+    # 1 + 0.5*z1 exactly zero on both legs at z1 = -2: the rank-one scalar
+    # of the constant-Hessian solve is that leg's pivot
+    path = str(DATA / "conformal_singular_lagrangian.json")
+    assert main(["integrate", path, "-o", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == "error: singular e+ component system at t=0.0\n"
+    # just off the cone, at z1 = -1.9, the flow runs away from it
+    doc = json.loads((DATA / "conformal_singular_lagrangian.json").read_text())
+    doc["initial"]["z"] = [[-1.9, 0.0]]
+    doc["t1"] = 1.0
+    out = tmp_path / "off.csv"
+    assert main(["integrate", write_doc(tmp_path, doc), "-o", str(out)]) == 0
+    header, rows = rows_of(out)
+    assert len(rows) == 101 and rows[-1][0] == "1.0"
+
+
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
 def test_power_overflow_in_m_leaves_the_finite_domain(tmp_path, capsys, method):
     # 1560*zb1^38 overflows to inf in M, whose scaled pivot then fails: the
@@ -466,7 +483,7 @@ def test_power_overflow_in_m_leaves_the_finite_domain(tmp_path, capsys, method):
 @pytest.mark.parametrize(
     "name,error",
     [
-        ("zero_divisor_lagrangian.json", "zero-divisor denominator in '((("),
+        ("zero_divisor_lagrangian.json", "zero-divisor denominator in '0/(1 - 4*z1 + 6*z1^2 - 4*z1^3 + z1^4)'"),
         ("zero_divisor_hamiltonian.json", "zero-divisor denominator in '-j/(1 - 2*z1 + z1^2)'"),
         ("ln_velocity.json", "domain failure in 'ln(z1)'"),
         ("ln_energy.json", "domain failure in 'ln(z1)'"),

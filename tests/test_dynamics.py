@@ -37,7 +37,21 @@ from biparamech.eom import (
     synthesize_ham,
 )
 from biparamech.para_algebra import INVERTIBILITY_FLOOR, ONE, ZERO, DomainError, ParaComplex, ZeroDivisor
-from biparamech.symbolic import CoordinateChart, Constant, EvalState, Lowering, lower, parse, z_var, zb_var
+from biparamech.symbolic import (
+    Apply,
+    Constant,
+    CoordinateChart,
+    EvalState,
+    Lowering,
+    Negate,
+    Var,
+    differentiate,
+    lower,
+    parse,
+    simplify,
+    z_var,
+    zb_var,
+)
 from test_cli import textbook_run_rk4, textbook_run_rkf45
 
 PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "problems")
@@ -316,9 +330,9 @@ def folded_legs(mu, bu, mv, bv):
     bv), which the function reads from y as the legs of z1..zm."""
     m = len(bu)
     low = Lowering(tuple(("z", i) for i in range(1, m + 1)))
-    w = [leg for i in range(m) for c in range(m) for leg in (mu[i][c], mv[i][c])]
-    w += [leg for i in range(1, m + 1) for leg in low.legs(z_var(i))]
-    dy = _folded_el_rhs(low, w, m)([leg for pair in zip(bu, bv) for leg in pair])
+    b = [low.legs(z_var(i)) for i in range(1, m + 1)]
+    dy = _folded_el_rhs(low, (mu, mv), ([u for u, _ in b], [v for _, v in b]))(
+        [leg for pair in zip(bu, bv) for leg in pair])
     return dy[0::2], dy[1::2]
 
 
@@ -392,6 +406,154 @@ class TestFoldedSolveMatchesTextbook:
             rhs([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(_NonFinite):
             rhs([1.0, 2.0, bad, 4.0])
+
+
+def textbook_rank_one(d, b, c, g, which):
+    """Looped Sherman-Morrison on one leg: x in (D + c*g^T)*x = b from
+    textbook_solve's D^-1 b and D^-1 c, where an entry of g that is None
+    is a literal zero whose terms are left out.  The reference the folded
+    rank-one solve must match bit for bit."""
+    yb = textbook_solve(d, b, which)
+    terms = [i for i, gi in enumerate(g) if gi is not None]
+    if not terms:
+        return yb
+    yc = textbook_solve(d, c, which)
+    q = [g[i] * yc[i] for i in terms]
+    dot = q[0]
+    for x in q[1:]:
+        dot += x
+    den = 1.0 + dot
+    scale = 1.0
+    for x in q:
+        scale += abs(x)
+    if abs(den) <= PIVOT_TOL * scale:
+        if math.isfinite(den):
+            raise DegenerateLagrangian(f"singular {which} component system")
+        raise _NonFinite
+    num = g[terms[0]] * yb[terms[0]]
+    for i in terms[1:]:
+        num += g[i] * yb[i]
+    k = num / den
+    return [yb[i] - yc[i] * k for i in range(len(yb))]
+
+
+def textbook_rank_one_para(d, b, c, g):
+    return tuple(textbook_rank_one(d[side], b[side], c[side], g[side], which)
+                 for side, which in ((0, "e+"), (1, "e-")))
+
+
+def rank_one_legs(d, b, c, g):
+    """The folded rank-one solve on literal leg matrices d = (du, dv), with
+    the legs of b, c and g read from y as the legs of z1..z3m; an entry of
+    g that is None is a literal zero."""
+    m = len(b[0])
+    low = Lowering(tuple(("z", i) for i in range(1, 3 * m + 1)))
+    legs = [low.legs(z_var(i)) for i in range(1, 3 * m + 1)]
+    names = tuple([leg[side] for leg in legs] for side in (0, 1))
+    gl = tuple([0.0 if gi is None else name for gi, name in zip(g[side], names[side][2 * m :])] for side in (0, 1))
+    fn = _folded_el_rhs(low, d, tuple(n[:m] for n in names), tuple(n[m : 2 * m] for n in names), gl)
+    dy = fn([0.0 if x is None else x for vec in (b, c, g) for pair in zip(*vec) for x in pair])
+    return dy[0::2], dy[1::2]
+
+
+class TestRankOneSolveMatchesTextbook:
+    """The folded elimination on a literal D with the Sherman-Morrison update
+    for (D + c*g^T)*x = b, with b, c and g read from y, against the looped
+    reference, m = 2..8."""
+
+    EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+    def cases(self, m, rng):
+        def mat():
+            a = [[rng.uniform(-2, 2) for _ in range(m)] for _ in range(m)]
+            for i in range(m):
+                a[i][i] += 4.0 * rng.choice((-1, 1))
+            return a
+
+        def vec():
+            return [rng.uniform(-2, 2) for _ in range(m)]
+
+        for trial in range(30):
+            d, b, c, g = (mat(), mat()), (vec(), vec()), (vec(), vec()), (vec(), vec())
+            if trial % 3 == 1:  # exact zeros in D, b, c and g, and literal zeros in g
+                for a in d:
+                    for i in range(m):
+                        for k in range(m):
+                            if i != k and rng.random() < 0.3:
+                                a[i][k] = rng.choice((0.0, -0.0))
+                for vs in b + c + g:
+                    for i in range(m):
+                        if rng.random() < 0.3:
+                            vs[i] = rng.choice((0.0, -0.0))
+                for vs in g:
+                    for i in range(m):
+                        if rng.random() < 0.3:
+                            vs[i] = None
+            if trial % 3 == 2:  # a non-finite leg of b or c
+                vs = rng.choice(b + c)
+                vs[rng.randrange(m)] = rng.choice(self.EDGES)
+            if trial % 5 == 4:  # b = +-0, as at an equilibrium
+                b = tuple([rng.choice((0.0, -0.0)) for _ in range(m)] for _ in "uv")
+            if trial == 3:  # a g that is a literal zero on the e- leg
+                g = (g[0], [None] * m)
+            yield d, b, c, g
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_bit_for_bit(self, m):
+        rng = random.Random(600 + m)
+        outcomes = set()
+        for d, b, c, g in self.cases(m, rng):
+            want = outcome(textbook_rank_one_para, d, b, c, g)
+            assert outcome(rank_one_legs, d, b, c, g) == want
+            outcomes.add(type(want))
+        assert list in outcomes
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_the_update_solves_the_assembled_system(self, m):
+        # the reference itself: D + c*g^T solved by elimination agrees
+        rng = random.Random(500 + m)
+        for d, b, c, g in self.cases(m, rng):
+            if not all(math.isfinite(x) for vs in b + c for x in vs):
+                continue
+            for side in (0, 1):
+                gs = [0.0 if x is None else x for x in g[side]]
+                full = [[d[side][i][k] + c[side][i] * gs[k] for k in range(m)] for i in range(m)]
+                if np.linalg.cond(np.array(full)) > 1e6:
+                    continue
+                got = textbook_rank_one(d[side], b[side], c[side], g[side], "e+")
+                want = textbook_solve(full, b[side], "e+")
+                assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-9 * max(1.0, *map(abs, want))
+
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    @pytest.mark.parametrize("leg", ["e+", "e-"])
+    def test_a_singular_scalar_names_its_leg(self, m, leg):
+        # g = -yc/|yc|^2 puts 1 + g.yc within rounding of zero; a g off by
+        # a millionth leaves a scalar far above PIVOT_TOL
+        rng = random.Random(m)
+        d = tuple([[rng.uniform(-1, 1) + 4.0 * (i == k) for k in range(m)] for i in range(m)] for _ in "uv")
+        b = tuple([rng.uniform(-2, 2) for _ in range(m)] for _ in "uv")
+        c = tuple([rng.uniform(-2, 2) for _ in range(m)] for _ in "uv")
+        side = 0 if leg == "e+" else 1
+        yc = textbook_solve(d[side], c[side], leg)
+        norm = sum(x * x for x in yc)
+        for shift, singular in ((1.0, True), (1.0 - 1e-6, False)):
+            g = [[rng.uniform(-2, 2) for _ in range(m)] for _ in "uv"]
+            g[side] = [-shift * x / norm for x in yc]
+            got = outcome(rank_one_legs, d, b, c, tuple(g))
+            assert got == outcome(textbook_rank_one_para, d, b, c, tuple(g))
+            assert (got == (DegenerateLagrangian, f"singular {leg} component system")) == singular
+
+    def test_a_non_finite_scalar_is_a_non_finite_step(self):
+        d = ([[1.0, 0.0], [0.0, 1.0]],) * 2
+        b, g = ([1.0, 1.0],) * 2, ([1.0, 1.0],) * 2
+        with pytest.raises(_NonFinite):
+            rank_one_legs(d, b, ([math.inf, 1.0], [1.0, 1.0]), g)
+
+    def test_a_singular_d_is_left_to_the_general_solver(self):
+        low = Lowering((("z", 1),))
+        u, v = low.legs(z_var(1))
+        d = ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]])
+        assert _folded_el_rhs(low, d, ([u, v], [u, v]), ([u, v], [u, v]), ([u, v], [u, v])) is None
 
 
 # ---------------------------------------------------------------------------
@@ -806,20 +968,58 @@ def textbook_el_rhs(ode):
     return rhs
 
 
-def conformal_l4():
-    """A coupled conformal Lagrangian with n = 4, so its legs are 8 x 8."""
-    chart = CoordinateChart(4)
+def textbook_conformal_el_rhs(p):
+    """make_el_rhs for a conformal Lagrangian with a constant Hessian H,
+    rebuilt on textbook_rank_one from L's and lam's own partials: on each
+    leg, (j*H + c*(j*g)^T)*x = (exp(-lam)*b[:n], exp(lam)*b[n:]) with
+    b = (-dL/dz, dL/dzb), c = (b[n:], b[:n]) and g = grad(lam); a leg of g
+    that lowers to a literal zero is left out."""
+    chart = p.chart
+    n, slots = chart.n, chart.slots()
+    lz = [differentiate(p.L, z_var(i)) for i in chart.indices()]
+    lzb = [differentiate(p.L, zb_var(i)) for i in chart.indices()]
+    low = Lowering(slots)
+    h = [[low.legs(differentiate(f, Var(*s))) for s in slots] for f in lzb + lz]
+    d = ([[u for u, _ in row] for row in h], [[-v for _, v in row] for row in h])
+    grad = [simplify(differentiate(p.lam, Var(*s))) for s in slots]
+    zero = [[isinstance(leg, float) and leg == 0.0 for leg in low.legs(e)] for e in grad]
+    exps = (simplify(Apply("exp", p.lam)), simplify(Apply("exp", Negate(p.lam))))
+    values = lower(exps + tuple(grad) + tuple(Negate(e) for e in lz) + tuple(lzb), slots)
+
+    def rhs(y):
+        out = values(y)
+        legs = [out[k : k + 2] for k in range(0, len(out), 2)]
+        grow, shrink, g, b = legs[0], legs[1], legs[2 : 2 + 2 * n], legs[2 + 2 * n :]
+        x = []
+        for side, sign, which in ((0, 1.0, "e+"), (1, -1.0, "e-")):
+            r = [shrink[side] * v[side] for v in b[:n]] + [grow[side] * v[side] for v in b[n:]]
+            c = [v[side] for v in b[n:] + b[:n]]
+            jg = [None if z[side] else sign * v[side] for z, v in zip(zero, g)]
+            x.append(textbook_rank_one(d[side], r, c, jg, which))
+        return [leg for pair in zip(*x) for leg in pair]
+
+    return rhs
+
+
+def conformal_l(n, extra=""):
+    """A coupled conformal Lagrangian in n <= 4 coordinates, so its legs are
+    2n x 2n, plus the terms in extra."""
+    chart = CoordinateChart(n)
     function = " + ".join(
-        [f"z{i}*zb{i} + 0.3*zb{i}^2" for i in range(1, 5)] + [f"0.1*z{i}*zb{i + 1}" for i in range(1, 4)]
-    )
-    lam = " + ".join(f"0.2*z{i}*zb{i}" for i in range(1, 5))
+        [f"z{i}*zb{i} + 0.3*zb{i}^2" for i in range(1, n + 1)] + [f"0.1*z{i}*zb{i + 1}" for i in range(1, n)]
+    ) + extra
+    lam = " + ".join(f"0.2*z{i}*zb{i}" for i in range(1, n + 1))
     p = LagrangianProblem(chart, parse(function, chart), parse(lam, chart))
     s0 = PhaseState(
         t=0.0,
-        z=(pc(0.5, 0.1), pc(0.6, -0.1), pc(0.4, 0.05), pc(0.7, 0.0)),
-        zb=(pc(0.2, 0.1), pc(0.3, -0.05), pc(0.1, 0.0), pc(0.25, 0.1)),
+        z=(pc(0.5, 0.1), pc(0.6, -0.1), pc(0.4, 0.05), pc(0.7, 0.0))[:n],
+        zb=(pc(0.2, 0.1), pc(0.3, -0.05), pc(0.1, 0.0), pc(0.25, 0.1))[:n],
     )
     return p, s0, IntegratorConfig(method="rk4", t0=0.0, t1=0.05, dt=0.001)
+
+
+def conformal_l4():
+    return conformal_l(4)
 
 
 def shipped(name):
@@ -827,21 +1027,46 @@ def shipped(name):
     return lp.problem, lp.start(), lp.config()
 
 
+def general_textbook(p):
+    return textbook_el_rhs(synthesize_el(p))
+
+
 @pytest.mark.parametrize(
-    "case",
-    [lambda: shipped("oscillator.json"), lambda: shipped("el_coupled.json"), conformal_l4,
-     lambda: shipped("el_quadratic.json"), lambda: shipped("el_exp.json")],
-    ids=["oscillator", "el_coupled", "conformal_n4", "el_quadratic", "el_exp"],
+    "case, textbook",
+    [
+        pytest.param(lambda: shipped("oscillator.json"), general_textbook, id="oscillator"),
+        pytest.param(lambda: shipped("el_coupled.json"), general_textbook, id="el_coupled"),
+        pytest.param(conformal_l4, textbook_conformal_el_rhs, id="conformal_n4"),
+        pytest.param(lambda: shipped("el_quadratic.json"), general_textbook, id="el_quadratic"),
+        pytest.param(lambda: shipped("el_exp.json"), general_textbook, id="el_exp"),
+        pytest.param(lambda: shipped("el_conformal.json"), textbook_conformal_el_rhs, id="el_conformal"),
+        # a Hessian that is not constant keeps the 6 x 6 and 8 x 8 leg solvers
+        pytest.param(lambda: conformal_l(3, " + 0.01*z1^3"), general_textbook, id="conformal_cubic_n3"),
+        pytest.param(lambda: conformal_l(4, " + 0.01*z1^3"), general_textbook, id="conformal_cubic_n4"),
+    ],
 )
-def test_integration_matches_textbook_solve_sample_for_sample(case):
+def test_integration_matches_textbook_solve_sample_for_sample(case, textbook):
     p, s0, cfg = case()
     ode = synthesize_el(p)
-    want = integrate(textbook_el_rhs(ode), s0, cfg).samples
+    want = integrate(textbook(p), s0, cfg).samples
     got = integrate(make_el_rhs(ode), s0, cfg).samples
     assert len(got) == len(want) > 1
     for a, b in zip(got, want):
         assert a.t == b.t
         assert [(repr(w.u), repr(w.v)) for w in a.z + a.zb] == [(repr(w.u), repr(w.v)) for w in b.z + b.zb]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_conformal_reference_agrees_with_elimination_on_m(n):
+    # the rank-one reference solves the same system as elimination on the
+    # assembled M, to rounding
+    p, s0, _ = conformal_l(n)
+    rng = random.Random(n)
+    fast, full = textbook_conformal_el_rhs(p), textbook_el_rhs(synthesize_el(p))
+    for _ in range(50):
+        y = [rng.uniform(-1, 1) for _ in range(4 * n)]
+        want = full(y)
+        assert max(abs(a - b) for a, b in zip(fast(y), want)) <= 1e-12 * max(1.0, *map(abs, want))
 
 
 def test_integrate_samples_carry_the_legs_of_their_csv_row():
@@ -859,14 +1084,32 @@ def test_integrate_samples_carry_the_legs_of_their_csv_row():
 @pytest.mark.parametrize(
     "name, folded",
     [("oscillator.json", True), ("el_quadratic.json", True), ("el_coupled.json", True),
-     ("el_exp.json", False), ("el_conformal.json", False)],
+     ("el_exp.json", False), ("el_conformal.json", True)],
 )
 def test_a_constant_m_gets_one_folded_function(name, folded):
-    # the folded solve is the lowered function itself; any other M keeps
-    # the lowered function and the shared per-m leg solver around it
+    # the folded solve is the lowered function itself, for a constant M and
+    # for a constant Hessian under any lam; any other M keeps the lowered
+    # function and the shared per-m leg solver around it
     p, _, _ = shipped(name)
     rhs = make_el_rhs(synthesize_el(p))
     assert (rhs.__name__ == "lowered") == folded
+
+
+@pytest.mark.parametrize(
+    "case, general",
+    [
+        pytest.param(lambda: shipped("el_conformal.json"), False, id="el_conformal"),
+        pytest.param(conformal_l4, False, id="conformal_n4"),
+        pytest.param(lambda: conformal_l(4, " + 0.01*z1^3"), True, id="conformal_cubic_n4"),
+    ],
+)
+def test_a_constant_hessian_integrates_without_the_leg_solver(case, general):
+    p, s0, cfg = case()
+    before = _leg_solver.cache_info()
+    # built afresh, past make_el_rhs's memo
+    integrate(make_el_rhs.__wrapped__(synthesize_el(p)), s0, cfg)
+    after = _leg_solver.cache_info()
+    assert (after.hits + after.misses > before.hits + before.misses) == general
 
 
 def test_oscillator_rhs_calls_are_four_per_rk4_step():

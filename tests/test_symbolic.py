@@ -370,6 +370,24 @@ class TestEvaluate:
         assert "zb1" not in str(exc.value)
 
     @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ("(z1 - z1 + zb1)/(z1 + z1)", "zero-divisor denominator in 'zb1/(2*z1)'"),
+            ("(z1 + z1)^-2", "zero-divisor base in '(2*z1)^-2'"),
+            # simplify fails on the overflowing numerator, which lowering
+            # rejects first: the interpreter names the node as it is
+            ("(1e308 + 1e308)/z1", "zero-divisor denominator in '(1e+308 + 1e+308)/z1'"),
+        ],
+    )
+    def test_zero_divisor_names_its_operands_simplified(self, text, shown):
+        s = EvalState(z=(ParaComplex(1.0, 1.0),), zb=(ParaComplex(1.0, 0.0),))
+        runs = [evaluate] + [lambda e, s: compile_expr(e)(s)] * ("1e308" not in text)
+        for run in runs:
+            with pytest.raises(ZeroDivisor) as exc:
+                run(parse(text, C1), s)
+            assert str(exc.value) == shown
+
+    @pytest.mark.parametrize(
         "run", [evaluate, lambda e, s: compile_expr(e)(s)], ids=["evaluate", "compile_expr"]
     )
     def test_domain_error_names_subexpression(self, run):
