@@ -19,13 +19,13 @@ The implicit Euler-Lagrange system M*xdot = b is solved at every
 evaluation instead of symbolically inverting M, which blows up for n > 1
 and hides degeneracy behind huge expressions.  On the legs it is two
 independent real systems of size m = 2n, solved by elimination emitted
-as straight-line code with no loops (_eliminate).  When every leg of M
-lowers to a literal, as for a constant M, the elimination is worked out
-at build time and folded into the system's one lowered function, which
-is left with b's arithmetic (_folded_el_rhs).  The conformal system is
-M = j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T), so a constant
-Hessian H folds the same way under any lam, and each leg is left with
-one rank-one update.  Any other M keeps its lowered function and the
+as straight-line code with no loops (_eliminate).  synthesize_el gives
+M = j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T), so when every
+leg of the Hessian H lowers to a literal, the elimination on it is
+worked out at build time and folded into the system's one lowered
+function (_folded_el_rhs).  Each leg is left with b's arithmetic and one
+rank-one update; a constant lam has grad(lam) = 0 and no update, and its
+exp(+-lam) fold into H.  Any other M keeps its lowered function and the
 leg solver emitted once per m (_leg_solver), whose one code object
 solves either leg of every system of that size.
 
@@ -57,6 +57,7 @@ from .para_algebra import INVERTIBILITY_FLOOR, DomainError, ParaComplex, ValueTy
 from .symbolic import (
     J_EXPR,
     Apply,
+    Constant,
     Expr,
     Lowering,
     Negate,
@@ -126,6 +127,8 @@ class IntegratorConfig(ValueType):
         else:
             if tol is None or not tol > 0:
                 raise ValueError("rkf45 requires tol > 0")
+        if dt is not None and not math.isfinite(dt):
+            raise ValueError("dt must be finite")
         d = self.__dict__
         d["method"] = method
         d["t0"] = t0
@@ -366,28 +369,27 @@ def _rank_one(lines: list, yb: list, yc: list, g: list, terms: list, tag: str, w
     return x
 
 
-def _folded_el_rhs(low: Lowering, a, b, c=None, g=None):
+def _folded_el_rhs(low: Lowering, a, b, c, g):
     """One lowered function that returns the legs of x in (D + c*g^T)*x = b,
     with the elimination on D worked out at build time; low holds the lines
     that compute b, c and g.
 
     a holds D's rows on the e+ and on the e- leg, all finite literals, and
     b, c and g hold those vectors' legs in the same way, each a local of low
-    or a literal.  Without c the system is D*x = b and only b's arithmetic
-    is left; a D that is always singular raises at every call, after b's
-    legs are found finite.  With c, one elimination per leg gives D^-1 b
-    and D^-1 c, and _rank_one corrects them, leaving out every term of a
-    g_i that is a literal zero (a leg with none is D*x = b); a D that is
-    always singular returns None."""
+    or a literal.  Each leg leaves out every term of a g_i that is a literal
+    zero.  A leg with none left is D*x = b, and only b's arithmetic is left;
+    a D that is always singular there raises at every call, after b's legs
+    are found finite.  On a leg with terms, one elimination gives D^-1 b and
+    D^-1 c, and _rank_one corrects them; a D that is always singular there
+    returns None."""
     x = []
     for side, tag, which in ((0, "u", "e+"), (1, "v", "e-")):
-        terms = [] if c is None else [i for i, gi in enumerate(g[side])
-                                      if not (isinstance(gi, float) and gi == 0.0)]
+        terms = [i for i, gi in enumerate(g[side]) if not (isinstance(gi, float) and gi == 0.0)]
         columns = [b[side], c[side]] if terms else [b[side]]
         rows = [row + [col[i] for col in columns] for i, row in enumerate(a[side])]
         elimination, legs = _eliminate(rows, which, tag)
         if legs is None:  # only the raise: the lines before it raise nothing
-            if c is not None:
+            if terms:
                 return None
             b = [leg_text(v) for pair in zip(*b) for v in pair if not (isinstance(v, float) and math.isfinite(v))]
             if b:
@@ -415,46 +417,53 @@ def _entry_parts(entry: Expr, lower: bool):
 
 def _rank_one_split(ode: ImplicitODE):
     """(H, g, grow, shrink) for M = j*diag(grow I_n, shrink I_n)*(H + c*g^T)
-    with c = (b[n:], b[:n]) and shrink = exp(-lam) for grow = exp(lam), the
-    form synthesize_el gives the conformal system, where g, lam's gradient,
-    is not all zero.  None for any other M."""
+    with c = (b[n:], b[:n]), the form synthesize_el gives the conformal
+    system, where g is lam's gradient and shrink = exp(-lam) for
+    grow = exp(lam).  A constant lam gives two literals and g = 0, and no
+    relation between them is assumed.  None for any other M."""
     n = ode.chart.n
     c = ode.b[n:] + ode.b[:n]
     parts = [[_entry_parts(e, r >= n) for e in row] for r, row in enumerate(ode.M)]
     if any(p is None for row in parts for p in row):
         return None
     grow, shrink, g = parts[0][0][1], parts[n][0][1], [p[3] for p in parts[0]]
-    if all(map(is_zero, g)):
-        return None
     for r, row in enumerate(parts):
         for k, (j, factor, _, g_k, c_r) in enumerate(row):
             if j != J_EXPR or factor != (shrink if r >= n else grow) or g_k != g[k] or c_r != c[r]:
                 return None
-    if not (isinstance(grow, Apply) and shrink == _exp_of(Negate(grow.arg))):
+    if isinstance(grow, Constant) and isinstance(shrink, Constant):
+        if not all(map(is_zero, g)):
+            return None
+    elif not (isinstance(grow, Apply) and shrink == _exp_of(Negate(grow.arg))):
         return None
     return [[p[2] for p in row] for row in parts], g, grow, shrink
 
 
 def _rank_one_el_rhs(ode: ImplicitODE, h: list, g: list, grow: Expr, shrink: Expr):
     """make_el_rhs for M = j*diag(grow I_n, shrink I_n)*(H + c*g^T), when
-    every leg of H lowers to a finite literal and D = j*H is not singular;
-    None otherwise.  M*x = b is (D + c*(j*g)^T)*x = (shrink*b[:n],
-    grow*b[n:]), since j*j = 1."""
+    every leg of D lowers to a finite literal; None otherwise, or when
+    _folded_el_rhs finds it singular on a leg with a rank-one update.  For
+    exp(+-lam), D = j*H, and M*x = b is (D + c*(j*g)^T)*x = (shrink*b[:n],
+    grow*b[n:]), since j*j = 1.  For two literals, D's entries lower as M's
+    own entries do, as j*grow*H_ik and j*shrink*H_ik, and D*x = b."""
     n = ode.chart.n
+    literal = isinstance(grow, Constant)
     probe = Lowering(ode.chart.slots())
     d = ([], [])
-    for row in h:
+    for r, row in enumerate(h):
+        if literal:  # M's j*factor*(H_ik + 0*d) lowers as j*factor*H_ik
+            row = [Product((J_EXPR, shrink if r >= n else grow, e)) for e in row]
         legs = [probe.legs(e) for e in row]
         if not all(isinstance(x, float) and math.isfinite(x) for pair in legs for x in pair):
             return None
         d[0].append([u for u, _ in legs])
-        d[1].append([-v for _, v in legs])  # j's e- leg is -1
+        d[1].append([v if literal else -v for _, v in legs])  # j's e- leg is -1
     low = Lowering(ode.chart.slots())
     low.legs(grow)  # M's order: exp(lam), lam's partials, then L's partials
     jg = [low.legs(Product((J_EXPR, e))) for e in g]
-    scaled = [low.legs(Product((shrink if i < n else grow, e))) for i, e in enumerate(ode.b)]
+    b = [low.legs(e if literal else Product((shrink if i < n else grow, e))) for i, e in enumerate(ode.b)]
     c = [low.legs(e) for e in ode.b[n:] + ode.b[:n]]
-    return _folded_el_rhs(low, d, tuple(zip(*scaled)), tuple(zip(*c)), tuple(zip(*jg)))
+    return _folded_el_rhs(low, d, tuple(zip(*b)), tuple(zip(*c)), tuple(zip(*jg)))
 
 
 @lru_cache(maxsize=64)
@@ -463,18 +472,16 @@ def make_el_rhs(ode: ImplicitODE):
     the solve can be folded into it, and otherwise from one lowering of M
     and b.
 
-    - When every leg of M lowers to a finite literal, as it does for a
-      constant M, the lowered function is b's arithmetic followed by both
-      legs' eliminations, with the pivoting done at build time
-      (_folded_el_rhs).
-    - When M has the conformal form j*diag(exp(lam) I, exp(-lam) I)*
-      (H + c*grad(lam)^T) that synthesize_el gives it, with a Hessian H
-      whose legs all lower to finite literals and are not singular, and
-      lam is not constant, only b, grad(lam) and exp(+-lam) are lowered:
-      the elimination on j*H is folded, and each leg adds one rank-one
-      update (Sherman-Morrison) whose scalar 1 + g.y_c is the leg's pivot.
-    - Otherwise the lowered function returns M's and b's legs, and the
-      shared _leg_solver(m) solves each leg.
+    - When M has the form j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T)
+      that synthesize_el gives it, with a Hessian H whose legs all lower to
+      finite literals, only b, grad(lam) and exp(+-lam) are lowered: the
+      elimination on j*H is folded, with the pivoting done at build time,
+      and each leg adds one rank-one update (Sherman-Morrison) whose
+      scalar 1 + g.y_c is the leg's pivot (_folded_el_rhs).  A constant
+      lam has grad(lam) = 0 and no update, and its exp(+-lam) fold into H.
+    - Otherwise, or when j*H is singular on a leg with an update, the
+      lowered function returns M's and b's legs, and the shared
+      _leg_solver(m) solves each leg.
 
     A pivot or a scalar that fails because an entry of M or b is not
     finite is a non-finite step, not a degenerate system."""
@@ -486,9 +493,6 @@ def make_el_rhs(ode: ImplicitODE):
     low = Lowering(ode.chart.slots())
     entries = tuple(e for row in ode.M for e in row) + ode.b
     w = [leg for e in entries for leg in low.legs(e)]
-    if all(isinstance(leg, float) and math.isfinite(leg) for leg in w[: 2 * m * m]):
-        a = tuple([w[2 * i * m + side : 2 * (i + 1) * m : 2] for i in range(m)] for side in (0, 1))
-        return _folded_el_rhs(low, a, (w[2 * m * m :: 2], w[2 * m * m + 1 :: 2]))
     # the solver's compile is the largest allocation here, so only the
     # lowered source is alive during it
     source, nodes = low.source(w), low.nodes

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from .dynamics import at_state, energy_along, make_el_rhs, make_ham_rhs
+from .dynamics import IntegratorConfig, PhaseState, at_state, energy_along, integrate, make_el_rhs, make_ham_rhs
 from .eom import (
     DegenerateLagrangian,
     HamiltonianProblem,
@@ -421,52 +421,43 @@ def check_fd(expr, samples: int, seed: int) -> Report:
 
     Every value comes from evaluate(): each expression is evaluated a few
     dozen times at most, too few to repay lowering it."""
-    rng = random.Random(seed)
     chart = _chart_of(expr)
     partials = [
         (family, i, differentiate(expr, var(i)))
         for family, var in (("z", z_var), ("zb", zb_var))
         for i in chart.indices()
     ]
-    worst = 0.0
-    done = 0
-    guard = 0
-    while done < samples:
-        guard += 1
-        if guard > samples * 200:
-            raise RuntimeError("could not sample enough well-conditioned states")
-        s = random_state(rng, chart.n)
+
+    def measure(s):
         v0 = _try_eval(expr, s)
         if v0 is None:
-            continue
+            return None
         # cancellation floor of the difference quotient: subtracting two
         # values of size |f| leaves roundoff ~ |f|*eps/h in the quotient
         noise_floor = abs(v0) * 2.3e-16 / FD_STEP
-        ok = True
+        worst = 0.0
         for family, i, partial in partials:
             try:
                 sym = evaluate(partial, s)
                 fd = _fd_partial(expr, s, family, i, FD_STEP)
                 fd2 = _fd_partial(expr, s, family, i, FD_STEP / 2)
             except (ZeroDivisor, DomainError):
-                ok = False
-                break
+                return None
             if not (sym.is_finite() and fd.is_finite() and fd2.is_finite()):
-                ok = False
-                break
+                return None
             # oracle validity, judged without looking at sym so a wrong
             # partial cannot be hidden: the h and h/2 stencils must agree,
             # and cancellation noise must sit well under the threshold
             if abs(fd - fd2) / max(1.0, abs(fd), abs(fd2)) > 1e-8:
-                ok = False
-                break
+                return None
             if noise_floor > 1e-8 * max(1.0, abs(fd)):
-                ok = False
-                break
+                return None
             scale = max(1.0, abs(sym), abs(fd))
             worst = max(worst, abs(sym - fd) / scale)
-        if ok:
-            done += 1
+        return worst
+
+    worst = _worst_over(random.Random(seed), chart.n, samples, measure,
+                        lambda done: RuntimeError("could not sample enough well-conditioned states"))
     return Report(checks=[_check("fd-derivative", worst, FD_THRESHOLD)])
 
 
@@ -746,8 +737,6 @@ def audit_battery(p, samples: int, seed: int) -> Report:
 
 
 def run_all(seed: int) -> Report:
-    from .dynamics import IntegratorConfig, PhaseState, integrate, make_ham_rhs
-
     report = selftest_algebra(seed)
     rng = random.Random(seed + 1)
 

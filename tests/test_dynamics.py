@@ -44,6 +44,7 @@ from biparamech.symbolic import (
     EvalState,
     Lowering,
     Negate,
+    Product,
     Var,
     differentiate,
     lower,
@@ -327,11 +328,13 @@ class TestEmittedSolveMatchesTextbook:
 
 def folded_legs(mu, bu, mv, bv):
     """The folded solve on literal leg matrices (mu, mv) and b's legs (bu,
-    bv), which the function reads from y as the legs of z1..zm."""
+    bv), which the function reads from y as the legs of z1..zm; g is zero,
+    so c is never read."""
     m = len(bu)
     low = Lowering(tuple(("z", i) for i in range(1, m + 1)))
     b = [low.legs(z_var(i)) for i in range(1, m + 1)]
-    dy = _folded_el_rhs(low, (mu, mv), ([u for u, _ in b], [v for _, v in b]))(
+    b = ([u for u, _ in b], [v for _, v in b])
+    dy = _folded_el_rhs(low, (mu, mv), b, b, ([0.0] * m, [0.0] * m))(
         [leg for pair in zip(bu, bv) for leg in pair])
     return dy[0::2], dy[1::2]
 
@@ -395,17 +398,31 @@ class TestFoldedSolveMatchesTextbook:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_singular_constant_m_with_a_non_finite_b_is_a_non_finite_step(self, bad):
-        # the pivot check fails at build time, and still becomes _NonFinite
-        # when an entry of b is not finite, as _leg_solver's failures do;
-        # the legs of M are e+ [[1, 2], [1, 3]] and e- [[1, 2], [2, 4]]
+        # a hand-built M is not in synthesize_el's form, so _leg_solver
+        # solves it, and its singular pivot becomes _NonFinite when an entry
+        # of b is not finite; the legs of M are e+ [[1, 2], [1, 3]] and e-
+        # [[1, 2], [2, 4]]
         legs = (((1.0, 1.0), (2.0, 2.0)), ((1.0, 2.0), (3.0, 4.0)))
         m = tuple(tuple(Constant(ParaComplex.from_idempotent(u, v)) for u, v in row) for row in legs)
         rhs = make_el_rhs(ImplicitODE(C1, m, (z_var(1), zb_var(1))))
-        assert rhs.__name__ == "lowered"  # folded
+        assert rhs.__name__ == "rhs"  # around the leg solver
         with pytest.raises(DegenerateLagrangian, match="^singular e- component system$"):
             rhs([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(_NonFinite):
             rhs([1.0, 2.0, bad, 4.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_synthesized_singular_m_stays_folded_and_raises_at_every_call(self, bad):
+        # L = z1^2 with lam = 0: dL/dzb1 = 0, so M's e+ rows are zero; the
+        # pivot check fails at build time, and still becomes _NonFinite when
+        # an entry of b = (-2*z1, 0) is not finite
+        rhs = make_el_rhs(synthesize_el(lagrangian("z1^2")))
+        assert rhs.__name__ == "lowered"  # folded
+        for y in ([1.0, 2.0, 3.0, 4.0], [0.0, -0.0, 0.5, 0.5]):
+            with pytest.raises(DegenerateLagrangian, match="^zero row in e\\+ component system$"):
+                rhs(y)
+        with pytest.raises(_NonFinite):
+            rhs([bad, 2.0, 3.0, 4.0])
 
 
 def textbook_rank_one(d, b, c, g, which):
@@ -676,6 +693,12 @@ class TestIntegratorConfig:
     def test_time_order(self):
         with pytest.raises(ValueError):
             IntegratorConfig(method="rk4", t0=1.0, t1=1.0, dt=0.1)
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_rejects_an_infinite_dt(self, method):
+        # RK4's first step would start at t_a = 0*inf = nan
+        with pytest.raises(ValueError, match="^dt must be finite$"):
+            IntegratorConfig(method, 0.0, 1.0, dt=math.inf, tol=1e-9)
 
     @pytest.mark.parametrize("method", ["rk4", "rkf45"])
     def test_infinite_span(self, method):
@@ -1022,6 +1045,9 @@ def conformal_l4():
     return conformal_l(4)
 
 
+CONSTANT_LAMBDA = os.path.join("..", "tests", "data", "constant_lambda_lagrangian.json")
+
+
 def shipped(name):
     lp = load_problem(os.path.join(PROBLEMS, name))
     return lp.problem, lp.start(), lp.config()
@@ -1040,6 +1066,8 @@ def general_textbook(p):
         pytest.param(lambda: shipped("el_quadratic.json"), general_textbook, id="el_quadratic"),
         pytest.param(lambda: shipped("el_exp.json"), general_textbook, id="el_exp"),
         pytest.param(lambda: shipped("el_conformal.json"), textbook_conformal_el_rhs, id="el_conformal"),
+        # a constant lam = 0.5: exp(+-lam) fold into the Hessian, as into M
+        pytest.param(lambda: shipped(CONSTANT_LAMBDA), general_textbook, id="constant_lambda"),
         # a Hessian that is not constant keeps the 6 x 6 and 8 x 8 leg solvers
         pytest.param(lambda: conformal_l(3, " + 0.01*z1^3"), general_textbook, id="conformal_cubic_n3"),
         pytest.param(lambda: conformal_l(4, " + 0.01*z1^3"), general_textbook, id="conformal_cubic_n4"),
@@ -1084,15 +1112,36 @@ def test_integrate_samples_carry_the_legs_of_their_csv_row():
 @pytest.mark.parametrize(
     "name, folded",
     [("oscillator.json", True), ("el_quadratic.json", True), ("el_coupled.json", True),
-     ("el_exp.json", False), ("el_conformal.json", True)],
+     ("el_exp.json", False), ("el_conformal.json", True), ("el_cubic.json", False),
+     (os.path.join("failing", "degenerate_L.json"), True), (CONSTANT_LAMBDA, True)],
 )
 def test_a_constant_m_gets_one_folded_function(name, folded):
-    # the folded solve is the lowered function itself, for a constant M and
-    # for a constant Hessian under any lam; any other M keeps the lowered
-    # function and the shared per-m leg solver around it
+    # the folded solve is the lowered function itself for a constant
+    # Hessian under any lam, constant or not, and a singular one; any other
+    # M keeps the lowered function and the shared per-m leg solver around it
     p, _, _ = shipped(name)
     rhs = make_el_rhs(synthesize_el(p))
     assert (rhs.__name__ == "lowered") == folded
+
+
+def test_literal_factors_fold_with_no_relation_assumed_between_them():
+    # synthesize_el's M for lam = 0 with its factors exp(+-lam) swapped for
+    # two unrelated para-complex literals, whose legs differ: the folded
+    # solve matches the looped one on the lowered M, bit for bit
+    p, _, _ = shipped("el_coupled.json")
+    ode = synthesize_el(p)
+    n = ode.chart.n
+    factors = (Constant(ParaComplex(2.0, 0.5)), Constant(ParaComplex(0.3, -0.1)))
+    m = tuple(tuple(Product((j, factors[r >= n], rest)) for j, _, rest in (e.children for e in row))
+              for r, row in enumerate(ode.M))
+    ode = ImplicitODE(ode.chart, m, ode.b)
+    rhs = make_el_rhs(ode)
+    assert rhs.__name__ == "lowered"
+    want = textbook_el_rhs(ode)
+    rng = random.Random(11)
+    for _ in range(50):
+        y = [rng.uniform(-2, 2) for _ in range(4 * n)]
+        assert list(map(repr, rhs(y))) == list(map(repr, want(y)))
 
 
 @pytest.mark.parametrize(

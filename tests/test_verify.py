@@ -100,6 +100,22 @@ class TestCheckFd:
         assert r.all_pass
         assert r.checks[0].measured == 0.0
 
+    def test_a_rejected_state_adds_nothing_to_worst(self, monkeypatch):
+        # z1's stencil is off by 0.5 where zb1's fails, at states with
+        # a(z1) > 0: those are redrawn, so only exact partials are measured
+        real = biparamech.verify._fd_partial
+
+        def stencil(expr, s, family, i, h):
+            if s.z[0].a > 0:
+                if family == "zb":
+                    raise biparamech.verify.ZeroDivisor("redrawn")
+                return real(expr, s, family, i, h) + ParaComplex(0.5, 0.0)
+            return real(expr, s, family, i, h)
+
+        monkeypatch.setattr(biparamech.verify, "_fd_partial", stencil)
+        r = check_fd(parse("z1 + 2*zb1", C1), samples=20, seed=7)
+        assert r.checks[0].measured < 1e-9
+
 
 class TestCheckReduction:
     def test_rejects_nonzero_lambda(self):
