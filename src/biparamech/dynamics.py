@@ -19,15 +19,14 @@ The implicit Euler-Lagrange system M*xdot = b is solved at every
 evaluation instead of symbolically inverting M, which blows up for n > 1
 and hides degeneracy behind huge expressions.  On the legs it is two
 independent real systems of size m = 2n, solved by elimination emitted
-as straight-line code with no loops (_eliminate).  synthesize_el gives
+as straight-line code with no loops (_eliminate) into the system's one
+lowered function (_folded_el_rhs).  synthesize_el gives
 M = j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T), so when every
 leg of the Hessian H lowers to a literal, the elimination on it is
-worked out at build time and folded into the system's one lowered
-function (_folded_el_rhs).  Each leg is left with b's arithmetic and one
+worked out at build time: each leg is left with b's arithmetic and one
 rank-one update; a constant lam has grad(lam) = 0 and no update, and its
-exp(+-lam) fold into H.  Any other M keeps its lowered function and the
-leg solver emitted once per m (_leg_solver), whose one code object
-solves either leg of every system of that size.
+exp(+-lam) fold into H.  Any other M is eliminated on its lowered legs
+at every call.
 
 Both steppers take (rhs, y, cfg, times, rows) and append each accepted
 step's time and row to times and rows themselves.  RK4 runs in a loop
@@ -67,7 +66,6 @@ from .symbolic import (
     is_zero,
     leg_text,
     lower,
-    lowered_function,
     z_var,
     zb_var,
 )
@@ -129,6 +127,8 @@ class IntegratorConfig(ValueType):
                 raise ValueError("rkf45 requires tol > 0")
         if dt is not None and not math.isfinite(dt):
             raise ValueError("dt must be finite")
+        if tol is not None and not math.isfinite(tol):  # an infinite tol accepts every step
+            raise ValueError("tol must be finite")
         d = self.__dict__
         d["method"] = method
         d["t0"] = t0
@@ -188,10 +188,10 @@ def _eliminate(a, which: str, tag: str):
     passes.  A test that always fails ends the lines with its raise, and
     the solutions come back as None.  Any other step is emitted as code
     that swaps and updates rows in place, so M's entries must be all
-    literals or all names.  which is spliced into the raise's f-string,
-    and tag into every local the lines bind, so that two legs can share
-    one function; x / 1.0 is x and x / -1.0 is -x, exactly.  Returns the
-    lines and one solution per right-hand side, as a list of its entries.
+    literals or all names.  which names the leg in the raise, and tag goes
+    into every local the lines bind, so that the two legs' lines do not
+    collide; x / 1.0 is x and x / -1.0 is -x, exactly.  Returns the lines
+    and one solution per right-hand side, as a list of its entries.
     """
     m, width = len(a), len(a[0])
     lines: list[str] = []
@@ -200,7 +200,7 @@ def _eliminate(a, which: str, tag: str):
         return all(isinstance(x, float) for x in xs)
 
     def raises(operands, decide, code: str, what: str) -> bool:
-        message = f'DegenerateLagrangian(f"{what} {which} component system")'
+        message = f'DegenerateLagrangian("{what} {which} component system")'
         if not literal(*operands):
             lines.append(f"if {code}: raise {message}")
         elif decide():
@@ -282,26 +282,6 @@ def _eliminate(a, which: str, tag: str):
     return lines, xs
 
 
-@lru_cache(maxsize=None)
-def _leg_solver(m: int):
-    """Emit solve(w, side, which) -> x for one leg of an m x m system
-    M*x = b whose entries are not literals, read from w as lower() lays
-    out M's entries row by row and then b's, each as its (e+, e-) legs;
-    side 0 picks e+, 1 picks e-, so one code object per m serves both
-    legs.  _eliminate on locals, none of them literal: a zero row or a
-    pivot below PIVOT_TOL of its row scale raises DegenerateLagrangian
-    naming the leg."""
-    a = [[f"a{i}_{c}" for c in range(m + 1)] for i in range(m)]  # column m holds b
-    lines = [f"{a[i][c]} = w[{2 * (i * m + c)} + side]" for i in range(m) for c in range(m)]
-    lines += [f"{a[i][m]} = w[{2 * (m * m + i)} + side]" for i in range(m)]
-    elimination, (x,) = _eliminate(a, "{which}", "")
-    body = "".join(f"    {line}\n" for line in lines + elimination)
-    source = f"def solve(w, side, which):\n{body}    return [{', '.join(x)}]\n"
-    namespace = {"DegenerateLagrangian": DegenerateLagrangian}
-    exec(compile(source, f"<leg solver {m}>", "exec"), namespace)
-    return namespace["solve"]
-
-
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
@@ -371,33 +351,47 @@ def _rank_one(lines: list, yb: list, yc: list, g: list, terms: list, tag: str, w
 
 def _folded_el_rhs(low: Lowering, a, b, c, g):
     """One lowered function that returns the legs of x in (D + c*g^T)*x = b,
-    with the elimination on D worked out at build time; low holds the lines
-    that compute b, c and g.
+    with the elimination on D emitted into it; low holds the lines that
+    compute D, b, c and g.
 
-    a holds D's rows on the e+ and on the e- leg, all finite literals, and
-    b, c and g hold those vectors' legs in the same way, each a local of low
-    or a literal.  Each leg leaves out every term of a g_i that is a literal
-    zero.  A leg with none left is D*x = b, and only b's arithmetic is left;
-    a D that is always singular there raises at every call, after b's legs
-    are found finite.  On a leg with terms, one elimination gives D^-1 b and
-    D^-1 c, and _rank_one corrects them; a D that is always singular there
-    returns None."""
-    x = []
+    a holds D's rows on the e+ and on the e- leg, and b, c and g hold those
+    vectors' legs in the same way, each a local of low or a literal.  Each
+    leg leaves out every term of a g_i that is a literal zero.  A D of
+    finite literals is eliminated at build time.  A leg with no terms is
+    D*x = b, and only b's arithmetic is left; a D that is always singular
+    there raises at every call.  On a leg with terms, one elimination gives
+    D^-1 b and D^-1 c, and _rank_one corrects them; a D that is always
+    singular there returns None.  Any other D comes with g = 0, and each
+    leg copies its entries and b's into locals of its own, which the
+    elimination rebinds in place: low's names are shared.  A pivot that
+    fails while an entry of D or b is not finite raises _NonFinite."""
+    literal = all(isinstance(v, float) and math.isfinite(v) for rows in a for row in rows for v in row)
+    lines, x = [], []
+    start = None if literal else 0  # lines[start:] hold every raise of _eliminate
     for side, tag, which in ((0, "u", "e+"), (1, "v", "e-")):
         terms = [i for i, gi in enumerate(g[side]) if not (isinstance(gi, float) and gi == 0.0)]
         columns = [b[side], c[side]] if terms else [b[side]]
         rows = [row + [col[i] for col in columns] for i, row in enumerate(a[side])]
+        if not literal:
+            names = [[f"a{i}_{k}{tag}" for k in range(len(row))] for i, row in enumerate(rows)]
+            lines += [f"{name} = {leg_text(v)}" for row, copy in zip(rows, names) for v, name in zip(row, copy)]
+            rows = names
         elimination, legs = _eliminate(rows, which, tag)
         if legs is None:  # only the raise: the lines before it raise nothing
             if terms:
                 return None
-            b = [leg_text(v) for pair in zip(*b) for v in pair if not (isinstance(v, float) and math.isfinite(v))]
-            if b:
-                low.lines.append(f"if not all(map(isfinite, ({', '.join(b)}, ))): raise _NonFinite")
-            low.lines.append(elimination[-1])
+            start = len(lines)
+            lines.append(elimination[-1])
             break
-        low.lines += elimination
-        x.append(_rank_one(low.lines, *legs, g[side], terms, tag, which) if terms else legs[0])
+        lines += elimination
+        x.append(_rank_one(lines, *legs, g[side], terms, tag, which) if terms else legs[0])
+    entries = [v for vs in (*a[0], *a[1], *b) for v in vs]
+    checked = dict.fromkeys(leg_text(v) for v in entries if not (isinstance(v, float) and math.isfinite(v)))
+    if start is not None and checked:
+        lines[start:] = ["try:", *(f"    {line}" for line in lines[start:]), "except DegenerateLagrangian:",
+                         f"    if all(map(isfinite, ({', '.join(checked)}, ))): raise",
+                         "    raise _NonFinite from None"]
+    low.lines += lines
     dy = [leg for pair in zip(*x) for leg in pair]
     return low.function(dy, DegenerateLagrangian=DegenerateLagrangian, _NonFinite=_NonFinite,
                         isfinite=math.isfinite)
@@ -439,26 +433,26 @@ def _rank_one_split(ode: ImplicitODE):
     return [[p[2] for p in row] for row in parts], g, grow, shrink
 
 
-def _rank_one_el_rhs(ode: ImplicitODE, h: list, g: list, grow: Expr, shrink: Expr):
+def _rank_one_el_rhs(low: Lowering, ode: ImplicitODE, h: list, g: list, grow: Expr, shrink: Expr):
     """make_el_rhs for M = j*diag(grow I_n, shrink I_n)*(H + c*g^T), when
     every leg of D lowers to a finite literal; None otherwise, or when
-    _folded_el_rhs finds it singular on a leg with a rank-one update.  For
-    exp(+-lam), D = j*H, and M*x = b is (D + c*(j*g)^T)*x = (shrink*b[:n],
-    grow*b[n:]), since j*j = 1.  For two literals, D's entries lower as M's
-    own entries do, as j*grow*H_ik and j*shrink*H_ik, and D*x = b."""
+    _folded_el_rhs finds it singular on a leg with a rank-one update.  D is
+    lowered into low row by row, up to its first row that is not literal,
+    so that M's own entries reuse its lines.  For exp(+-lam), D = j*H, and
+    M*x = b is (D + c*(j*g)^T)*x = (shrink*b[:n], grow*b[n:]), since
+    j*j = 1.  For two literals, D's entries lower as M's own entries do, as
+    j*grow*H_ik and j*shrink*H_ik, and D*x = b."""
     n = ode.chart.n
     literal = isinstance(grow, Constant)
-    probe = Lowering(ode.chart.slots())
     d = ([], [])
     for r, row in enumerate(h):
         if literal:  # M's j*factor*(H_ik + 0*d) lowers as j*factor*H_ik
             row = [Product((J_EXPR, shrink if r >= n else grow, e)) for e in row]
-        legs = [probe.legs(e) for e in row]
+        legs = [low.legs(e) for e in row]
         if not all(isinstance(x, float) and math.isfinite(x) for pair in legs for x in pair):
             return None
         d[0].append([u for u, _ in legs])
         d[1].append([v if literal else -v for _, v in legs])  # j's e- leg is -1
-    low = Lowering(ode.chart.slots())
     low.legs(grow)  # M's order: exp(lam), lam's partials, then L's partials
     jg = [low.legs(Product((J_EXPR, e))) for e in g]
     b = [low.legs(e if literal else Product((shrink if i < n else grow, e))) for i, e in enumerate(ode.b)]
@@ -468,51 +462,28 @@ def _rank_one_el_rhs(ode: ImplicitODE, h: list, g: list, grow: Expr, shrink: Exp
 
 @lru_cache(maxsize=64)
 def make_el_rhs(ode: ImplicitODE):
-    """rhs(y) -> dy for an implicit EL system, as one lowered function when
-    the solve can be folded into it, and otherwise from one lowering of M
-    and b.
+    """rhs(y) -> dy for an implicit EL system, as one lowered function that
+    computes b's legs and solves M*x = b on each leg (_folded_el_rhs).
 
-    - When M has the form j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T)
-      that synthesize_el gives it, with a Hessian H whose legs all lower to
-      finite literals, only b, grad(lam) and exp(+-lam) are lowered: the
-      elimination on j*H is folded, with the pivoting done at build time,
-      and each leg adds one rank-one update (Sherman-Morrison) whose
-      scalar 1 + g.y_c is the leg's pivot (_folded_el_rhs).  A constant
-      lam has grad(lam) = 0 and no update, and its exp(+-lam) fold into H.
-    - Otherwise, or when j*H is singular on a leg with an update, the
-      lowered function returns M's and b's legs, and the shared
-      _leg_solver(m) solves each leg.
+    When M has the form j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T)
+    that synthesize_el gives it, and H's legs all lower to finite literals,
+    the elimination on j*H is folded at build time, and each leg adds one
+    rank-one update (Sherman-Morrison) whose scalar 1 + g.y_c is the leg's
+    pivot (_rank_one_el_rhs).  Otherwise, or when j*H is singular on a leg
+    with an update, M is lowered into the same Lowering, its entries
+    reusing H's lines, and eliminated on its legs.
 
     A pivot or a scalar that fails because an entry of M or b is not
     finite is a non-finite step, not a degenerate system."""
+    low = Lowering(ode.chart.slots())
     split = _rank_one_split(ode)
-    folded = None if split is None else _rank_one_el_rhs(ode, *split)
+    folded = None if split is None else _rank_one_el_rhs(low, ode, *split)
     if folded is not None:
         return folded
-    m = 2 * ode.chart.n
-    low = Lowering(ode.chart.slots())
-    entries = tuple(e for row in ode.M for e in row) + ode.b
-    w = [leg for e in entries for leg in low.legs(e)]
-    # the solver's compile is the largest allocation here, so only the
-    # lowered source is alive during it
-    source, nodes = low.source(w), low.nodes
-    del low
-    solve = _leg_solver(m)
-    values = lowered_function(source, nodes)
-
-    def rhs(y):
-        w = values(y)
-        try:
-            xu, xv = solve(w, 0, "e+"), solve(w, 1, "e-")
-        except DegenerateLagrangian:
-            if all(map(math.isfinite, w)):
-                raise
-            raise _NonFinite from None
-        dy = xu + xu
-        dy[0::2], dy[1::2] = xu, xv
-        return dy
-
-    return rhs
+    legs = [[low.legs(e) for e in row] for row in ode.M]
+    d = tuple([[leg[side] for leg in row] for row in legs] for side in (0, 1))
+    zero = ([0.0] * len(ode.b),) * 2  # no rank-one update, so c is never read
+    return _folded_el_rhs(low, d, tuple(zip(*map(low.legs, ode.b))), zero, zero)
 
 
 @lru_cache(maxsize=64)

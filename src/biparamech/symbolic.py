@@ -832,14 +832,9 @@ class Lowering:
 
     def function(self, out: list, **names) -> Callable[[list], list]:
         """The lines compiled into lowered(y) -> out; names join its globals."""
-        return lowered_function(self.source(out), self.nodes, **names)
-
-
-def lowered_function(source: str, nodes: list, **names) -> Callable[[list], list]:
-    """Compile a Lowering's source, with its nodes and names as globals."""
-    namespace = dict(_LOWERED_GLOBALS, nodes=tuple(nodes), **names)
-    exec(compile(source, "<lowered>", "exec"), namespace)
-    return namespace["lowered"]
+        namespace = dict(_LOWERED_GLOBALS, nodes=tuple(self.nodes), **names)
+        exec(compile(self.source(out), "<lowered>", "exec"), namespace)
+        return namespace["lowered"]
 
 
 @lru_cache(maxsize=256)

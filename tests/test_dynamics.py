@@ -6,13 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from biparamech import symbolic
 from biparamech.cli import load_problem
 from biparamech.dynamics import (
     _TIMED_ERRORS,
     PIVOT_TOL,
     _folded_el_rhs,
-    _leg_solver,
     _NonFinite,
     _run_rk4,
     _run_rkf45,
@@ -107,15 +105,20 @@ def osc_exact(t):
 
 
 def solve_legs(mu, bu, mv, bv):
-    """The emitted leg solver on leg matrices: (mu, bu) are the e+ legs of
-    M and b, (mv, bv) the e- legs, interleaved into the layout that
-    make_el_rhs's lowered function returns; the legs (xu, xv) of x come
-    back."""
+    """The elimination emitted on named entries, as make_el_rhs emits it for
+    an M that is not literal: (mu, bu) are the e+ legs of M and b, (mv, bv)
+    the e- legs, read from y as the legs of one slot per entry, M's row by
+    row and then b's; the legs (xu, xv) of x come back."""
+    m = len(bu)
+    low = Lowering(tuple(("z", i) for i in range(1, m * m + m + 1)))
+    names = [low.legs(z_var(i)) for i in range(1, m * m + m + 1)]
+    d = tuple([[leg[side] for leg in names[r : r + m]] for r in range(0, m * m, m)] for side in (0, 1))
+    b = tuple([leg[side] for leg in names[m * m :]] for side in (0, 1))
+    zero = ([0.0] * m,) * 2
     u = [x for row in mu for x in row] + list(bu)
     v = [x for row in mv for x in row] + list(bv)
-    w = [leg for pair in zip(u, v) for leg in pair]
-    solve = _leg_solver(len(bu))
-    return solve(w, 0, "e+"), solve(w, 1, "e-")
+    dy = _folded_el_rhs(low, d, b, zero, zero)([leg for pair in zip(u, v) for leg in pair])
+    return dy[0::2], dy[1::2]
 
 
 def solve(M, b):
@@ -178,7 +181,7 @@ class TestSolveParaLinear:
 
 def textbook_solve(mat, rhs, which, pivots=None):
     """Looped Gaussian elimination with scaled partial pivoting: the
-    reference the emitted leg solver must match bit for bit.  The pivot
+    reference the emitted elimination must match bit for bit.  The pivot
     row chosen at each step is appended to pivots, if given."""
     n = len(rhs)
     a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
@@ -240,7 +243,8 @@ def last_row_pivots(m, rng):
 
 
 class TestEmittedSolveMatchesTextbook:
-    """The emitted leg solver against the looped reference, m = 1..8."""
+    """The elimination emitted on named entries against the looped
+    reference, m = 1..8."""
 
     def cases(self, m, rng):
         def leg():
@@ -398,18 +402,34 @@ class TestFoldedSolveMatchesTextbook:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_singular_constant_m_with_a_non_finite_b_is_a_non_finite_step(self, bad):
-        # a hand-built M is not in synthesize_el's form, so _leg_solver
-        # solves it, and its singular pivot becomes _NonFinite when an entry
-        # of b is not finite; the legs of M are e+ [[1, 2], [1, 3]] and e-
-        # [[1, 2], [2, 4]]
+        # a hand-built M is not in synthesize_el's form, but its legs are
+        # literals, so its elimination is folded too; its singular pivot
+        # becomes _NonFinite when an entry of b is not finite; the legs of M
+        # are e+ [[1, 2], [1, 3]] and e- [[1, 2], [2, 4]]
         legs = (((1.0, 1.0), (2.0, 2.0)), ((1.0, 2.0), (3.0, 4.0)))
         m = tuple(tuple(Constant(ParaComplex.from_idempotent(u, v)) for u, v in row) for row in legs)
         rhs = make_el_rhs(ImplicitODE(C1, m, (z_var(1), zb_var(1))))
-        assert rhs.__name__ == "rhs"  # around the leg solver
         with pytest.raises(DegenerateLagrangian, match="^singular e- component system$"):
             rhs([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(_NonFinite):
             rhs([1.0, 2.0, bad, 4.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_singular_m_that_is_not_literal_fails_by_the_same_rule(self, bad):
+        # a hand-built M with Var entries is eliminated on its lowered legs
+        # at every call; its e+ block [[u(z1), u(zb1)], [u(zb1), u(z1)]] is
+        # singular where u(z1) = u(zb1), and a non-finite e- leg of b alone
+        # makes that pivot a non-finite step
+        z1, zb1, z2, zb2 = z_var(1), zb_var(1), z_var(2), zb_var(2)
+        zero, one = Constant(ZERO), Constant(ONE)
+        m = ((z1, zb1, zero, zero), (zb1, z1, zero, zero), (zero, zero, one, zero), (zero, zero, zero, one))
+        rhs = make_el_rhs(ImplicitODE(CoordinateChart(2), m, (z2, zb2, one, one)))
+        assert rhs.__name__ == "lowered"
+        for u in (2.0, -0.5, 0.0625):  # y holds the legs of z1, z2, zb1 and zb2
+            with pytest.raises(DegenerateLagrangian, match="^singular e\\+ component system$"):
+                rhs([u, 1.0, 0.5, 0.25, u, 3.0, 0.5, 0.25])
+        with pytest.raises(_NonFinite):
+            rhs([2.0, 1.0, 0.5, bad, 2.0, 3.0, 0.5, 0.25])
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_a_synthesized_singular_m_stays_folded_and_raises_at_every_call(self, bad):
@@ -699,6 +719,12 @@ class TestIntegratorConfig:
         # RK4's first step would start at t_a = 0*inf = nan
         with pytest.raises(ValueError, match="^dt must be finite$"):
             IntegratorConfig(method, 0.0, 1.0, dt=math.inf, tol=1e-9)
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_rejects_an_infinite_tol(self, method):
+        # RKF45 would accept every trial step, with its error control off
+        with pytest.raises(ValueError, match="^tol must be finite$"):
+            IntegratorConfig(method, 0.0, 1.0, dt=0.1, tol=math.inf)
 
     @pytest.mark.parametrize("method", ["rk4", "rkf45"])
     def test_infinite_span(self, method):
@@ -1068,7 +1094,8 @@ def general_textbook(p):
         pytest.param(lambda: shipped("el_conformal.json"), textbook_conformal_el_rhs, id="el_conformal"),
         # a constant lam = 0.5: exp(+-lam) fold into the Hessian, as into M
         pytest.param(lambda: shipped(CONSTANT_LAMBDA), general_textbook, id="constant_lambda"),
-        # a Hessian that is not constant keeps the 6 x 6 and 8 x 8 leg solvers
+        # a Hessian that is not constant is eliminated on M's 6 x 6 and 8 x 8
+        # legs at every call
         pytest.param(lambda: conformal_l(3, " + 0.01*z1^3"), general_textbook, id="conformal_cubic_n3"),
         pytest.param(lambda: conformal_l(4, " + 0.01*z1^3"), general_textbook, id="conformal_cubic_n4"),
     ],
@@ -1110,18 +1137,17 @@ def test_integrate_samples_carry_the_legs_of_their_csv_row():
 
 
 @pytest.mark.parametrize(
-    "name, folded",
-    [("oscillator.json", True), ("el_quadratic.json", True), ("el_coupled.json", True),
-     ("el_exp.json", False), ("el_conformal.json", True), ("el_cubic.json", False),
-     (os.path.join("failing", "degenerate_L.json"), True), (CONSTANT_LAMBDA, True)],
+    "name",
+    ["oscillator.json", "el_quadratic.json", "el_coupled.json", "el_exp.json", "el_conformal.json",
+     "el_cubic.json", os.path.join("failing", "degenerate_L.json"), CONSTANT_LAMBDA],
 )
-def test_a_constant_m_gets_one_folded_function(name, folded):
-    # the folded solve is the lowered function itself for a constant
-    # Hessian under any lam, constant or not, and a singular one; any other
-    # M keeps the lowered function and the shared per-m leg solver around it
+def test_every_euler_lagrange_rhs_is_one_lowered_function(name):
+    # the solve is emitted into the lowered function itself: folded for a
+    # constant Hessian under any lam, constant or not, and a singular one,
+    # and run on M's lowered legs for any other M (el_exp, el_cubic)
     p, _, _ = shipped(name)
     rhs = make_el_rhs(synthesize_el(p))
-    assert (rhs.__name__ == "lowered") == folded
+    assert rhs.__name__ == "lowered"
 
 
 def test_literal_factors_fold_with_no_relation_assumed_between_them():
@@ -1142,23 +1168,6 @@ def test_literal_factors_fold_with_no_relation_assumed_between_them():
     for _ in range(50):
         y = [rng.uniform(-2, 2) for _ in range(4 * n)]
         assert list(map(repr, rhs(y))) == list(map(repr, want(y)))
-
-
-@pytest.mark.parametrize(
-    "case, general",
-    [
-        pytest.param(lambda: shipped("el_conformal.json"), False, id="el_conformal"),
-        pytest.param(conformal_l4, False, id="conformal_n4"),
-        pytest.param(lambda: conformal_l(4, " + 0.01*z1^3"), True, id="conformal_cubic_n4"),
-    ],
-)
-def test_a_constant_hessian_integrates_without_the_leg_solver(case, general):
-    p, s0, cfg = case()
-    before = _leg_solver.cache_info()
-    # built afresh, past make_el_rhs's memo
-    integrate(make_el_rhs.__wrapped__(synthesize_el(p)), s0, cfg)
-    after = _leg_solver.cache_info()
-    assert (after.hits + after.misses > before.hits + before.misses) == general
 
 
 def test_oscillator_rhs_calls_are_four_per_rk4_step():
@@ -1374,13 +1383,13 @@ def test_ham_curved_negates_its_twin_products(monkeypatch):
     # D- = 1 - 0.2*z1*zb1*exp(0.2*z1*zb1) negates D+'s product instead of
     # multiplying it again, and j's e- leg -1.0 negates instead of multiplying
     sources = []
-    real = symbolic.lowered_function
+    real = Lowering.source
 
-    def capture(source, nodes, **names):
-        sources.append(source)
-        return real(source, nodes, **names)
+    def capture(self, out):
+        sources.append(real(self, out))
+        return sources[-1]
 
-    monkeypatch.setattr(symbolic, "lowered_function", capture)
+    monkeypatch.setattr(Lowering, "source", capture)
     p, _, _ = shipped("ham_curved.json")
     make_ham_rhs.__wrapped__(synthesize_ham(p))
     (source,) = sources
