@@ -472,6 +472,9 @@ def main(argv=None) -> int:
     except (SingularDenominator, DegenerateLagrangian, StepFailure, ZeroDivisor, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:  # in the parser, or later: a memo's key hashes the whole tree
+        print("error: expression nests too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,12 +20,12 @@ evaluation instead of symbolically inverting M, which blows up for n > 1
 and hides degeneracy behind huge expressions.  On the legs it is two
 independent real systems of size m = 2n, solved by elimination emitted
 as straight-line code with no loops (_eliminate) into the system's one
-lowered function (_folded_el_rhs).  synthesize_el gives
-M = j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T), so when every
-leg of the Hessian H lowers to a literal, the elimination on it is
-worked out at build time: each leg is left with b's arithmetic and one
-rank-one update; a constant lam has grad(lam) = 0 and no update, and its
-exp(+-lam) fold into H.  Any other M is eliminated on its lowered legs
+lowered function (_folded_el_rhs).  An M whose legs all lower to
+literals, as a constant lam's do wherever the Hessian H's do, is
+eliminated at build time.  For a lam that is not constant, synthesize_el
+gives M = j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T), so when
+every leg of H lowers to a literal, each leg is left with b's arithmetic
+and one rank-one update.  Any other M is eliminated on its lowered legs
 at every call.
 
 Both steppers take (rhs, y, cfg, times, rows) and append each accepted
@@ -56,14 +56,12 @@ from .para_algebra import INVERTIBILITY_FLOOR, DomainError, ParaComplex, ValueTy
 from .symbolic import (
     J_EXPR,
     Apply,
-    Constant,
     Expr,
     Lowering,
     Negate,
     Product,
     Sum,
     differentiate,
-    is_zero,
     leg_text,
     lower,
     z_var,
@@ -412,50 +410,47 @@ def _entry_parts(entry: Expr, lower: bool):
 def _rank_one_split(ode: ImplicitODE):
     """(H, g, grow, shrink) for M = j*diag(grow I_n, shrink I_n)*(H + c*g^T)
     with c = (b[n:], b[:n]), the form synthesize_el gives the conformal
-    system, where g is lam's gradient and shrink = exp(-lam) for
-    grow = exp(lam).  A constant lam gives two literals and g = 0, and no
-    relation between them is assumed.  None for any other M."""
+    system, where g is lam's gradient, grow = exp(lam) for a lam that is
+    not constant, and shrink = exp(-lam).  None for any other M; a
+    constant lam's two literal factors turn M away at M[0][0] and M[n][0],
+    before its other entries are matched."""
     n = ode.chart.n
+    corners = _entry_parts(ode.M[0][0], False), _entry_parts(ode.M[n][0], True)
+    grow, shrink = (p and p[1] for p in corners)  # None for a corner of another form
+    if not (isinstance(grow, Apply) and shrink == _exp_of(Negate(grow.arg))):
+        return None
     c = ode.b[n:] + ode.b[:n]
     parts = [[_entry_parts(e, r >= n) for e in row] for r, row in enumerate(ode.M)]
     if any(p is None for row in parts for p in row):
         return None
-    grow, shrink, g = parts[0][0][1], parts[n][0][1], [p[3] for p in parts[0]]
+    g = [p[3] for p in parts[0]]
     for r, row in enumerate(parts):
         for k, (j, factor, _, g_k, c_r) in enumerate(row):
             if j != J_EXPR or factor != (shrink if r >= n else grow) or g_k != g[k] or c_r != c[r]:
                 return None
-    if isinstance(grow, Constant) and isinstance(shrink, Constant):
-        if not all(map(is_zero, g)):
-            return None
-    elif not (isinstance(grow, Apply) and shrink == _exp_of(Negate(grow.arg))):
-        return None
     return [[p[2] for p in row] for row in parts], g, grow, shrink
 
 
-def _rank_one_el_rhs(low: Lowering, ode: ImplicitODE, h: list, g: list, grow: Expr, shrink: Expr):
-    """make_el_rhs for M = j*diag(grow I_n, shrink I_n)*(H + c*g^T), when
-    every leg of D lowers to a finite literal; None otherwise, or when
-    _folded_el_rhs finds it singular on a leg with a rank-one update.  D is
-    lowered into low row by row, up to its first row that is not literal,
-    so that M's own entries reuse its lines.  For exp(+-lam), D = j*H, and
-    M*x = b is (D + c*(j*g)^T)*x = (shrink*b[:n], grow*b[n:]), since
-    j*j = 1.  For two literals, D's entries lower as M's own entries do, as
-    j*grow*H_ik and j*shrink*H_ik, and D*x = b."""
+def _rank_one_el_rhs(ode: ImplicitODE, h: list, g: list, grow: Expr, shrink: Expr):
+    """make_el_rhs for M = j*diag(exp(lam) I_n, exp(-lam) I_n)*(H + c*g^T),
+    when every leg of D = j*H lowers to a finite literal; None otherwise,
+    or when _folded_el_rhs finds D singular on a leg with a rank-one
+    update.  H is lowered row by row, up to its first row that is not
+    literal, into a Lowering of this builder's own, so a None leaves no
+    line behind.  M*x = b is (D + c*(j*g)^T)*x = (shrink*b[:n], grow*b[n:]),
+    since j*j = 1."""
     n = ode.chart.n
-    literal = isinstance(grow, Constant)
+    low = Lowering(ode.chart.slots())
     d = ([], [])
-    for r, row in enumerate(h):
-        if literal:  # M's j*factor*(H_ik + 0*d) lowers as j*factor*H_ik
-            row = [Product((J_EXPR, shrink if r >= n else grow, e)) for e in row]
+    for row in h:
         legs = [low.legs(e) for e in row]
         if not all(isinstance(x, float) and math.isfinite(x) for pair in legs for x in pair):
             return None
         d[0].append([u for u, _ in legs])
-        d[1].append([v if literal else -v for _, v in legs])  # j's e- leg is -1
+        d[1].append([-v for _, v in legs])  # j's e- leg is -1
     low.legs(grow)  # M's order: exp(lam), lam's partials, then L's partials
     jg = [low.legs(Product((J_EXPR, e))) for e in g]
-    b = [low.legs(e if literal else Product((shrink if i < n else grow, e))) for i, e in enumerate(ode.b)]
+    b = [low.legs(Product((shrink if i < n else grow, e))) for i, e in enumerate(ode.b)]
     c = [low.legs(e) for e in ode.b[n:] + ode.b[:n]]
     return _folded_el_rhs(low, d, tuple(zip(*b)), tuple(zip(*c)), tuple(zip(*jg)))
 
@@ -466,20 +461,21 @@ def make_el_rhs(ode: ImplicitODE):
     computes b's legs and solves M*x = b on each leg (_folded_el_rhs).
 
     When M has the form j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T)
-    that synthesize_el gives it, and H's legs all lower to finite literals,
-    the elimination on j*H is folded at build time, and each leg adds one
-    rank-one update (Sherman-Morrison) whose scalar 1 + g.y_c is the leg's
-    pivot (_rank_one_el_rhs).  Otherwise, or when j*H is singular on a leg
-    with an update, M is lowered into the same Lowering, its entries
-    reusing H's lines, and eliminated on its legs.
+    that synthesize_el gives it, lam is not constant and H's legs all
+    lower to finite literals, the elimination on j*H is folded at build
+    time, and each leg adds one rank-one update (Sherman-Morrison) whose
+    scalar 1 + g.y_c is the leg's pivot (_rank_one_el_rhs).  Any other M,
+    or a j*H singular on a leg with an update, is lowered on a Lowering of
+    its own and eliminated on its legs, at build time where they are
+    literals, as a constant lam's are wherever H's are.
 
     A pivot or a scalar that fails because an entry of M or b is not
     finite is a non-finite step, not a degenerate system."""
-    low = Lowering(ode.chart.slots())
     split = _rank_one_split(ode)
-    folded = None if split is None else _rank_one_el_rhs(low, ode, *split)
+    folded = None if split is None else _rank_one_el_rhs(ode, *split)
     if folded is not None:
         return folded
+    low = Lowering(ode.chart.slots())
     legs = [[low.legs(e) for e in row] for row in ode.M]
     d = tuple([[leg[side] for leg in row] for row in legs] for side in (0, 1))
     zero = ([0.0] * len(ode.b),) * 2  # no rank-one update, so c is never read

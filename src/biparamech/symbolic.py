@@ -25,7 +25,7 @@ import math
 import operator
 import re
 from collections.abc import Callable, Iterator
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 
 from .para_algebra import (
     FUNCTIONS,
@@ -320,6 +320,8 @@ class _Parser:
         kind, text, pos = self.advance()
         if kind != "num" or not _INT_RE.match(text):
             raise ExprSyntaxError("expected an integer exponent", pos)
+        if not math.isfinite(float(text)):  # differentiate needs float(k); int() takes <= 4300 digits
+            raise ExprSyntaxError(f"exponent {text!r} overflows", pos)
         k = sign * int(text)
         if k == 0:
             raise ExprSyntaxError("exponent must be a nonzero integer", pos)
@@ -837,15 +839,13 @@ class Lowering:
         return namespace["lowered"]
 
 
-@lru_cache(maxsize=256)
 def lower(roots: tuple, slots: tuple) -> Callable[[list], list]:
     """Lower expressions to one straight-line Python function on the legs.
 
     ``slots`` names the variables as (family, index) pairs.  The function
     takes their legs as one flat list ``y = [u(s0), v(s0), u(s1), v(s1),
     ...]`` and returns the roots' legs in the same interleaved layout.  See
-    Lowering for how the legs are computed.  The result is memoized per
-    (roots, slots).
+    Lowering for how the legs are computed.
     """
     low = Lowering(slots)
     return low.function([leg for root in roots for leg in low.legs(root)])

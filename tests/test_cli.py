@@ -46,7 +46,7 @@ from biparamech.dynamics import (
 )
 from biparamech.eom import HamiltonianProblem, energy, synthesize_el
 from biparamech.para_algebra import ParaComplex
-from biparamech.symbolic import lower
+from biparamech.symbolic import CoordinateChart, lower, parse
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(REPO, "problems")
@@ -304,6 +304,45 @@ def test_non_object_json_exit_2(tmp_path, capsys):
     path = tmp_path / "arr.json"
     path.write_text("[1, 2]")
     assert main(["derive", str(path)]) == 2
+
+
+def _argv(command, path, tmp_path):
+    return [command, str(path), *(["-o", str(tmp_path / "x.csv")] if command == "integrate" else [])]
+
+
+@pytest.mark.parametrize("command", ["derive", "integrate", "audit"])
+def test_an_exponent_too_large_for_a_float_exits_2(tmp_path, capsys, command):
+    # z1^<400 nines>: differentiate could not make a float of it
+    assert main(_argv(command, DATA / "exponent_overflow.json", tmp_path)) == 2
+    assert capsys.readouterr() == ("", f"error: exponent '{'9' * 400}' overflows (column 17)\n")
+
+
+def test_an_exponent_past_int_digit_limit_exits_2(tmp_path, capsys):
+    # 5000 digits: int() would refuse them with a ValueError
+    doc = dict(oscillator_doc(), function="z1*zb1 + 0.5*z1^" + "9" * 5000)
+    assert _expect_2(tmp_path, capsys, doc).endswith("' overflows (column 17)\n")
+
+
+@pytest.mark.parametrize(
+    "nested",
+    [pytest.param("(" * 400 + "z1" + ")" * 400, id="parentheses"),
+     pytest.param("exp(" * 300 + "z1" + ")" * 300, id="exp"),
+     pytest.param("-" * 3000 + "z1", id="minuses")],
+)
+def test_an_expression_too_deep_to_parse_exits_2(tmp_path, capsys, nested):
+    doc = dict(oscillator_doc(), function=f"z1*zb1 + {nested}")
+    with pytest.raises(RecursionError):
+        parse(doc["function"], CoordinateChart(1))
+    assert _expect_2(tmp_path, capsys, doc) == "error: expression nests too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["derive", "integrate", "audit"])
+def test_an_expression_that_parses_but_nests_too_deeply_exits_2(tmp_path, capsys, command):
+    # 600 unary minuses parse; hashing the tree for a memo's key fails later
+    path = DATA / "deep_nesting.json"
+    parse(json.loads(path.read_text())["function"], CoordinateChart(1))
+    assert main(_argv(command, path, tmp_path)) == 2
+    assert capsys.readouterr() == ("", "error: expression nests too deeply\n")
 
 
 # ---------------------------------------------------------------------------

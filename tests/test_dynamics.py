@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import random
@@ -1072,6 +1073,7 @@ def conformal_l4():
 
 
 CONSTANT_LAMBDA = os.path.join("..", "tests", "data", "constant_lambda_lagrangian.json")
+CONFORMAL_SINGULAR = os.path.join("..", "tests", "data", "conformal_singular_lagrangian.json")
 
 
 def shipped(name):
@@ -1092,7 +1094,7 @@ def general_textbook(p):
         pytest.param(lambda: shipped("el_quadratic.json"), general_textbook, id="el_quadratic"),
         pytest.param(lambda: shipped("el_exp.json"), general_textbook, id="el_exp"),
         pytest.param(lambda: shipped("el_conformal.json"), textbook_conformal_el_rhs, id="el_conformal"),
-        # a constant lam = 0.5: exp(+-lam) fold into the Hessian, as into M
+        # a constant lam = 0.5: exp(+-lam) fold into M's entries as they lower
         pytest.param(lambda: shipped(CONSTANT_LAMBDA), general_textbook, id="constant_lambda"),
         # a Hessian that is not constant is eliminated on M's 6 x 6 and 8 x 8
         # legs at every call
@@ -1148,6 +1150,37 @@ def test_every_euler_lagrange_rhs_is_one_lowered_function(name):
     p, _, _ = shipped(name)
     rhs = make_el_rhs(synthesize_el(p))
     assert rhs.__name__ == "lowered"
+
+
+def unread_locals(source):
+    """The locals the source binds and never reads."""
+    names = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)]
+    bound = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+    return bound - {n.id for n in names if isinstance(n.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*(pytest.param(lambda name=name: shipped(name)[0], id=os.path.basename(name))
+       for name in ("oscillator.json", "el_quadratic.json", "el_coupled.json", "el_exp.json", "el_conformal.json",
+                    "el_cubic.json", os.path.join("failing", "degenerate_L.json"), CONSTANT_LAMBDA,
+                    CONFORMAL_SINGULAR)),
+     # j*H is singular on a leg with a rank-one update, so M is eliminated
+     # instead, with none of the rank-one builder's lines
+     pytest.param(lambda: lagrangian("z1^2 + zb1", "0.1*z1"), id="singular_jh")],
+)
+def test_no_euler_lagrange_function_binds_a_local_it_never_reads(case, monkeypatch):
+    sources = []
+    real = Lowering.source
+
+    def capture(self, out):
+        sources.append(real(self, out))
+        return sources[-1]
+
+    monkeypatch.setattr(Lowering, "source", capture)
+    make_el_rhs.__wrapped__(synthesize_el(case()))
+    (source,) = sources
+    assert unread_locals(source) == set()
 
 
 def test_literal_factors_fold_with_no_relation_assumed_between_them():
