@@ -23,10 +23,11 @@ as straight-line code with no loops (_eliminate) into the system's one
 lowered function (_folded_el_rhs).  An M whose legs all lower to
 literals, as a constant lam's do wherever the Hessian H's do, is
 eliminated at build time.  For a lam that is not constant, synthesize_el
-gives M = j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T), so when
-every leg of H lowers to a literal, each leg is left with b's arithmetic
-and one rank-one update.  Any other M is eliminated on its lowered legs
-at every call.
+builds M = j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T) and
+records that split (ImplicitODE.conformal), so when every leg of H lowers
+to a literal, each leg is left with b's arithmetic and one rank-one
+update.  Any other M, a hand-built one too, is eliminated on its lowered
+legs at every call.
 
 Both steppers take (rhs, y, cfg, times, rows) and append each accepted
 step's time and row to times and rows themselves.  RK4 runs in a loop
@@ -48,7 +49,6 @@ from .eom import (
     LagrangianProblem,
     SingularDenominator,
     _AtTime,
-    _exp_of,
     energy,
     synthesize_el,
 )
@@ -56,14 +56,13 @@ from .para_algebra import INVERTIBILITY_FLOOR, DomainError, ParaComplex, ValueTy
 from .symbolic import (
     J_EXPR,
     Apply,
-    Expr,
     Lowering,
     Negate,
     Product,
-    Sum,
     differentiate,
     leg_text,
     lower,
+    vars_of,
     z_var,
     zb_var,
 )
@@ -395,50 +394,18 @@ def _folded_el_rhs(low: Lowering, a, b, c, g):
                         isfinite=math.isfinite)
 
 
-def _entry_parts(entry: Expr, lower: bool):
-    """(j, factor, h, g, c) for an entry j*factor*(h + c*g) of M in the form
-    synthesize_el gives it, whose c*g is g*d in M's upper half and -(g*d)
-    with c = -d in its lower half; None for any other entry."""
-    match entry:
-        case Product((j, factor, Sum((h, Product((g, d)))))) if not lower:
-            return j, factor, h, g, d
-        case Product((j, factor, Sum((h, Negate(Product((g, d))))))) if lower:
-            return j, factor, h, g, Negate(d)
-    return None
-
-
-def _rank_one_split(ode: ImplicitODE):
-    """(H, g, grow, shrink) for M = j*diag(grow I_n, shrink I_n)*(H + c*g^T)
-    with c = (b[n:], b[:n]), the form synthesize_el gives the conformal
-    system, where g is lam's gradient, grow = exp(lam) for a lam that is
-    not constant, and shrink = exp(-lam).  None for any other M; a
-    constant lam's two literal factors turn M away at M[0][0] and M[n][0],
-    before its other entries are matched."""
-    n = ode.chart.n
-    corners = _entry_parts(ode.M[0][0], False), _entry_parts(ode.M[n][0], True)
-    grow, shrink = (p and p[1] for p in corners)  # None for a corner of another form
-    if not (isinstance(grow, Apply) and shrink == _exp_of(Negate(grow.arg))):
+def _rank_one_el_rhs(ode: ImplicitODE):
+    """make_el_rhs for M = j*diag(exp(lam) I_n, exp(-lam) I_n)*(H + c*g^T)
+    as ode.conformal records it, when every leg of D = j*H lowers to a
+    finite literal; None otherwise, or when _folded_el_rhs finds D
+    singular on a leg with a rank-one update.  An H with a variable is
+    turned away unlowered; a state-free H is lowered, up to its first row
+    that is not literal, into a Lowering of this builder's own, so a None
+    leaves no line behind.  M*x = b is (D + c*(j*g)^T)*x =
+    (shrink*b[:n], grow*b[n:]), since j*j = 1."""
+    h, g, grow, shrink = ode.conformal
+    if any(vars_of(e) for row in h for e in row):
         return None
-    c = ode.b[n:] + ode.b[:n]
-    parts = [[_entry_parts(e, r >= n) for e in row] for r, row in enumerate(ode.M)]
-    if any(p is None for row in parts for p in row):
-        return None
-    g = [p[3] for p in parts[0]]
-    for r, row in enumerate(parts):
-        for k, (j, factor, _, g_k, c_r) in enumerate(row):
-            if j != J_EXPR or factor != (shrink if r >= n else grow) or g_k != g[k] or c_r != c[r]:
-                return None
-    return [[p[2] for p in row] for row in parts], g, grow, shrink
-
-
-def _rank_one_el_rhs(ode: ImplicitODE, h: list, g: list, grow: Expr, shrink: Expr):
-    """make_el_rhs for M = j*diag(exp(lam) I_n, exp(-lam) I_n)*(H + c*g^T),
-    when every leg of D = j*H lowers to a finite literal; None otherwise,
-    or when _folded_el_rhs finds D singular on a leg with a rank-one
-    update.  H is lowered row by row, up to its first row that is not
-    literal, into a Lowering of this builder's own, so a None leaves no
-    line behind.  M*x = b is (D + c*(j*g)^T)*x = (shrink*b[:n], grow*b[n:]),
-    since j*j = 1."""
     n = ode.chart.n
     low = Lowering(ode.chart.slots())
     d = ([], [])
@@ -460,19 +427,19 @@ def make_el_rhs(ode: ImplicitODE):
     """rhs(y) -> dy for an implicit EL system, as one lowered function that
     computes b's legs and solves M*x = b on each leg (_folded_el_rhs).
 
-    When M has the form j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T)
-    that synthesize_el gives it, lam is not constant and H's legs all
-    lower to finite literals, the elimination on j*H is folded at build
-    time, and each leg adds one rank-one update (Sherman-Morrison) whose
-    scalar 1 + g.y_c is the leg's pivot (_rank_one_el_rhs).  Any other M,
-    or a j*H singular on a leg with an update, is lowered on a Lowering of
-    its own and eliminated on its legs, at build time where they are
-    literals, as a constant lam's are wherever H's are.
+    When synthesize_el recorded M's split j*diag(exp(lam) I, exp(-lam) I)*
+    (H + c*grad(lam)^T) in ode.conformal, as it does for a lam that is not
+    constant, and H's legs all lower to finite literals, the elimination
+    on j*H is folded at build time, and each leg adds one rank-one update
+    (Sherman-Morrison) whose scalar 1 + g.y_c is the leg's pivot
+    (_rank_one_el_rhs).  Any other M, a hand-built one included, or a j*H
+    singular on a leg with an update, is lowered on a Lowering of its own
+    and eliminated on its legs, at build time where they are literals, as
+    a constant lam's are wherever H's are.
 
     A pivot or a scalar that fails because an entry of M or b is not
     finite is a non-finite step, not a degenerate system."""
-    split = _rank_one_split(ode)
-    folded = None if split is None else _rank_one_el_rhs(ode, *split)
+    folded = None if ode.conformal is None else _rank_one_el_rhs(ode)
     if folded is not None:
         return folded
     low = Lowering(ode.chart.slots())

@@ -165,15 +165,20 @@ _HALF = Constant(ParaComplex(0.5, 0.0))
 
 
 class ImplicitODE(ValueType):
-    """M*(xi1..xin, xib1..xibn) = b with coefficient entries free of xi."""
+    """M*(xi1..xin, xib1..xibn) = b with coefficient entries free of xi.
 
-    _fields = ("chart", "M", "b")
+    conformal is synthesize_el's record (H, grad(lam), exp(lam), exp(-lam))
+    of M = j*diag(exp(lam) I_n, exp(-lam) I_n)*(H + c*grad(lam)^T), with
+    c = (b[n:], b[:n]), for a lam that is not constant; None otherwise."""
 
-    def __init__(self, chart: CoordinateChart, M: tuple, b: tuple) -> None:
+    _fields = ("chart", "M", "b", "conformal")
+
+    def __init__(self, chart: CoordinateChart, M: tuple, b: tuple, conformal: tuple | None = None) -> None:
         d = self.__dict__
         d["chart"] = chart
         d["M"] = M
         d["b"] = b
+        d["conformal"] = conformal
 
 
 class ExplicitODE(ValueType):
@@ -210,27 +215,31 @@ def synthesize_el(p: LagrangianProblem) -> ImplicitODE:
     contributes rate-of-lam terms, and the xi-free partial of L moves to
     the right-hand side.  The entries are the chain rule's trees, which
     el_equation_texts expands and lower() folds; each first partial of L
-    is one object in its row's 2n entries and in b.
+    is one object in its row's 2n entries and in b, and an entry whose
+    rate of lam is ZERO_EXPR is j*exp(+-lam)*H_ik alone.  For a lam that is
+    not constant, the system records its conformal split (ImplicitODE).
     """
     ep, em = _exp_of(p.lam), _exp_of(Negate(p.lam))
     lam_cols = _lam_rate_terms(p.lam, p.chart)
     wrt = [Var(*slot) for slot in p.chart.slots()]
     lzb = [differentiate(p.L, zb_var(i)) for i in p.chart.indices()]
     lz = [differentiate(p.L, z_var(i)) for i in p.chart.indices()]
+    H = tuple(tuple(differentiate(d, v) for v in wrt) for d in lzb + lz)
     M = [
-        tuple(Product((J_EXPR, ep, Sum((differentiate(d, v), Product((lam_c, d))))))
-              for v, lam_c in zip(wrt, lam_cols))
-        for d in lzb
+        tuple(Product((J_EXPR, ep, h if lam_c is ZERO_EXPR else Sum((h, Product((lam_c, d))))))
+              for h, lam_c in zip(row, lam_cols))
+        for row, d in zip(H, lzb)
     ] + [
-        tuple(Product((J_EXPR, em, Sum((differentiate(d, v), Negate(Product((lam_c, d)))))))
-              for v, lam_c in zip(wrt, lam_cols))
-        for d in lz
+        tuple(Product((J_EXPR, em, h if lam_c is ZERO_EXPR else Sum((h, Negate(Product((lam_c, d)))))))
+              for h, lam_c in zip(row, lam_cols))
+        for row, d in zip(H[len(lzb):], lz)
     ]
     b = [Negate(d) for d in lz] + lzb
     # an overflowing constant in L is an input error even where every term
     # that holds it differentiates to zero
     simplify(p.L)
-    return ImplicitODE(p.chart, tuple(M), tuple(b))
+    conformal = (H, lam_cols, ep, em) if isinstance(ep, Apply) else None
+    return ImplicitODE(p.chart, tuple(M), tuple(b), conformal)
 
 
 @lru_cache(maxsize=128)

@@ -1,4 +1,5 @@
 import ast
+import glob
 import math
 import os
 import random
@@ -7,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from biparamech.cli import load_problem
+from biparamech import dynamics
+from biparamech.cli import ProblemFileError, load_problem
 from biparamech.dynamics import (
     _TIMED_ERRORS,
     PIVOT_TOL,
@@ -49,6 +51,7 @@ from biparamech.symbolic import (
     lower,
     parse,
     simplify,
+    vars_of,
     z_var,
     zb_var,
 )
@@ -1181,6 +1184,97 @@ def test_no_euler_lagrange_function_binds_a_local_it_never_reads(case, monkeypat
     make_el_rhs.__wrapped__(synthesize_el(case()))
     (source,) = sources
     assert unread_locals(source) == set()
+
+
+def emitted_el_source(ode, monkeypatch):
+    """The one lowered function's source that make_el_rhs builds for ode."""
+    sources = []
+    real = Lowering.source
+
+    def capture(self, out):
+        sources.append(real(self, out))
+        return sources[-1]
+
+    monkeypatch.setattr(Lowering, "source", capture)
+    make_el_rhs.__wrapped__(ode)
+    (source,) = sources
+    return source
+
+
+def routed_lagrangians():
+    """Every Lagrangian under problems/, problems/failing/ and tests/data/
+    that loads and synthesizes, with the conformal family at n = 1..4 and
+    two that add a cubic term to L."""
+    out = []
+    root = os.path.dirname(PROBLEMS)
+    for pattern in ("problems/*.json", "problems/failing/*.json", "tests/data/*.json"):
+        for path in sorted(glob.glob(os.path.join(root, pattern))):
+            try:
+                p = load_problem(path).problem
+                if isinstance(p, LagrangianProblem):
+                    synthesize_el(p)
+                    out.append((os.path.basename(path), p))
+            except (ProblemFileError, RecursionError):  # input errors: no system
+                pass
+    out += [(f"conformal_n{n}", conformal_l(n)[0]) for n in (1, 2, 3, 4)]
+    out += [(f"conformal_cubic_n{n}", conformal_l(n, " + 0.01*z1^3")[0]) for n in (1, 3)]
+    return out
+
+
+def test_the_rank_one_builder_follows_what_synthesize_el_records(monkeypatch):
+    # synthesize_el records the conformal split exactly for a lam that is
+    # not constant, and the rank-one update (its den lines) is emitted
+    # exactly where that lam sits over a Hessian free of the state
+    cases = routed_lagrangians()
+    assert {"el_conformal.json", "conformal_singular_lagrangian.json", "constant_lambda_lagrangian.json"} <= {
+        name for name, _ in cases
+    }
+    dens = set()
+    for name, p in cases:
+        ode = synthesize_el(p)
+        lam_varies = bool(vars_of(simplify(p.lam)))
+        assert (ode.conformal is not None) == lam_varies, name
+        slots = [Var(*s) for s in p.chart.slots()]
+        h_constant = not any(vars_of(simplify(differentiate(differentiate(p.L, a), b))) for a in slots for b in slots)
+        source = emitted_el_source(ode, monkeypatch)
+        monkeypatch.undo()
+        has_den = re.search(r"^\s*den[uv] = ", source, re.M) is not None
+        assert has_den == (lam_varies and h_constant), name
+        dens.add(has_den)
+    assert dens == {True, False}
+
+
+def test_a_hand_built_conformal_system_takes_ms_own_lowering(monkeypatch):
+    # the same M and b without synthesize_el's record: M is lowered and
+    # eliminated on its legs, with no rank-one line, sample for sample as
+    # the looped solve on the lowered M
+    p, s0, cfg = shipped("el_conformal.json")
+    ode = synthesize_el(p)
+    bare = ImplicitODE(ode.chart, ode.M, ode.b)
+    assert bare.conformal is None and bare != ode
+    assert "den" not in emitted_el_source(bare, monkeypatch)
+    want = integrate(textbook_el_rhs(bare), s0, cfg).samples
+    got = integrate(make_el_rhs(bare), s0, cfg).samples
+    assert len(got) == len(want) > 1
+    for a, b in zip(got, want):
+        assert a.t == b.t
+        assert [(repr(w.u), repr(w.v)) for w in a.z + a.zb] == [(repr(w.u), repr(w.v)) for w in b.z + b.zb]
+
+
+def test_a_hessian_with_the_state_in_it_is_lowered_once(monkeypatch):
+    # under a lam that is not constant, an H that is not constant is turned
+    # away before the rank-one builder lowers anything: M's lowering is the
+    # only one
+    built = []
+
+    class Counted(Lowering):
+        def __init__(self, slots):
+            built.append(self)
+            super().__init__(slots)
+
+    monkeypatch.setattr(dynamics, "Lowering", Counted)
+    make_el_rhs.__wrapped__(synthesize_el(lagrangian("z1*zb1 + 0.3*z1^3", "0.2*z1*zb1")))
+    assert len(built) == 1
 
 
 def test_literal_factors_fold_with_no_relation_assumed_between_them():

@@ -144,6 +144,7 @@ class ImplicitODE:
     chart: CoordinateChart
     M: tuple
     b: tuple
+    conformal: tuple | None = None
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from biparamech.verify import (
     run_all,
     selftest_algebra,
 )
+from test_dynamics import conformal_l
 
 C1 = CoordinateChart(1)
 
@@ -275,6 +276,23 @@ class TestAuditBattery:
     def test_hamiltonian_fixture(self):
         r = audit_battery(fixture_problem("hamiltonian", "H4"), 50, 9)
         assert r.all_pass
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            pytest.param(LagrangianProblem(C1, parse("z1*zb1 + 0.3*zb1^2", C1), parse("0.2*z1*zb1", C1)),
+                         id="quadratic"),
+            pytest.param(LagrangianProblem(C1, parse("z1*zb1", C1), parse("0.5*z1", C1)), id="linear_lam"),
+            pytest.param(conformal_l(2)[0], id="conformal_n2"),
+        ],
+    )
+    def test_the_rank_one_solve_passes_the_two_form_audit(self, p):
+        # a constant Hessian under a lam that is not constant takes the
+        # rank-one builder; the audit checks its velocities against
+        # i_X omega_L = dE_L, which never sees M
+        assert synthesize_el(p).conformal is not None
+        r = audit_battery(p, 100, 42)
+        assert r.checks[0].measured <= 1e-10
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_no_samples_is_an_error(self, samples):
