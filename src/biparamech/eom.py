@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .para_algebra import J, ONE, ZERO, ParaComplex, ValueType, apply_function
+from .para_algebra import INVERTIBILITY_FLOOR, ParaComplex, ValueType, _exp_leg
 from .symbolic import (
     Apply,
     Constant,
@@ -34,8 +34,9 @@ from .symbolic import (
     Sum,
     Var,
     ZERO_EXPR,
+    _eval_pair,
     differentiate,
-    evaluate,
+    evaluate,  # not called here; benchmark/layers.py wraps eom.evaluate
     is_zero,
     simplify,
     to_text,
@@ -289,20 +290,30 @@ def audit_lagrange(p: LagrangianProblem, s: EvalState, X: tuple) -> float:
     X holds the 2n velocities dz_i/dt, then dzb_i/dt, as ParaComplex values:
     dz + dzb as at_state returns them.  The identity is the paper's form of
     the Euler-Lagrange law, and it is evaluated from the two-form and the
-    energy alone, through evaluate(): neither synthesize_el's M and b
-    nor the lowered code of symbolic.lower enter, so this audit and the
-    right-hand side make_el_rhs builds can disagree when either is wrong.
+    energy alone, on the legs the interpreter _eval_pair gives: neither
+    synthesize_el's M and b nor the lowered code of symbolic.lower enter,
+    so this audit and the right-hand side make_el_rhs builds can disagree
+    when either is wrong.  The algebra is componentwise on the legs, so
+    the residual is the one ParaComplex arithmetic gives, bit for bit.
     """
     n = p.chart.n
     omega, dE = _identity_terms(p)
+    xu = [x.u for x in X]
+    xv = [x.v for x in X]
     # i_X (w dq_a^dq_b) = w*X_a dq_b - w*X_b dq_a
-    contraction = [ZERO] * (2 * n)
+    cu = [0.0] * (2 * n)
+    cv = [0.0] * (2 * n)
     for a, b, w in omega:
-        w_val = evaluate(w, s)
-        contraction[b] = contraction[b] + w_val * X[a]
-        contraction[a] = contraction[a] - w_val * X[b]
+        wu, wv = _eval_pair(w, s)
+        cu[b] += wu * xu[a]
+        cv[b] += wv * xv[a]
+        cu[a] -= wu * xu[b]
+        cv[a] -= wv * xv[b]
     full = EvalState(z=s.z, zb=s.zb, xi=X[:n], xib=X[n:])
-    return max(abs(c - evaluate(d, full)) for c, d in zip(contraction, dE))
+    return max(
+        max(abs(u - du), abs(v - dv))
+        for u, v, (du, dv) in zip(cu, cv, (_eval_pair(d, full) for d in dE))
+    )
 
 
 @lru_cache(maxsize=128)
@@ -329,13 +340,19 @@ def _hamilton_terms(p: HamiltonianProblem) -> tuple:
 
 def _denominator_values(
     p: HamiltonianProblem, terms: tuple, s: EvalState
-) -> tuple[ParaComplex, ParaComplex]:
-    acc = ZERO
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The legs (u, v) of D+ and of D- at s, from lam and its partials."""
+    acc_u = acc_v = 0.0
     for i, (lam_z, lam_zb, *_) in zip(p.chart.indices(), terms):
-        acc = acc + evaluate(Var("z", i), s) * evaluate(lam_z, s)
-        acc = acc + evaluate(Var("zb", i), s) * evaluate(lam_zb, s)
-    half = ParaComplex(0.5, 0.0) * apply_function("exp", evaluate(p.lam, s)) * acc
-    return ONE + half, ONE - half
+        for var, lam_var in ((z_var(i), lam_z), (zb_var(i), lam_zb)):
+            wu, wv = _eval_pair(var, s)
+            lu, lv = _eval_pair(lam_var, s)
+            acc_u += wu * lu
+            acc_v += wv * lv
+    lu, lv = _eval_pair(p.lam, s)
+    half_u = 0.5 * _exp_leg(lu) * acc_u
+    half_v = 0.5 * _exp_leg(lv) * acc_v
+    return (1.0 + half_u, 1.0 + half_v), (1.0 - half_u, 1.0 - half_v)
 
 
 def audit_hamilton(p: HamiltonianProblem, s: EvalState) -> float:
@@ -347,19 +364,21 @@ def audit_hamilton(p: HamiltonianProblem, s: EvalState) -> float:
     """
     terms = _hamilton_terms(p)
     d_plus, d_minus = _denominator_values(p, terms, s)
-    if not d_plus.invertible:
-        raise SingularDenominator("D+")
-    if not d_minus.invertible:
-        raise SingularDenominator("D-")
+    for name, (u, v) in (("D+", d_plus), ("D-", d_minus)):
+        if not (abs(u) >= INVERTIBILITY_FLOOR and abs(v) >= INVERTIBILITY_FLOOR):
+            raise SingularDenominator(name)
+    (pu, pv), (mu, mv) = d_plus, d_minus
     worst = 0.0
     for *_, h_z, h_zb, rhs_z, rhs_zb in terms:
-        Z_i = evaluate(rhs_z, s)
-        Zb_i = evaluate(rhs_zb, s)
-        Hz = evaluate(h_z, s)
-        Hzb = evaluate(h_zb, s)
-        r_dz = J * d_minus * Zb_i - Hz
-        r_dzb = -J * d_plus * Z_i - Hzb
-        worst = max(worst, abs(r_dz), abs(r_dzb))
+        zu, zv = _eval_pair(rhs_z, s)
+        zbu, zbv = _eval_pair(rhs_zb, s)
+        hzu, hzv = _eval_pair(h_z, s)
+        hzbu, hzbv = _eval_pair(h_zb, s)
+        # j has legs (1, -1): j*D-*Zb_i - dH/dz_i and -j*D+*Z_i - dH/dzb_i,
+        # each measured as max(|u|, |v|)
+        r_dz = max(abs(mu * zbu - hzu), abs(-mv * zbv - hzv))
+        r_dzb = max(abs(-pu * zu - hzbu), abs(pv * zv - hzbv))
+        worst = max(worst, r_dz, r_dzb)
     return worst
 
 

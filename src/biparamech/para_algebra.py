@@ -136,7 +136,7 @@ class ParaComplex:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        o = _coerce(other)
+        o = other if other.__class__ is ParaComplex else _coerce(other)
         if o is None:
             return NotImplemented
         return _make(self.a + o.a, self.b + o.b, self.u + o.u, self.v + o.v)
@@ -144,7 +144,7 @@ class ParaComplex:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(other)
+        o = other if other.__class__ is ParaComplex else _coerce(other)
         if o is None:
             return NotImplemented
         return _make(self.a - o.a, self.b - o.b, self.u - o.u, self.v - o.v)
@@ -156,7 +156,7 @@ class ParaComplex:
         return _make(o.a - self.a, o.b - self.b, o.u - self.u, o.v - self.v)
 
     def __mul__(self, other):
-        o = _coerce(other)
+        o = other if other.__class__ is ParaComplex else _coerce(other)
         if o is None:
             return NotImplemented
         return _from_legs(self.u * o.u, self.v * o.v)

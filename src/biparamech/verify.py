@@ -35,6 +35,7 @@ from .para_algebra import (
     StructureKind,
     ValueType,
     ZeroDivisor,
+    _from_legs,
     _make,
     structure_apply,
 )
@@ -119,21 +120,29 @@ def _check(name: str, measured: float, threshold: float) -> CheckResult:
 STATE_MARGIN = 1e-3
 
 
-def random_value(rng: random.Random) -> ParaComplex:
-    while True:
+def _draw(rng: random.Random, count: int) -> list:
+    """count values drawn one after another, each redrawn until it clears
+    the margin."""
+    unit = rng.random
+    values = []
+    while len(values) < count:
         # bit for bit what rng.uniform(-2.0, 2.0) returns
-        a = -2.0 + 4.0 * rng.random()
-        b = -2.0 + 4.0 * rng.random()
+        a = -2.0 + 4.0 * unit()
+        b = -2.0 + 4.0 * unit()
         u, v = a + b, a - b
-        if min(abs(u), abs(v)) > STATE_MARGIN:
-            return _make(a, b, u, v)
+        if abs(u) > STATE_MARGIN and abs(v) > STATE_MARGIN:
+            values.append(_make(a, b, u, v))
+    return values
+
+
+def random_value(rng: random.Random) -> ParaComplex:
+    return _draw(rng, 1)[0]
 
 
 def random_state(rng: random.Random, n: int) -> EvalState:
-    return EvalState(
-        z=tuple(random_value(rng) for _ in range(n)),
-        zb=tuple(random_value(rng) for _ in range(n)),
-    )
+    """z1..zn, then zb1..zbn, drawn in that order."""
+    values = _draw(rng, 2 * n)
+    return EvalState(z=tuple(values[:n]), zb=tuple(values[n:]))
 
 
 def _worst_over(rng: random.Random, n: int, samples: int, measure, starved) -> float:
@@ -266,7 +275,8 @@ def _pair_dev(x: ParaComplex, y: ParaComplex) -> float:
 
 
 def _canon_dev(x: ParaComplex, y: ParaComplex) -> float:
-    scale = max(1.0, abs(x), abs(y))
+    # max(1.0, abs(x), abs(y)) without the two calls
+    scale = max(1.0, max(abs(x.u), abs(x.v)), max(abs(y.u), abs(y.v)))
     return max(abs(x.a - y.a), abs(x.b - y.b)) / scale
 
 
@@ -290,6 +300,7 @@ def selftest_algebra(seed: int) -> Report:
     pu, pv = E_PLUS.u, E_PLUS.v
     mu, mv = E_MINUS.u, E_MINUS.v
     ju, jv = J.u, J.v
+    p_minus_m = E_PLUS - E_MINUS
     for _ in range(1000):
         x = ParaComplex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         xu, xv = x.u, x.v
@@ -319,18 +330,17 @@ def selftest_algebra(seed: int) -> Report:
         # (a, b): a product keeps its legs exactly and halves them into
         # (a, b) once, so this measures 0.0 in practice; the bound is 1e-15
         # relative
-        round_dev = max(round_dev, _canon_dev(E_PLUS * x + E_MINUS * x, x))
-        round_dev = max(round_dev, _canon_dev((E_PLUS * x) * (E_MINUS * x), ZERO))
-        round_dev = max(round_dev, _canon_dev((E_PLUS - E_MINUS) * x, J * x))
-        round_dev = max(round_dev, _canon_dev(J * (J * x), x))
+        px, mx, jx, xx = E_PLUS * x, E_MINUS * x, J * x, x * x
         round_dev = max(
-            round_dev, _canon_dev((E_PLUS * x) * (E_PLUS * x), E_PLUS * (x * x))
+            round_dev,
+            _canon_dev(px + mx, x),
+            _canon_dev(px * mx, ZERO),
+            _canon_dev(p_minus_m * x, jx),
+            _canon_dev(J * jx, x),
+            _canon_dev(px * px, E_PLUS * xx),
+            _canon_dev(mx * mx, E_MINUS * xx),
+            _canon_dev(ParaComplex.from_idempotent(xu, xv), x),
         )
-        round_dev = max(
-            round_dev, _canon_dev((E_MINUS * x) * (E_MINUS * x), E_MINUS * (x * x))
-        )
-        back = ParaComplex.from_idempotent(x.u, x.v)
-        round_dev = max(round_dev, _canon_dev(back, x))
     checks.append(_check("algebra-idempotent-exact", exact_dev, 0.0))
     checks.append(_check("algebra-idempotent-roundtrip", round_dev, 1e-15))
 
@@ -404,23 +414,36 @@ def _chart_of(e) -> CoordinateChart:
     return CoordinateChart(n)
 
 
+def _finite_legs(u: float, v: float) -> bool:
+    """Whether from_idempotent(u, v).is_finite(): its a and b are halves
+    of u + v and u - v."""
+    return math.isfinite(u + v) and math.isfinite(u - v)
+
+
 def _fd_partial(expr, s: EvalState, family: str, index: int, h: float):
-    def shifted(delta):
+    """The legs of the central difference of expr in family[index] at s,
+    with step h: the legs that (f(w + h) - f(w - h)) * (0.5/h) has."""
+    def legs_at(delta):
         z, zb = list(s.z), list(s.zb)
         tgt = z if family == "z" else zb
-        tgt[index - 1] = tgt[index - 1] + ParaComplex(delta, 0.0)
-        return EvalState(z=tuple(z), zb=tuple(zb))
+        w = tgt[index - 1]
+        # w + ParaComplex(delta, 0.0), whose legs are both delta
+        tgt[index - 1] = _make(w.a + delta, w.b + 0.0, w.u + delta, w.v + delta)
+        return _eval_pair(expr, EvalState(z=tuple(z), zb=tuple(zb)))
 
-    hi = evaluate(expr, shifted(h))
-    lo = evaluate(expr, shifted(-h))
-    return (hi - lo) * ParaComplex(0.5 / h, 0.0)
+    hu, hv = legs_at(h)
+    lu, lv = legs_at(-h)
+    c = 0.5 / h
+    return (hu - lu) * c, (hv - lv) * c
 
 
 def check_fd(expr, samples: int, seed: int) -> Report:
     """Symbolic partials against central differences, h = 1e-5.
 
-    Every value comes from evaluate(): each expression is evaluated a few
-    dozen times at most, too few to repay lowering it."""
+    Every value is a pair of legs from the interpreter, _eval_pair: each
+    expression is evaluated a few dozen times at most, too few to repay
+    lowering it.  Each leg is the one ParaComplex arithmetic gives and each
+    norm is ParaComplex's, max(|u|, |v|), so the measure is the same float."""
     chart = _chart_of(expr)
     partials = [
         (family, i, differentiate(expr, var(i)))
@@ -429,31 +452,35 @@ def check_fd(expr, samples: int, seed: int) -> Report:
     ]
 
     def measure(s):
-        v0 = _try_eval(expr, s)
-        if v0 is None:
+        try:
+            u0, v0 = _eval_pair(expr, s)
+        except (ZeroDivisor, DomainError):
+            return None
+        if not _finite_legs(u0, v0):
             return None
         # cancellation floor of the difference quotient: subtracting two
         # values of size |f| leaves roundoff ~ |f|*eps/h in the quotient
-        noise_floor = abs(v0) * 2.3e-16 / FD_STEP
+        noise_floor = max(abs(u0), abs(v0)) * 2.3e-16 / FD_STEP
         worst = 0.0
         for family, i, partial in partials:
             try:
-                sym = evaluate(partial, s)
-                fd = _fd_partial(expr, s, family, i, FD_STEP)
-                fd2 = _fd_partial(expr, s, family, i, FD_STEP / 2)
+                su, sv = _eval_pair(partial, s)
+                fu, fv = _fd_partial(expr, s, family, i, FD_STEP)
+                gu, gv = _fd_partial(expr, s, family, i, FD_STEP / 2)
             except (ZeroDivisor, DomainError):
                 return None
-            if not (sym.is_finite() and fd.is_finite() and fd2.is_finite()):
+            if not (_finite_legs(su, sv) and _finite_legs(fu, fv) and _finite_legs(gu, gv)):
                 return None
             # oracle validity, judged without looking at sym so a wrong
             # partial cannot be hidden: the h and h/2 stencils must agree,
             # and cancellation noise must sit well under the threshold
-            if abs(fd - fd2) / max(1.0, abs(fd), abs(fd2)) > 1e-8:
+            fd_norm = max(abs(fu), abs(fv))
+            if max(abs(fu - gu), abs(fv - gv)) / max(1.0, fd_norm, max(abs(gu), abs(gv))) > 1e-8:
                 return None
-            if noise_floor > 1e-8 * max(1.0, abs(fd)):
+            if noise_floor > 1e-8 * max(1.0, fd_norm):
                 return None
-            scale = max(1.0, abs(sym), abs(fd))
-            worst = max(worst, abs(sym - fd) / scale)
+            scale = max(1.0, max(abs(su), abs(sv)), fd_norm)
+            worst = max(worst, max(abs(su - fu), abs(sv - fv)) / scale)
         return worst
 
     worst = _worst_over(random.Random(seed), chart.n, samples, measure,
@@ -482,7 +509,6 @@ def _gauss_jordan(a, b):
     must cross two independent pipelines.
     """
     n = len(b)
-    width = 2 * n + 1
     rows = [
         list(a[i]) + [float(i == j) for j in range(n)] + [b[i]] for i in range(n)
     ]
@@ -503,13 +529,12 @@ def _gauss_jordan(a, b):
             unknown[k], unknown[pc] = unknown[pc], unknown[k]
         pivot_row = rows[k]
         piv = pivot_row[k]
-        for c in range(k, width):
-            pivot_row[c] /= piv
+        tail = [w / piv for w in pivot_row[k:]]
+        pivot_row[k:] = tail
         for r, row in enumerate(rows):
             f = row[k]
             if r != k and f != 0.0:
-                for c in range(k, width):
-                    row[c] -= f * pivot_row[c]
+                row[k:] = [w - f * p for w, p in zip(row[k:], tail)]
     # the row operations E and column permutation P give E*A*P = I, so
     # A^-1 = P*E: row k of E is row unknown[k] of the inverse
     x = [0.0] * n
@@ -521,7 +546,7 @@ def _gauss_jordan(a, b):
 
 
 def _norm_inf(a) -> float:
-    return max(sum(abs(w) for w in row) for row in a)
+    return max(sum(map(abs, row)) for row in a)
 
 
 def _oracle_solve(a, b):
@@ -577,8 +602,9 @@ def _classical_ham_oracle(H, chart):
     hz = [differentiate(H, z_var(i)) for i in chart.indices()]
 
     def rhs(s):
-        dz = tuple(-J * evaluate(e, s) for e in hzb)
-        dzb = tuple(J * evaluate(e, s) for e in hz)
+        # -j*w has legs (-u, v), j*w has legs (u, -v)
+        dz = tuple(_from_legs(-u, v) for u, v in (_eval_pair(e, s) for e in hzb))
+        dzb = tuple(_from_legs(u, -v) for u, v in (_eval_pair(e, s) for e in hz))
         return dz, dzb
 
     return rhs

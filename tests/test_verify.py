@@ -103,14 +103,16 @@ class TestCheckFd:
 
     def test_a_rejected_state_adds_nothing_to_worst(self, monkeypatch):
         # z1's stencil is off by 0.5 where zb1's fails, at states with
-        # a(z1) > 0: those are redrawn, so only exact partials are measured
+        # a(z1) > 0: those are redrawn, so only exact partials are measured.
+        # The stencil returns legs; ParaComplex(0.5, 0.0) adds 0.5 to each
         real = biparamech.verify._fd_partial
 
         def stencil(expr, s, family, i, h):
             if s.z[0].a > 0:
                 if family == "zb":
                     raise biparamech.verify.ZeroDivisor("redrawn")
-                return real(expr, s, family, i, h) + ParaComplex(0.5, 0.0)
+                u, v = real(expr, s, family, i, h)
+                return u + 0.5, v + 0.5
             return real(expr, s, family, i, h)
 
         monkeypatch.setattr(biparamech.verify, "_fd_partial", stencil)
