@@ -52,7 +52,7 @@ from .eom import (
     energy,
     synthesize_el,
 )
-from .para_algebra import INVERTIBILITY_FLOOR, DomainError, ParaComplex, ValueType, ZeroDivisor
+from .para_algebra import DomainError, ParaComplex, ValueType, ZeroDivisor
 from .symbolic import (
     J_EXPR,
     Apply,
@@ -292,7 +292,9 @@ def _values(y) -> tuple:
     return tuple(ParaComplex.from_idempotent(y[k], y[k + 1]) for k in range(0, len(y), 2))
 
 
-_TIMED_ERRORS = (DegenerateLagrangian, SingularDenominator, ZeroDivisor, DomainError)
+# the runtime singularities: the steppers and _sampled re-raise them with a
+# time, cli.main exits 3 on them, and verify._worst_over redraws on them
+_TIMED_ERRORS = (DegenerateLagrangian, SingularDenominator, StepFailure, ZeroDivisor, DomainError)
 
 
 def _at_time(exc, t):
@@ -456,14 +458,14 @@ def make_ham_rhs(ode: ExplicitODE):
     lines and before the flow's, so a singular state raises
     SingularDenominator naming D+ or D- instead of a bare zero-divisor
     error; a literal leg that passes is not checked, and the flow's
-    quotients by D+ and D- do not test them again."""
+    quotients by D+ and D- do not test them again.  A nan leg passes
+    Lowering.zero_test, and makes the flow and the step non-finite."""
     low = Lowering(ode.chart.slots())
     denominators = [("D+", low.legs(ode.denom_plus)), ("D-", low.legs(ode.denom_minus))]
     for which, legs in denominators:
-        tests = " and ".join(f"abs({leg_text(d)}) >= {INVERTIBILITY_FLOOR!r}" for d in legs
-                             if not (isinstance(d, float) and abs(d) >= INVERTIBILITY_FLOOR))
+        tests = low.zero_test(legs)
         if tests:
-            low.lines.append(f"if not ({tests}): raise SingularDenominator({which!r})")
+            low.lines.append(f"if {tests}: raise SingularDenominator({which!r})")
         low.assume_nonzero(legs)
     flow = [leg for e in ode.rhs_z + ode.rhs_zb for leg in low.legs(e)]
     return low.function(flow, SingularDenominator=SingularDenominator)

@@ -284,6 +284,13 @@ def _identity_terms(p: LagrangianProblem) -> tuple[tuple, tuple]:
     return omega, dE
 
 
+def _sup(parts: list) -> float:
+    """max(parts), or nan when one of these magnitudes is nan, as their sum
+    then is: max keeps an earlier value over a later nan."""
+    total = sum(parts)
+    return total if total != total else max(parts)
+
+
 def audit_lagrange(p: LagrangianProblem, s: EvalState, X: tuple) -> float:
     """Worst coefficient of i_X omega_L - dE_L, with E_L's velocities set to X.
 
@@ -294,7 +301,8 @@ def audit_lagrange(p: LagrangianProblem, s: EvalState, X: tuple) -> float:
     synthesize_el's M and b nor the lowered code of symbolic.lower enter,
     so this audit and the right-hand side make_el_rhs builds can disagree
     when either is wrong.  The algebra is componentwise on the legs, so
-    the residual is the one ParaComplex arithmetic gives, bit for bit.
+    the residual is the one ParaComplex arithmetic gives, bit for bit,
+    or nan when a leg of it is nan.
     """
     n = p.chart.n
     omega, dE = _identity_terms(p)
@@ -310,10 +318,8 @@ def audit_lagrange(p: LagrangianProblem, s: EvalState, X: tuple) -> float:
         cu[a] -= wu * xu[b]
         cv[a] -= wv * xv[b]
     full = EvalState(z=s.z, zb=s.zb, xi=X[:n], xib=X[n:])
-    return max(
-        max(abs(u - du), abs(v - dv))
-        for u, v, (du, dv) in zip(cu, cv, (_eval_pair(d, full) for d in dE))
-    )
+    pairs = zip(cu, cv, (_eval_pair(d, full) for d in dE))
+    return _sup([abs(r) for u, v, (du, dv) in pairs for r in (u - du, v - dv)])
 
 
 @lru_cache(maxsize=128)
@@ -360,26 +366,26 @@ def audit_hamilton(p: HamiltonianProblem, s: EvalState) -> float:
 
     The dz_i bracket must reproduce dH/dz_i and the dzb_i bracket dH/dzb_i;
     the denominators are recomputed here from lam's partials rather than
-    taken from the ExplicitODE.
+    taken from the ExplicitODE.  A denominator leg under INVERTIBILITY_FLOOR
+    raises SingularDenominator; the residual is nan when a leg of it is.
     """
     terms = _hamilton_terms(p)
     d_plus, d_minus = _denominator_values(p, terms, s)
     for name, (u, v) in (("D+", d_plus), ("D-", d_minus)):
-        if not (abs(u) >= INVERTIBILITY_FLOOR and abs(v) >= INVERTIBILITY_FLOOR):
+        if abs(u) < INVERTIBILITY_FLOOR or abs(v) < INVERTIBILITY_FLOOR:
             raise SingularDenominator(name)
     (pu, pv), (mu, mv) = d_plus, d_minus
-    worst = 0.0
+    parts = []
     for *_, h_z, h_zb, rhs_z, rhs_zb in terms:
         zu, zv = _eval_pair(rhs_z, s)
         zbu, zbv = _eval_pair(rhs_zb, s)
         hzu, hzv = _eval_pair(h_z, s)
         hzbu, hzbv = _eval_pair(h_zb, s)
-        # j has legs (1, -1): j*D-*Zb_i - dH/dz_i and -j*D+*Z_i - dH/dzb_i,
-        # each measured as max(|u|, |v|)
-        r_dz = max(abs(mu * zbu - hzu), abs(-mv * zbv - hzv))
-        r_dzb = max(abs(-pu * zu - hzbu), abs(pv * zv - hzbv))
-        worst = max(worst, r_dz, r_dzb)
-    return worst
+        # j has legs (1, -1): the legs of j*D-*Zb_i - dH/dz_i and of
+        # -j*D+*Z_i - dH/dzb_i, each measured by its magnitude
+        parts += abs(mu * zbu - hzu), abs(-mv * zbv - hzv)
+        parts += abs(-pu * zu - hzbu), abs(pv * zv - hzbv)
+    return _sup(parts)
 
 
 def el_equation_texts(ode: ImplicitODE) -> list[str]:

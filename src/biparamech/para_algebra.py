@@ -131,7 +131,8 @@ class ParaComplex:
 
     @property
     def invertible(self) -> bool:
-        return abs(self.u) >= INVERTIBILITY_FLOOR and abs(self.v) >= INVERTIBILITY_FLOOR
+        # the interpreter's test, so a nan leg is no zero divisor
+        return not (abs(self.u) < INVERTIBILITY_FLOOR or abs(self.v) < INVERTIBILITY_FLOOR)
 
     # -- ring operations -------------------------------------------------
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 import random
 
-from .dynamics import IntegratorConfig, PhaseState, at_state, energy_along, integrate, make_el_rhs, make_ham_rhs
+from .dynamics import (_TIMED_ERRORS, IntegratorConfig, PhaseState, StepFailure, at_state, energy_along,
+                       integrate, make_el_rhs, make_ham_rhs)
 from .eom import (
     DegenerateLagrangian,
     HamiltonianProblem,
     LagrangianProblem,
-    SingularDenominator,
+    _sup,
     audit_hamilton,
     audit_lagrange,
     synthesize_el,
@@ -146,18 +147,28 @@ def random_state(rng: random.Random, n: int) -> EvalState:
 
 
 def _worst_over(rng: random.Random, n: int, samples: int, measure, starved) -> float:
-    """The worst measure(s) over `samples` accepted states s drawn by
-    random_state, where measure returns None to reject s.  After
-    samples*200 draws it raises starved(done), done the states accepted."""
+    """The worst measure(s) over `samples` counted states s drawn by
+    random_state.  A draw counts when measure(s) returns a number that is
+    not nan; one where it returns None or nan, or raises a runtime
+    singularity (dynamics._TIMED_ERRORS, the errors the CLI exits 3 on),
+    is redrawn.  An inf counts.  After samples*200 draws it raises
+    starved(done, last): done the states counted, last the last
+    singularity a draw raised, or None."""
     worst = 0.0
     done = 0
     draws = 0
+    last = None
     while done < samples:
         if draws == samples * 200:
-            raise starved(done)
+            raise starved(done, last)
         draws += 1
-        m = measure(random_state(rng, n))
-        if m is not None:
+        s = random_state(rng, n)
+        try:
+            m = measure(s)
+        except _TIMED_ERRORS as exc:
+            last = exc
+            continue
+        if m is not None and not math.isnan(m):
             worst = max(worst, m)
             done += 1
     return worst
@@ -452,10 +463,7 @@ def check_fd(expr, samples: int, seed: int) -> Report:
     ]
 
     def measure(s):
-        try:
-            u0, v0 = _eval_pair(expr, s)
-        except (ZeroDivisor, DomainError):
-            return None
+        u0, v0 = _eval_pair(expr, s)
         if not _finite_legs(u0, v0):
             return None
         # cancellation floor of the difference quotient: subtracting two
@@ -463,12 +471,9 @@ def check_fd(expr, samples: int, seed: int) -> Report:
         noise_floor = max(abs(u0), abs(v0)) * 2.3e-16 / FD_STEP
         worst = 0.0
         for family, i, partial in partials:
-            try:
-                su, sv = _eval_pair(partial, s)
-                fu, fv = _fd_partial(expr, s, family, i, FD_STEP)
-                gu, gv = _fd_partial(expr, s, family, i, FD_STEP / 2)
-            except (ZeroDivisor, DomainError):
-                return None
+            su, sv = _eval_pair(partial, s)
+            fu, fv = _fd_partial(expr, s, family, i, FD_STEP)
+            gu, gv = _fd_partial(expr, s, family, i, FD_STEP / 2)
             if not (_finite_legs(su, sv) and _finite_legs(fu, fv) and _finite_legs(gu, gv)):
                 return None
             # oracle validity, judged without looking at sym so a wrong
@@ -484,7 +489,7 @@ def check_fd(expr, samples: int, seed: int) -> Report:
         return worst
 
     worst = _worst_over(random.Random(seed), chart.n, samples, measure,
-                        lambda done: RuntimeError("could not sample enough well-conditioned states"))
+                        lambda done, last: RuntimeError("could not sample enough well-conditioned states"))
     return Report(checks=[_check("fd-derivative", worst, FD_THRESHOLD)])
 
 
@@ -626,17 +631,14 @@ def check_reduction(p, samples: int, seed: int, name: str = "reduction") -> Repo
         oracle = _classical_ham_oracle(p.H, p.chart)
 
     def measure(s):
-        try:
-            base = oracle(s)
-            if base is None:
-                return None
-            got = at_state(rhs, s)
-        except (DegenerateLagrangian, ZeroDivisor, DomainError):
+        base = oracle(s)
+        if base is None:
             return None
-        return max(map(_canon_dev, got[0] + got[1], base[0] + base[1]), default=0.0)
+        got = at_state(rhs, s)
+        return _sup(list(map(_canon_dev, got[0] + got[1], base[0] + base[1])))
 
     worst = _worst_over(random.Random(seed), p.chart.n, samples, measure,
-                        lambda done: RuntimeError("could not sample enough well-posed states"))
+                        lambda done, last: RuntimeError("could not sample enough well-posed states"))
     return Report(checks=[_check(name, worst, REDUCTION_THRESHOLD)])
 
 
@@ -655,9 +657,7 @@ def conservation_report(p, tr) -> Report:
     assertion because the flow does not preserve it in general.
     """
     vals = energy_along(p, tr)
-    drift = max(
-        max(abs(v.a - vals[0].a), abs(v.b - vals[0].b)) for v in vals
-    )
+    drift = _sup([abs(d) for v in vals for d in (v.a - vals[0].a, v.b - vals[0].b)])
     if isinstance(p, HamiltonianProblem):
         lam_constant = not vars_of(p.lam)
         threshold = CONSERVATION_THRESHOLD if lam_constant else float("inf")
@@ -716,11 +716,12 @@ def fixture_problem(kind: str, name: str):
 def audit_battery(p, samples: int, seed: int) -> Report:
     """Plug-back audits at random nonsingular states, threshold 1e-10.
 
-    A state where the right-hand side or the audit meets a zero divisor or
-    a domain failure is redrawn.  Draws at most samples*200 states.  When
-    too few of them are well posed the problem itself is singular, so the
-    battery raises DegenerateLagrangian, or the last error a Hamiltonian
-    draw raised, as the integrator would.
+    A state where the right-hand side or the audit raises a runtime
+    singularity, or the audit measures nan, is redrawn (_worst_over).
+    Draws at most samples*200 states.  When too few of them are well posed
+    the problem itself is singular, so the battery raises
+    DegenerateLagrangian, or the last error a Hamiltonian draw raised, as
+    the integrator would: StepFailure when none raised.
     """
     if samples < 1:
         raise ValueError("audit_battery needs samples >= 1")
@@ -728,31 +729,22 @@ def audit_battery(p, samples: int, seed: int) -> Report:
         rhs = make_el_rhs(synthesize_el(p))
 
         def measure(s):
-            try:
-                dz, dzb = at_state(rhs, s)
-                if max(abs(w) for w in dz + dzb) > 1e3:
-                    return None  # nearly degenerate; keep the oracle well conditioned
-                return audit_lagrange(p, s, dz + dzb)
-            except (DegenerateLagrangian, ZeroDivisor, DomainError):
-                return None
+            dz, dzb = at_state(rhs, s)
+            if max(abs(w) for w in dz + dzb) > 1e3:
+                return None  # nearly degenerate; keep the oracle well conditioned
+            return audit_lagrange(p, s, dz + dzb)
 
-        def starved(done):
+        def starved(done, last):
             return DegenerateLagrangian(
                 f"degenerate Lagrangian: {done} of {samples} states well posed"
                 f" in {samples * 200} draws"
             )
     else:
-        rejected = [None]  # the last error a draw raised
-
         def measure(s):
-            try:
-                return audit_hamilton(p, s)
-            except (SingularDenominator, ZeroDivisor, DomainError) as exc:
-                rejected[0] = exc
-                return None
+            return audit_hamilton(p, s)
 
-        def starved(done):
-            return rejected[0]
+        def starved(done, last):
+            return last or StepFailure("state left the finite domain")
     worst = _worst_over(random.Random(seed), p.chart.n, samples, measure, starved)
     return Report(checks=[_check("audit", worst, 1e-10)])
 

@@ -622,6 +622,34 @@ def test_audit_breach_exits_4(tmp_path, capsys, monkeypatch):
     assert "CHECK audit FAIL" in capsys.readouterr().out
 
 
+def test_audit_verdict_is_the_reports(tmp_path, capsys, monkeypatch):
+    # a failed check exits 4 even when its measure is under 1e-10
+    report = biparamech.verify.Report([biparamech.verify.CheckResult("audit", False, 0.0, 1e-10)])
+    monkeypatch.setattr(biparamech.cli, "audit_battery", lambda p, samples, seed: report)
+    assert main(["audit", write_doc(tmp_path, oscillator_doc())]) == 4
+    assert capsys.readouterr().out.splitlines()[-1] == "max residual = 0.0"
+
+
+@pytest.mark.parametrize("seed", ["1", "3", "7", "42"])
+def test_audit_redraws_states_that_overflow(tmp_path, capsys, seed):
+    # 1e-305*zb1^1000 overflows M once a drawn leg of zb1 passes 2; the
+    # right-hand side raises StepFailure there and the audit draws again
+    path = str(DATA / "overflowing_draws_lagrangian.json")
+    assert main(["integrate", path, "-o", str(tmp_path / "x.csv")]) == 0
+    assert main(["audit", path, "--seed", seed]) == 0
+    assert capsys.readouterr().out.splitlines()[-2].startswith("CHECK audit PASS ")
+
+
+@pytest.mark.parametrize("error", biparamech.dynamics._TIMED_ERRORS, ids=lambda e: e.__name__)
+def test_every_runtime_singularity_exits_3(capsys, monkeypatch, error):
+    def failing(args):
+        raise error("singular")
+
+    monkeypatch.setattr(biparamech.cli, "cmd_derive", failing)
+    assert main(["derive", "unused.json"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_audit_degenerate_lagrangian_exit_3(capsys):
     prob = os.path.join(PROBLEMS, "failing", "degenerate_L.json")
     assert main(["audit", prob, "--samples", "10"]) == 3

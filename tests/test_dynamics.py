@@ -695,6 +695,13 @@ class TestHamRhs:
         assert exc.value.which == "D-"
         assert exc.value.t == 0.75
 
+    def test_a_nan_denominator_leg_is_no_singular_denominator(self):
+        # the zero-divisor test is Lowering.zero_test's: a nan leg of D+ or
+        # D- passes it, and the flow comes back non-finite for the stepper
+        rhs = make_ham_rhs(synthesize_ham(hamiltonian("z1*zb1", lam="0.2*z1*zb1")))
+        dy = rhs([math.nan, 0.5, 0.3, 0.2])
+        assert not all(map(math.isfinite, dy))
+
 
 # ---------------------------------------------------------------------------
 # integration

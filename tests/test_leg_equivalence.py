@@ -59,6 +59,13 @@ def _id(path):
 # ---------------------------------------------------------------------------
 
 
+def ref_sup(values):
+    """The largest abs() of the values, or nan when a leg of one is nan."""
+    if any(w.u != w.u or w.v != w.v for w in values):
+        return float("nan")
+    return max(abs(w) for w in values)
+
+
 def ref_audit_lagrange(p, s, X):
     n = p.chart.n
     omega, dE = _identity_terms(p)
@@ -68,7 +75,7 @@ def ref_audit_lagrange(p, s, X):
         contraction[b] = contraction[b] + w_val * X[a]
         contraction[a] = contraction[a] - w_val * X[b]
     full = EvalState(z=s.z, zb=s.zb, xi=X[:n], xib=X[n:])
-    return max(abs(c - evaluate(d, full)) for c, d in zip(contraction, dE))
+    return ref_sup([c - evaluate(d, full) for c, d in zip(contraction, dE)])
 
 
 def ref_audit_hamilton(p, s):
@@ -83,16 +90,15 @@ def ref_audit_hamilton(p, s):
         raise SingularDenominator("D+")
     if not d_minus.invertible:
         raise SingularDenominator("D-")
-    worst = 0.0
+    residuals = []
     for *_, h_z, h_zb, rhs_z, rhs_zb in terms:
         Z_i = evaluate(rhs_z, s)
         Zb_i = evaluate(rhs_zb, s)
         Hz = evaluate(h_z, s)
         Hzb = evaluate(h_zb, s)
-        r_dz = J * d_minus * Zb_i - Hz
-        r_dzb = -J * d_plus * Z_i - Hzb
-        worst = max(worst, abs(r_dz), abs(r_dzb))
-    return worst
+        residuals.append(J * d_minus * Zb_i - Hz)
+        residuals.append(-J * d_plus * Z_i - Hzb)
+    return ref_sup(residuals)
 
 
 def ref_gauss_jordan(a, b, swaps=None):
@@ -235,7 +241,7 @@ def ref_check_fd_worst(expr, samples, seed):
         return worst
 
     return verify._worst_over(random.Random(seed), chart.n, samples, measure,
-                              lambda done: RuntimeError("could not sample enough well-conditioned states"))
+                              lambda done, last: RuntimeError("could not sample enough well-conditioned states"))
 
 
 def ref_canon_dev(x, y):

@@ -63,6 +63,18 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisor):
             pc(1, 1) ** -1
 
+    def test_a_nan_leg_is_no_zero_divisor(self):
+        # the interpreter's test: a leg is a zero divisor when abs(leg) is
+        # under the floor, which a nan leg is not
+        from biparamech.symbolic import CoordinateChart, EvalState, evaluate, parse
+
+        w = ParaComplex.from_idempotent(math.nan, 1.0)
+        chart = CoordinateChart(1)
+        want = evaluate(parse("1/z1", chart), EvalState(z=(w,), zb=(ONE,)))
+        assert repr((want.u, want.v)) == "(nan, 1.0)"
+        for got in (pc(1, 0) / w, w**-1):
+            assert repr((got.u, got.v)) == repr((want.u, want.v))
+
     def test_power(self):
         x = pc(1.5, 0.25)
         assert x**3 == x * x * x

@@ -9,16 +9,27 @@ from pathlib import Path
 import pytest
 
 import biparamech.verify
-from biparamech.dynamics import IntegratorConfig, PhaseState, integrate, make_el_rhs, make_ham_rhs
+from biparamech.cli import load_problem
+from biparamech.dynamics import (
+    _TIMED_ERRORS,
+    IntegratorConfig,
+    PhaseState,
+    StepFailure,
+    at_state,
+    integrate,
+    make_el_rhs,
+    make_ham_rhs,
+)
 from biparamech.eom import (
+    DegenerateLagrangian,
     HamiltonianProblem,
     LagrangianProblem,
     SingularDenominator,
     synthesize_el,
     synthesize_ham,
 )
-from biparamech.para_algebra import ParaComplex
-from biparamech.symbolic import CoordinateChart, evaluate, parse
+from biparamech.para_algebra import DomainError, ParaComplex, ZeroDivisor
+from biparamech.symbolic import CoordinateChart, EvalState, evaluate, parse
 from biparamech.verify import (
     CheckResult,
     FIXTURE_HAMILTONIANS,
@@ -41,6 +52,7 @@ from biparamech.verify import (
 from test_dynamics import conformal_l
 
 C1 = CoordinateChart(1)
+DATA = Path(__file__).parent / "data"
 
 LINE = re.compile(
     r"^CHECK [a-z0-9-]+ (PASS|FAIL) measured=\S+ threshold=\S+$"
@@ -332,7 +344,7 @@ class TestWorstOver:
             return None
 
         with pytest.raises(RuntimeError):
-            _worst_over(random.Random(4), 1, 3, reject, lambda done: RuntimeError(done))
+            _worst_over(random.Random(4), 1, 3, reject, lambda done, last: RuntimeError(done))
         assert len(seen) == 600
 
     def test_starved_gets_the_accepted_count(self):
@@ -343,7 +355,7 @@ class TestWorstOver:
             seen.append(s)
             return 1.0 if len(seen) <= 3 else None
 
-        def starved(done):
+        def starved(done, last):
             counts.append(done)
             return LookupError(f"{done} accepted")
 
@@ -361,6 +373,82 @@ class TestWorstOver:
 
         assert _worst_over(random.Random(4), 1, 1, last_only, None) == 2.0
         assert len(seen) == 200
+
+    # one of each runtime singularity, the errors the CLI exits 3 on
+    SINGULARITIES = (
+        DegenerateLagrangian("singular e+ component system"),
+        SingularDenominator("D-"),
+        StepFailure("state left the finite domain"),
+        ZeroDivisor("zero-divisor denominator in '1/z1'"),
+        DomainError("ln of non-positive leg -1.0"),
+    )
+
+    def test_the_singularities_are_the_timed_errors(self):
+        assert tuple(map(type, self.SINGULARITIES)) == _TIMED_ERRORS
+
+    @pytest.mark.parametrize("error", SINGULARITIES, ids=lambda e: type(e).__name__)
+    def test_a_singularity_is_redrawn(self, error):
+        seen = []
+
+        def every_other(s):
+            seen.append(s)
+            if len(seen) % 2:
+                raise error
+            return float(len(seen))
+
+        assert _worst_over(random.Random(4), 1, 3, every_other, None) == 6.0
+        assert len(seen) == 6
+
+    def test_the_last_singularity_reaches_starved(self):
+        seen = []
+        got = []
+
+        def raising(s):
+            seen.append(s)
+            raise self.SINGULARITIES[len(seen) % 5]
+
+        def starved(done, last):
+            got.append((done, last))
+            return LookupError("starved")
+
+        with pytest.raises(LookupError):
+            _worst_over(random.Random(4), 1, 2, raising, starved)
+        assert len(seen) == 400
+        assert len(got) == 1 and got[0][0] == 0 and got[0][1] is self.SINGULARITIES[0]
+
+    def test_an_error_that_is_no_singularity_propagates(self):
+        def broken(s):
+            raise KeyError("not a singularity")
+
+        with pytest.raises(KeyError):
+            _worst_over(random.Random(4), 1, 2, broken, None)
+
+    def test_a_nan_is_redrawn(self):
+        seen = []
+
+        def every_other(s):
+            seen.append(s)
+            return math.nan if len(seen) % 2 else 1.0
+
+        assert _worst_over(random.Random(4), 1, 3, every_other, None) == 1.0
+        assert len(seen) == 6
+
+    def test_an_all_nan_check_starves(self):
+        def starved(done, last):
+            return LookupError(f"{done} counted, last {last}")
+
+        with pytest.raises(LookupError, match="^0 counted, last None$"):
+            _worst_over(random.Random(4), 1, 2, lambda s: math.nan, starved)
+
+    def test_an_inf_counts(self):
+        seen = []
+
+        def overflowing(s):
+            seen.append(s)
+            return math.inf
+
+        assert _worst_over(random.Random(4), 1, 3, overflowing, None) == math.inf
+        assert len(seen) == 3
 
 
 class TestRedrawnStates:
@@ -412,6 +500,49 @@ class TestRedrawnStates:
             audit_battery(fixture_problem("hamiltonian", "H1"), 2, 9)
         assert exc.value is errors[-1]
         assert len(errors) == 400
+
+    def test_hamiltonian_starvation_without_an_error_is_a_step_failure(self, monkeypatch):
+        monkeypatch.setattr(biparamech.verify, "audit_hamilton", lambda p, s: math.nan)
+        with pytest.raises(StepFailure, match="^state left the finite domain$"):
+            audit_battery(fixture_problem("hamiltonian", "H1"), 2, 9)
+
+    def test_lagrangian_audit_redraws_a_step_failure(self):
+        # 1e-305*zb1^1000 overflows M once a drawn leg of zb1 passes 2, and
+        # at_state raises StepFailure there
+        p = load_problem(str(DATA / "overflowing_draws_lagrangian.json")).problem
+        rhs = make_el_rhs(synthesize_el(p))
+        s = EvalState(z=(ParaComplex(0.5, 0.1),), zb=(ParaComplex(1.5, 1.0),))
+        with pytest.raises(StepFailure, match="^state left the finite domain$"):
+            at_state(rhs, s)
+        for seed in (1, 3, 7, 42):
+            assert audit_battery(p, 100, seed).all_pass
+
+
+# L's velocities are nan once a drawn leg of z1 passes about 3.3, where
+# z1^600 - z1^600 is inf - inf; H's raw partials are nan there too
+NAN_PROBLEMS = (
+    load_problem(str(DATA / "nan_velocity_lagrangian.json")).problem,
+    HamiltonianProblem(C1, parse("z1*zb1 + zb1*(z1^600 - z1^600)", C1), parse("0", C1)),
+)
+
+
+@pytest.mark.parametrize("p", NAN_PROBLEMS, ids=("lagrangian", "hamiltonian"))
+@pytest.mark.parametrize("seed", (3, 42))
+def test_the_audit_counts_no_nan(p, seed, monkeypatch):
+    name = "audit_lagrange" if isinstance(p, LagrangianProblem) else "audit_hamilton"
+    real = getattr(biparamech.verify, name)
+    measured = []
+
+    def recorded(*args):
+        measured.append(real(*args))
+        return measured[-1]
+
+    monkeypatch.setattr(biparamech.verify, name, recorded)
+    report = audit_battery(p, 300, seed)
+    # the draws stop at the 300th finite measure, so no nan was counted
+    assert sum(map(math.isfinite, measured)) == 300
+    assert any(map(math.isnan, measured))
+    assert report.checks[0].measured == max(m for m in measured if math.isfinite(m))
 
 
 class TestRightHandSidesBuiltOnce:
