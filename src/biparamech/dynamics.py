@@ -23,9 +23,9 @@ as straight-line code with no loops (_eliminate) into the system's one
 lowered function (_folded_el_rhs).  An M whose legs all lower to
 literals, as a constant lam's do wherever the Hessian H's do, is
 eliminated at build time.  For a lam that is not constant, synthesize_el
-builds M = j*diag(exp(lam) I, exp(-lam) I)*(H + c*grad(lam)^T) and
-records that split (ImplicitODE.conformal), so when every leg of H lowers
-to a literal, each leg is left with b's arithmetic and one rank-one
+records the system (H + c*grad(lam)^T)*x = b'' that M*x = b is, with the
+Hessian H as D (ImplicitODE.conformal), so when every leg of H lowers to
+a literal, each leg is left with the arithmetic of b'' and one rank-one
 update.  Any other M, a hand-built one too, is eliminated on its lowered
 legs at every call.
 
@@ -54,7 +54,7 @@ from .eom import (
 )
 from .para_algebra import DomainError, ParaComplex, ValueType, ZeroDivisor
 from .symbolic import (
-    J_EXPR,
+    ZERO_EXPR,
     Apply,
     Lowering,
     Negate,
@@ -114,6 +114,8 @@ class IntegratorConfig(ValueType):
             raise ValueError("t1 must exceed t0")
         if not math.isfinite(t1 - t0):
             raise ValueError("t1 - t0 must be finite")
+        if not isinstance(max_steps, int):  # a nan budget fails every comparison
+            raise ValueError("max_steps must be an integer")
         if max_steps < 1:
             raise ValueError("max_steps must be positive")
         if method == "rk4":
@@ -360,15 +362,18 @@ def _folded_el_rhs(low: Lowering, a, b, c, g):
     D*x = b, and only b's arithmetic is left; a D that is always singular
     there raises at every call.  On a leg with terms, one elimination gives
     D^-1 b and D^-1 c, and _rank_one corrects them; a D that is always
-    singular there returns None.  Any other D comes with g = 0, and each
-    leg copies its entries and b's into locals of its own, which the
-    elimination rebinds in place: low's names are shared.  A pivot that
-    fails while an entry of D or b is not finite raises _NonFinite."""
+    singular there returns None.  Any other D returns None on a leg with
+    terms; with g = 0, each leg copies its entries and b's into locals of
+    its own, which the elimination rebinds in place: low's names are
+    shared.  A pivot that fails while an entry of D or b is not finite
+    raises _NonFinite."""
     literal = all(isinstance(v, float) and math.isfinite(v) for rows in a for row in rows for v in row)
     lines, x = [], []
     start = None if literal else 0  # lines[start:] hold every raise of _eliminate
     for side, tag, which in ((0, "u", "e+"), (1, "v", "e-")):
         terms = [i for i, gi in enumerate(g[side]) if not (isinstance(gi, float) and gi == 0.0)]
+        if terms and not literal:
+            return None
         columns = [b[side], c[side]] if terms else [b[side]]
         rows = [row + [col[i] for col in columns] for i, row in enumerate(a[side])]
         if not literal:
@@ -396,32 +401,15 @@ def _folded_el_rhs(low: Lowering, a, b, c, g):
                         isfinite=math.isfinite)
 
 
-def _rank_one_el_rhs(ode: ImplicitODE):
-    """make_el_rhs for M = j*diag(exp(lam) I_n, exp(-lam) I_n)*(H + c*g^T)
-    as ode.conformal records it, when every leg of D = j*H lowers to a
-    finite literal; None otherwise, or when _folded_el_rhs finds D
-    singular on a leg with a rank-one update.  An H with a variable is
-    turned away unlowered; a state-free H is lowered, up to its first row
-    that is not literal, into a Lowering of this builder's own, so a None
-    leaves no line behind.  M*x = b is (D + c*(j*g)^T)*x =
-    (shrink*b[:n], grow*b[n:]), since j*j = 1."""
-    h, g, grow, shrink = ode.conformal
-    if any(vars_of(e) for row in h for e in row):
-        return None
-    n = ode.chart.n
-    low = Lowering(ode.chart.slots())
-    d = ([], [])
-    for row in h:
-        legs = [low.legs(e) for e in row]
-        if not all(isinstance(x, float) and math.isfinite(x) for pair in legs for x in pair):
-            return None
-        d[0].append([u for u, _ in legs])
-        d[1].append([-v for _, v in legs])  # j's e- leg is -1
-    low.legs(grow)  # M's order: exp(lam), lam's partials, then L's partials
-    jg = [low.legs(Product((J_EXPR, e))) for e in g]
-    b = [low.legs(Product((shrink if i < n else grow, e))) for i, e in enumerate(ode.b)]
-    c = [low.legs(e) for e in ode.b[n:] + ode.b[:n]]
-    return _folded_el_rhs(low, d, tuple(zip(*b)), tuple(zip(*c)), tuple(zip(*jg)))
+def _el_rhs(chart, d, g, c, b):
+    """_folded_el_rhs for (D + c*g^T)*x = b on a Lowering of its own, which
+    lowers D's entries first, then g's (lam's partials before L's, as in
+    M), b's and c's."""
+    low = Lowering(chart.slots())
+    legs = [[low.legs(e) for e in row] for row in d]
+    a = tuple([[leg[side] for leg in row] for row in legs] for side in (0, 1))
+    g, b, c = ([low.legs(e) for e in v] for v in (g, b, c))
+    return _folded_el_rhs(low, a, tuple(zip(*b)), tuple(zip(*c)), tuple(zip(*g)))
 
 
 @lru_cache(maxsize=64)
@@ -429,26 +417,23 @@ def make_el_rhs(ode: ImplicitODE):
     """rhs(y) -> dy for an implicit EL system, as one lowered function that
     computes b's legs and solves M*x = b on each leg (_folded_el_rhs).
 
-    When synthesize_el recorded M's split j*diag(exp(lam) I, exp(-lam) I)*
-    (H + c*grad(lam)^T) in ode.conformal, as it does for a lam that is not
-    constant, and H's legs all lower to finite literals, the elimination
-    on j*H is folded at build time, and each leg adds one rank-one update
-    (Sherman-Morrison) whose scalar 1 + g.y_c is the leg's pivot
-    (_rank_one_el_rhs).  Any other M, a hand-built one included, or a j*H
-    singular on a leg with an update, is lowered on a Lowering of its own
-    and eliminated on its legs, at build time where they are literals, as
-    a constant lam's are wherever H's are.
-
-    A pivot or a scalar that fails because an entry of M or b is not
-    finite is a non-finite step, not a degenerate system."""
-    folded = None if ode.conformal is None else _rank_one_el_rhs(ode)
-    if folded is not None:
-        return folded
-    low = Lowering(ode.chart.slots())
-    legs = [[low.legs(e) for e in row] for row in ode.M]
-    d = tuple([[leg[side] for leg in row] for row in legs] for side in (0, 1))
-    zero = ([0.0] * len(ode.b),) * 2  # no rank-one update, so c is never read
-    return _folded_el_rhs(low, d, tuple(zip(*map(low.legs, ode.b))), zero, zero)
+    Where synthesize_el recorded (H + c*grad(lam)^T)*x = b'' for a lam that
+    is not constant (ImplicitODE.conformal) and H is free of the state,
+    D = H: the elimination on H's finite literal legs is folded at build
+    time, and each leg adds one rank-one update (Sherman-Morrison) whose
+    scalar 1 + g.y_c is the leg's pivot.  Any other system, or an H that is
+    not literal or is singular on a leg with an update, is lowered with
+    D = M and c = g = 0 and eliminated on M's legs, at build time where
+    they are literals.  A pivot or a scalar that fails because an entry of M or b
+    is not finite is a non-finite step, not a degenerate system."""
+    split = ode.conformal  # (H, grad(lam), c, b''), lowered as (D, g, c, b)
+    # a Hessian with the state in it is turned away unlowered
+    if split is not None and not any(vars_of(e) for row in split[0] for e in row):
+        folded = _el_rhs(ode.chart, *split)
+        if folded is not None:
+            return folded
+    zero = (ZERO_EXPR,) * len(ode.b)  # no rank-one update, so c is never read
+    return _el_rhs(ode.chart, ode.M, zero, zero, ode.b)
 
 
 @lru_cache(maxsize=64)
@@ -495,9 +480,10 @@ def _rk4_driver(m: int):
     steps from t0 on a state of m legs, appending each step's end time to
     times and its (a, b) row to rows.  The legs, stage inputs and rates are
     locals, with the float operations of the stage loop over lists in their
-    order.  A stage input that is not finite, or an rhs that raises
-    _NonFinite, fails the step at its start t_a; an error of _TIMED_ERRORS
-    is re-raised at its stage's time t_a, t_a + 0.5*h or t_a + h."""
+    order.  An h = t_b - t_a that is not positive, a stage input that is not
+    finite, or an rhs that raises _NonFinite fails the step at its start
+    t_a; an error of _TIMED_ERRORS is re-raised at its stage's time t_a,
+    t_a + 0.5*h or t_a + h."""
     def legs(stem: str) -> str:
         return ", ".join(f"{stem}{i}" for i in range(m))
 
@@ -514,6 +500,7 @@ def _rk4_driver(m: int):
         t_a = t0 + k * dt
         t_b = t1 if k == total - 1 else t0 + (k + 1) * dt
         h = t_b - t_a
+        if not h > 0.0: raise StepFailure(f"step size underflow (h={{h!r}})", t=t_a)
         half = 0.5 * h  # yi + 0.5 * h * ki multiplies (0.5 * h) by ki
         t = t_a
         try:
@@ -568,9 +555,12 @@ def _run_rkf45(rhs, y, cfg, times, rows):
     t = cfg.t0
     h = span / 100.0
     attempts = 0
-    while t < cfg.t1 - 1e-15 * max(1.0, abs(cfg.t1)):
+    end = cfg.t1 - 1e-15 * max(1.0, abs(cfg.t1))
+    if not t < end:  # the whole span lies in the end slack
+        raise StepFailure(f"step size underflow (h={span!r})", t=t)
+    while t < end:
         h = min(h, cfg.t1 - t)
-        if h < h_min:
+        if h < h_min or t + h == t:  # a step that cannot move t is not tried
             raise StepFailure(f"step size underflow (h={h!r})", t=t)
         attempts += 1
         if attempts > cfg.max_steps:
@@ -629,7 +619,8 @@ def integrate(rhs, s0: PhaseState, cfg: IntegratorConfig) -> Trajectory:
     of the step's legs; the first row holds s0's own (a, b), not a round
     trip through the legs.  A singular right-hand side re-raises with the
     time of the failing stage, and so does a zero divisor or a domain
-    failure, which names its subexpression.
+    failure, which names its subexpression.  A step that cannot advance t,
+    or an RKF45 span within its end slack, is a StepFailure at its t.
     """
     times = [cfg.t0]
     rows = [[x for w in s0.z + s0.zb for x in (w.a, w.b)]]

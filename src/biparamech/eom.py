@@ -168,18 +168,23 @@ _HALF = Constant(ParaComplex(0.5, 0.0))
 class ImplicitODE(ValueType):
     """M*(xi1..xin, xib1..xibn) = b with coefficient entries free of xi.
 
-    conformal is synthesize_el's record (H, grad(lam), exp(lam), exp(-lam))
-    of M = j*diag(exp(lam) I_n, exp(-lam) I_n)*(H + c*grad(lam)^T), with
-    c = (b[n:], b[:n]), for a lam that is not constant; None otherwise."""
+    conformal is None but where synthesize_el built M = j*diag(exp(lam) I_n,
+    exp(-lam) I_n)*(H + c*grad(lam)^T), c = b[n:] + b[:n], for a lam that
+    is not constant.  There it holds (H, grad(lam), c, b''), with b''_i =
+    j*exp(-lam)*b_i for i < n and j*exp(lam)*b_i otherwise: M*x = b exactly
+    when (H + c*grad(lam)^T)*x = b'', since j*j = 1.  It is a field but no
+    constructor argument, so no hand-built system carries it or equals one
+    that does."""
 
     _fields = ("chart", "M", "b", "conformal")
+    __match_args__ = ("chart", "M", "b")
 
-    def __init__(self, chart: CoordinateChart, M: tuple, b: tuple, conformal: tuple | None = None) -> None:
+    def __init__(self, chart: CoordinateChart, M: tuple, b: tuple) -> None:
         d = self.__dict__
         d["chart"] = chart
         d["M"] = M
         d["b"] = b
-        d["conformal"] = conformal
+        d["conformal"] = None
 
 
 class ExplicitODE(ValueType):
@@ -218,7 +223,7 @@ def synthesize_el(p: LagrangianProblem) -> ImplicitODE:
     el_equation_texts expands and lower() folds; each first partial of L
     is one object in its row's 2n entries and in b, and an entry whose
     rate of lam is ZERO_EXPR is j*exp(+-lam)*H_ik alone.  For a lam that is
-    not constant, the system records its conformal split (ImplicitODE).
+    not constant, it alone records the system make_el_rhs solves (ImplicitODE).
     """
     ep, em = _exp_of(p.lam), _exp_of(Negate(p.lam))
     lam_cols = _lam_rate_terms(p.lam, p.chart)
@@ -239,8 +244,12 @@ def synthesize_el(p: LagrangianProblem) -> ImplicitODE:
     # an overflowing constant in L is an input error even where every term
     # that holds it differentiates to zero
     simplify(p.L)
-    conformal = (H, lam_cols, ep, em) if isinstance(ep, Apply) else None
-    return ImplicitODE(p.chart, tuple(M), tuple(b), conformal)
+    ode = ImplicitODE(p.chart, tuple(M), tuple(b))
+    if isinstance(ep, Apply):
+        n = p.chart.n
+        scaled = tuple(Product((J_EXPR, em if i < n else ep, e)) for i, e in enumerate(b))
+        ode.__dict__["conformal"] = (H, lam_cols, tuple(b[n:] + b[:n]), scaled)
+    return ode
 
 
 @lru_cache(maxsize=128)

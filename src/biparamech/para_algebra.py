@@ -46,7 +46,7 @@ class ValueType:
     only to instances of the same class whose field tuples are equal, hash
     as that tuple and print as ``Name(field=value, ...)``, which is what a
     frozen dataclass gives; assigning or deleting an attribute raises
-    ``AttributeError``.
+    ``AttributeError``.  A subclass may set its own ``__match_args__``.
     """
 
     __slots__ = ()
@@ -54,7 +54,7 @@ class ValueType:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls.__match_args__ = cls._fields
+        cls.__match_args__ = cls.__dict__.get("__match_args__", cls._fields)
         if cls._fields:
             # a one-field getter returns the bare value, not a 1-tuple
             cls._get = attrgetter(*cls._fields)

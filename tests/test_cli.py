@@ -306,6 +306,18 @@ def test_non_object_json_exit_2(tmp_path, capsys):
     assert main(["derive", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["derive", "plot"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    # a UTF-16 byte-order mark: neither a problem file nor a CSV can be read
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    argv = [command, str(path), *(["-o", str(tmp_path / "x.svg")] if command == "plot" else [])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ") and "codec can't decode" in err
+    assert not (tmp_path / "x.svg").exists()
+
+
 def _argv(command, path, tmp_path):
     return [command, str(path), *(["-o", str(tmp_path / "x.csv")] if command == "integrate" else [])]
 
@@ -540,6 +552,18 @@ def test_failing_subexpression_exits_3_with_its_time(tmp_path, capsys, method, n
     assert len(err) == 1
     assert err[0].startswith(f"error: {error}")
     assert err[0].endswith("' at t=0.0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,h", [("unresolved_rk4_step.json", "0.0"), ("unresolved_rkf45_span.json", "1.0")])
+def test_a_time_grid_that_does_not_advance_t_is_a_step_failure(tmp_path, capsys, name, h):
+    # t0 = 1e15, where floats are 0.125 apart, and a span of 1.0: RK4's first
+    # step at dt = 0.01 ends where it starts, and RKF45's end slack of
+    # 1e-15*|t1| = 1.0 is the whole span
+    out = tmp_path / "x.csv"
+    assert main(["integrate", str(DATA / name), "-o", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: step size underflow (h={h}) at t=1000000000000000.0"]
     assert not out.exists()
 
 

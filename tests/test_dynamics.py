@@ -737,6 +737,12 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError, match="^tol must be finite$"):
             IntegratorConfig(method, 0.0, 1.0, dt=0.1, tol=math.inf)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 2.0, "3"])
+    def test_max_steps_must_be_an_integer(self, budget):
+        # a nan budget fails every comparison, so no stepper would stop on it
+        with pytest.raises(ValueError, match="^max_steps must be an integer$"):
+            IntegratorConfig("rk4", 0.0, 1.0, dt=1e-320, max_steps=budget)
+
     @pytest.mark.parametrize("method", ["rk4", "rkf45"])
     def test_infinite_span(self, method):
         # finite ends whose difference overflows
@@ -854,6 +860,29 @@ class TestIntegrate:
         with pytest.raises(StepFailure, match="exceed max_steps") as exc:
             integrate(rhs, PhaseState(t=0.0, z=(pc(1.0),), zb=(pc(0.0),)), cfg)
         assert exc.value.t == 0.0
+
+    @pytest.mark.parametrize("cfg, h", [
+        # at t = 1e15 floats are 0.125 apart: t + 0.01 is t
+        (IntegratorConfig("rk4", 1e15, 1e15 + 1.0, dt=0.01), 0.0),
+        # the end slack 1e-15*max(1, |t1|) holds the whole span
+        (IntegratorConfig("rkf45", 1e15, 1e15 + 1.0, tol=1e-9), 1.0),
+        (IntegratorConfig("rkf45", 0.0, 1e-16, tol=1e-9), 1e-16),
+    ], ids=["rk4", "rkf45_span", "rkf45_small_span"])
+    def test_a_step_that_cannot_move_t_fails_at_its_start(self, cfg, h):
+        rhs = lambda y: [0.0] * 4
+        with pytest.raises(StepFailure) as exc:
+            integrate(rhs, PhaseState(t=cfg.t0, z=(pc(1.0),), zb=(pc(0.0),)), cfg)
+        assert str(exc.value) == f"step size underflow (h={h!r}) at t={cfg.t0!r}"
+
+    def test_an_rkf45_step_below_the_spacing_of_t_fails(self):
+        # a fast rotation needs steps far below 0.125, the spacing of floats
+        # at t = 1e15: the step that would leave t where it is fails there
+        # instead of being taken
+        rhs = lambda y: [-1e4 * y[1], 1e4 * y[0], 0.0, 0.0]
+        cfg = IntegratorConfig("rkf45", 1e15, 1e15 + 100.0, tol=1e-9, max_steps=1000)
+        with pytest.raises(StepFailure, match="^step size underflow") as exc:
+            integrate(rhs, PhaseState(t=cfg.t0, z=(pc(1.0),), zb=(pc(0.0),)), cfg)
+        assert exc.value.t == 1e15
 
     def test_degenerate_rhs_error_carries_time(self):
         ode = synthesize_el(lagrangian("z1"))
@@ -1266,6 +1295,37 @@ def test_a_hand_built_conformal_system_takes_ms_own_lowering(monkeypatch):
     for a, b in zip(got, want):
         assert a.t == b.t
         assert [(repr(w.u), repr(w.v)) for w in a.z + a.zb] == [(repr(w.u), repr(w.v)) for w in b.z + b.zb]
+
+
+def test_the_split_is_no_constructor_argument():
+    # a record handed in with another M would be solved in its place: that
+    # M, el_conformal's with its rows reversed, is a system of its own, and
+    # its right-hand side is the looped solve of that M, bit for bit
+    p, _, _ = shipped("el_conformal.json")
+    ode = synthesize_el(p)
+    flipped = tuple(reversed(ode.M))
+    with pytest.raises(TypeError):
+        ImplicitODE(ode.chart, flipped, ode.b, ode.conformal)
+    bare = ImplicitODE(ode.chart, flipped, ode.b)
+    rhs, want = make_el_rhs(bare), textbook_el_rhs(bare)
+    start = [1.2, 0.8, 0.4, 0.6]
+    rng = random.Random(29)
+    for y in [start] + [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(200)]:
+        assert outcome(lambda y: [rhs(y)], y) == outcome(lambda y: [want(y)], y)
+    assert rhs(start) != make_el_rhs(ode)(start)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [pytest.param(lambda: shipped("el_conformal.json")[0], id="el_conformal"),
+     *(pytest.param(lambda n=n: conformal_l(n)[0], id=f"conformal_n{n}") for n in (1, 2, 3, 4))],
+)
+def test_the_rank_one_solve_negates_no_pivot(case, monkeypatch):
+    # D is H itself on both legs, not j*H: no e- pivot is -1.0, so no
+    # back-substitution emits x = -(...)
+    source = emitted_el_source(synthesize_el(case()), monkeypatch)
+    assert re.search(r"^\s*den[uv] = ", source, re.M)
+    assert "-(" not in source
 
 
 def test_a_hessian_with_the_state_in_it_is_lowered_once(monkeypatch):

@@ -1,6 +1,7 @@
 """The hand-written value types behave as the frozen dataclasses they replace.
 
-The textbook is a verbatim copy of each former dataclass, kept here.  For
+The textbook is a verbatim copy of each former dataclass, kept here, but
+for ImplicitODE's conformal, a field its constructor no longer takes.  For
 seeded and edge instances built both ways, repr and hash must be equal, ==
 and != must agree, assignment and deletion must fail, keyword construction
 and defaults must match and each validation error must carry the same
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -144,7 +145,8 @@ class ImplicitODE:
     chart: CoordinateChart
     M: tuple
     b: tuple
-    conformal: tuple | None = None
+    # only synthesize_el records a split: a field, but no constructor argument
+    conformal: tuple | None = field(default=None, init=False)
 
 
 @dataclass(frozen=True)
@@ -452,6 +454,8 @@ def test_keyword_construction_and_defaults(name, args, kwargs):
     ("EvalState", ((),), {}),
     ("IntegratorConfig", ("rk4", 0.0), {"t1": 1.0, "step": 0.1}),
     ("CheckResult", ("fd", True, 0.0), {}),
+    ("ImplicitODE", (_CHART, (), (), None), {}),
+    ("ImplicitODE", (_CHART, (), ()), {"conformal": None}),
 ])
 def test_bad_calls_raise_type_error_in_both(name, args, kwargs):
     with pytest.raises(TypeError) as old:
