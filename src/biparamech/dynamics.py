@@ -366,7 +366,17 @@ def _folded_el_rhs(low: Lowering, a, b, c, g):
     terms; with g = 0, each leg copies its entries and b's into locals of
     its own, which the elimination rebinds in place: low's names are
     shared.  A pivot that fails while an entry of D or b is not finite
-    raises _NonFinite."""
+    raises _NonFinite.
+
+    The function's degenerate attribute is True when a literal D is
+    singular on a leg with no terms, and then every call raises a runtime
+    singularity (_TIMED_ERRORS) or _NonFinite.  The lines before that
+    leg's raise are low's, which raise only ZeroDivisor or DomainError (a
+    float +, -, * never raises, a quotient or a negative power has a
+    checked local or a nonzero literal below it, and leg_pow and leg_exp
+    saturate at inf), and the other leg's, whose elimination on literals
+    divides by nonzero pivots and whose rank-one scalar raises
+    DegenerateLagrangian or _NonFinite."""
     literal = all(isinstance(v, float) and math.isfinite(v) for rows in a for row in rows for v in row)
     lines, x = [], []
     start = None if literal else 0  # lines[start:] hold every raise of _eliminate
@@ -397,8 +407,10 @@ def _folded_el_rhs(low: Lowering, a, b, c, g):
                          "    raise _NonFinite from None"]
     low.lines += lines
     dy = [leg for pair in zip(*x) for leg in pair]
-    return low.function(dy, DegenerateLagrangian=DegenerateLagrangian, _NonFinite=_NonFinite,
-                        isfinite=math.isfinite)
+    rhs = low.function(dy, DegenerateLagrangian=DegenerateLagrangian, _NonFinite=_NonFinite,
+                       isfinite=math.isfinite)
+    rhs.degenerate = len(x) < 2  # a leg broke off at its raise
+    return rhs
 
 
 def _el_rhs(chart, d, g, c, b):
@@ -425,7 +437,9 @@ def make_el_rhs(ode: ImplicitODE):
     not literal or is singular on a leg with an update, is lowered with
     D = M and c = g = 0 and eliminated on M's legs, at build time where
     they are literals.  A pivot or a scalar that fails because an entry of M or b
-    is not finite is a non-finite step, not a degenerate system."""
+    is not finite is a non-finite step, not a degenerate system.  The
+    function's degenerate attribute says whether the build proved that it
+    raises at every call (_folded_el_rhs)."""
     split = ode.conformal  # (H, grad(lam), c, b''), lowered as (D, g, c, b)
     # a Hessian with the state in it is turned away unlowered
     if split is not None and not any(vars_of(e) for row in split[0] for e in row):

@@ -719,8 +719,9 @@ class Lowering:
     the offending subexpression as evaluate() does.  Legs fold as they are
     built: literal operands give a finite literal that raises nothing; a
     factor 1.0 and a term -0.0 go, exactly; a product with a literal zero
-    is 0.0, which a sum drops, as simplify() does; one operand left is an
-    alias; a passing literal denominator is not checked.
+    is 0.0, which a sum drops, as simplify() does; in a product, a negative
+    literal and a local bound to -x cancel their signs; one operand left is
+    an alias; a passing literal denominator is not checked.
     """
 
     def __init__(self, slots: tuple):
@@ -730,12 +731,15 @@ class Lowering:
         self.names: dict[str, str] = {}  # hash-consing: a leg's code -> the local holding it
         self.done: dict[int, tuple] = {}  # id(node) -> (node, legs): shared subtrees once
         self.checked: set[str] = set()  # zero-divisor tests already emitted
+        self.negated: dict[str, str] = {}  # a local bound to -x -> x
 
     def bind(self, code: str) -> str:
         names = self.names
         if code not in names:
             names[code] = f"t{len(names)}"
             self.lines.append(f"{names[code]} = {code}")
+            if code[0] == "-":  # only a negation's code starts with its sign
+                self.negated[names[code]] = code[1:]
         return names[code]
 
     def fold(self, e: Expr, args: list):
@@ -744,8 +748,12 @@ class Lowering:
             is_sum = isinstance(e, Sum)
             if is_sum:
                 args = [a for a in args if not isinstance(a, _Vanishing)]
-            elif any(a == 0.0 for a in args if isinstance(a, float)):
-                return _VANISHING
+            else:
+                literals = [a for a in args if isinstance(a, float)]
+                if 0.0 in literals:
+                    return _VANISHING
+                if literals and min(literals) < 0.0:
+                    args = self.cancel(args)
             if not args:
                 return _VANISHING if is_sum else 1.0
             exact = "-0.0" if is_sum else "1.0"  # x + -0.0 and x * 1.0 are x
@@ -773,6 +781,19 @@ class Lowering:
             except ArithmeticError:  # a zero divisor or a domain failure
                 pass
         return self.bind(code)
+
+    def cancel(self, args: list) -> list:
+        """A product's factors with each negative literal c paired, while
+        pairs last, with a local bound to -x, and the pair replaced by -c
+        and x.  A sign flip commutes with rounding, so two of them leave
+        every partial product's magnitude and the product as they were."""
+        negated = self.negated
+        unsigned = [k for k, a in enumerate(args) if a in negated]  # no float is a key
+        signed = [k for k, a in enumerate(args) if isinstance(a, float) and a < 0.0]
+        args = list(args)
+        for k, i in zip(unsigned, signed):
+            args[i], args[k] = -args[i], negated[args[k]]
+        return args
 
     def negation(self, args: list) -> str | None:
         """-x for a product with an odd number of negative literals, where x,

@@ -721,7 +721,10 @@ def audit_battery(p, samples: int, seed: int) -> Report:
     Draws at most samples*200 states.  When too few of them are well posed
     the problem itself is singular, so the battery raises
     DegenerateLagrangian, or the last error a Hamiltonian draw raised, as
-    the integrator would: StepFailure when none raised.
+    the integrator would: StepFailure when none raised.  A Lagrangian whose
+    right-hand side the build proved degenerate (make_el_rhs) raises at
+    every draw, so its battery draws nothing and raises what the
+    samples*200 draws would end in: 0 of samples states well posed.
     """
     if samples < 1:
         raise ValueError("audit_battery needs samples >= 1")
@@ -739,6 +742,8 @@ def audit_battery(p, samples: int, seed: int) -> Report:
                 f"degenerate Lagrangian: {done} of {samples} states well posed"
                 f" in {samples * 200} draws"
             )
+        if getattr(rhs, "degenerate", False):  # a wrapped rhs carries no verdict
+            raise starved(0, None)
     else:
         def measure(s):
             return audit_hamilton(p, s)

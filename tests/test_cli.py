@@ -681,7 +681,8 @@ def test_audit_degenerate_lagrangian_exit_3(capsys):
 
 
 def test_audit_degenerate_lagrangian_default_samples(capsys):
-    # every one of the 100 * 200 draws is tried before the audit gives up
+    # the build proves M = 0 singular, so the audit reports what all of its
+    # 100 * 200 draws would end in
     prob = os.path.join(PROBLEMS, "failing", "degenerate_L.json")
     assert main(["audit", prob]) == 3
     captured = capsys.readouterr()
@@ -689,6 +690,53 @@ def test_audit_degenerate_lagrangian_default_samples(capsys):
     assert captured.err.splitlines()[-1] == (
         "error: degenerate Lagrangian: 0 of 100 states well posed in 20000 draws"
     )
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The states the audit draws, counted through verify.random_state."""
+    seen = []
+    real = biparamech.verify.random_state
+
+    def counted(rng, n):
+        seen.append(n)
+        return real(rng, n)
+
+    monkeypatch.setattr(biparamech.verify, "random_state", counted)
+    return seen
+
+
+@pytest.mark.parametrize("samples", [10, 100, 300])
+def test_a_lagrangian_the_build_proves_degenerate_is_audited_without_draws(capsys, draws, samples):
+    # L = z1 gives M = 0, and its right-hand side raises at every call
+    prob = os.path.join(PROBLEMS, "failing", "degenerate_L.json")
+    assert main(["audit", prob, "--samples", str(samples)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: degenerate Lagrangian: 0 of {samples} states well posed in {samples * 200} draws\n"
+    )
+    assert draws == []
+
+
+def test_a_lagrangian_singular_on_one_leg_is_audited_without_draws(tmp_path, capsys, draws):
+    # L = (1+j)*z1*zb1 has H = diag(1+j, 1+j): its e+ lines run, then the
+    # e- leg raises
+    prob = str(DATA / "one_leg_degenerate_lagrangian.json")
+    assert main(["audit", prob]) == 3
+    assert capsys.readouterr().err == "error: degenerate Lagrangian: 0 of 100 states well posed in 20000 draws\n"
+    assert draws == []
+    assert main(["integrate", prob, "-o", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == "error: zero row in e- component system at t=0.0\n"
+
+
+def test_a_degenerate_lagrangian_the_build_cannot_decide_is_drawn(tmp_path, capsys, draws):
+    # L = exp(z1) leaves M's entries names of the state beside literal
+    # zeros, so every state is drawn and rejected
+    doc = dict(oscillator_doc(), function="exp(z1)")
+    assert main(["audit", write_doc(tmp_path, doc), "--samples", "10"]) == 3
+    assert capsys.readouterr().err == "error: degenerate Lagrangian: 0 of 10 states well posed in 2000 draws\n"
+    assert len(draws) == 2000
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])

@@ -1328,6 +1328,22 @@ def test_the_rank_one_solve_negates_no_pivot(case, monkeypatch):
     assert "-(" not in source
 
 
+@pytest.mark.parametrize(
+    "case",
+    [pytest.param(lambda: shipped("el_conformal.json")[0], id="el_conformal"),
+     *(pytest.param(lambda n=n: conformal_l(n)[0], id=f"conformal_n{n}") for n in (1, 2, 3, 4))],
+)
+def test_the_e_minus_leg_negates_no_negated_partial(case, monkeypatch):
+    # b''_i = j*exp(-lam)*(-dL/dz_i) has the e- leg (-1.0)*exp(-lam)*(-x),
+    # which is lowered as exp(-lam)*x: no (-1.0) product takes a local that
+    # is only the negation of another
+    source = emitted_el_source(synthesize_el(case()), monkeypatch)
+    negated = set(re.findall(r"^\s*(t\d+) = -t\d+$", source, re.M))
+    assert negated
+    products = re.findall(r"^\s*t\d+ = \(-1\.0\) \* (.*)$", source, re.M)
+    assert not [p for p in products if negated & set(p.split(" * "))]
+
+
 def test_a_hessian_with_the_state_in_it_is_lowered_once(monkeypatch):
     # under a lam that is not constant, an H that is not constant is turned
     # away before the rank-one builder lowers anything: M's lowering is the

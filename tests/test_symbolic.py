@@ -630,6 +630,23 @@ class TestLowerFolds:
             want = [repr(leg) for r in roots for leg in _eval_pair(r, s)]
             assert [repr(leg) for leg in fn([leg for w in s.z + s.zb for leg in (w.u, w.v)])] == want
 
+    def test_a_negated_factor_cancels_a_negative_literal(self):
+        # -zb1 is bound to locals, and (-1.5)*z1*(-zb1) is lowered as
+        # 1.5*z1*zb1, j*z1*(-zb1)'s e- leg as z1*zb1's: two sign flips leave
+        # every partial product's magnitude as it was, so the legs are the
+        # interpreter's bit for bit
+        neg = Negate(zb_var(1))
+        roots = (neg, Product((c(-1.5), z_var(1), neg)), Product((c(0.0, 1.0), z_var(1), neg)))
+        fn = lower(roots, (("z", 1), ("zb", 1)))
+        # z1's and zb1's legs, -zb1's, the 1.5 product's and the j product's
+        assert fn.__code__.co_varnames == ("y", *(f"t{k}" for k in range(10)))
+        assert -1.5 not in fn.__code__.co_consts and -1.0 not in fn.__code__.co_consts
+        rng = random.Random(13)
+        for _ in range(200):
+            s = _edge_state(rng, 1)
+            want = [repr(leg) for r in roots for leg in _eval_pair(r, s)]
+            assert [repr(leg) for leg in fn([leg for w in s.z + s.zb for leg in (w.u, w.v)])] == want
+
     def test_literal_subtrees_fold_and_passing_checks_go(self):
         tree = Quotient(Product((z_var(1), Apply("exp", c(0.5)))), Sum((c(2.0), c(0.5))))
         fn = lower((tree,), (("z", 1),))

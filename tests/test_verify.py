@@ -12,6 +12,7 @@ import biparamech.verify
 from biparamech.cli import load_problem
 from biparamech.dynamics import (
     _TIMED_ERRORS,
+    _NonFinite,
     IntegratorConfig,
     PhaseState,
     StepFailure,
@@ -320,6 +321,55 @@ class TestAuditBattery:
         monkeypatch.setattr(biparamech.verify, "audit_hamilton", singular)
         with pytest.raises(SingularDenominator):
             audit_battery(fixture_problem("hamiltonian", "H1"), 2, 9)
+
+
+class TestABuildProvedDegenerateIsNotDrawn:
+    # each literal D is singular on a leg with no rank-one term: e+ for
+    # L = z1 (M = 0), e- after the e+ lines for the others.  Before the
+    # raise, ln(z1) fails at about three draws in four, and the conformal
+    # system's e+ leg has its rank-one scalar
+    CASES = {
+        "linear": ("z1", "0"),
+        "one_leg": ("(1+j)*z1*zb1", "0"),
+        "ln_before_the_raise": ("(1+j)*z1*zb1 + 0*z1*ln(z1)", "0"),
+        "conformal": ("(1+j)*z1*zb1 + 0.1*(1+j)*z1^2", "0.3*(1+j)*z1^2"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_verdict_is_what_the_draws_end_in(self, case, monkeypatch):
+        L, lam = self.CASES[case]
+        p = LagrangianProblem(C1, parse(L, C1), parse(lam, C1))
+        rhs = make_el_rhs(synthesize_el(p))
+        assert rhs.degenerate
+        with pytest.raises(DegenerateLagrangian) as decided:
+            audit_battery(p, 10, 9)
+        raised = []
+
+        def undecided(ode):  # the same function, which carries no verdict
+            def call(y):
+                try:
+                    return rhs(y)
+                except Exception as exc:
+                    raised.append(type(exc))
+                    raise
+
+            return call
+
+        monkeypatch.setattr(biparamech.verify, "make_el_rhs", undecided)
+        with pytest.raises(DegenerateLagrangian) as drawn:
+            audit_battery(p, 10, 9)
+        assert str(decided.value) == str(drawn.value) == (
+            "degenerate Lagrangian: 0 of 10 states well posed in 2000 draws"
+        )
+        assert len(raised) == 2000
+        assert set(raised) <= {*_TIMED_ERRORS, _NonFinite}
+        assert (DomainError in raised) == (case == "ln_before_the_raise")
+
+    @pytest.mark.parametrize("L", ["z1*zb1", "exp(z1)", "z1^2*zb1"])
+    def test_no_other_system_carries_the_verdict(self, L):
+        # exp(z1)'s M is names beside literal zeros: singular at every
+        # state, but not decided by the build
+        assert not make_el_rhs(synthesize_el(LagrangianProblem(C1, parse(L, C1), parse("0", C1)))).degenerate
 
 
 class TestWorstOver:
