@@ -296,10 +296,6 @@ class Basis(Enum):
     DZ = "dz"
     DZB = "dzb"
 
-    @property
-    def is_vector(self) -> bool:
-        return self in (Basis.D_X, Basis.D_Y, Basis.D_Z, Basis.D_ZB)
-
 
 class StructureKind(Enum):
     J = "J"
@@ -316,15 +312,6 @@ class StructureKind(Enum):
     W_STAR_MINUS = "W*-"
 
 
-_STARRED = {
-    StructureKind.J_STAR,
-    StructureKind.P_STAR_PLUS,
-    StructureKind.P_STAR_MINUS,
-    StructureKind.W_STAR_PLUS,
-    StructureKind.W_STAR_MINUS,
-}
-
-
 class FrameVector(ValueType):
     """A coefficient times one frame symbol with a coordinate index (1-based)."""
 
@@ -339,77 +326,61 @@ class FrameVector(ValueType):
         d["coefficient"] = coefficient
 
 
+# (kind, frame symbol) -> (image symbol, factor, sign of lambda).  The image
+# coefficient is conj(c) * factor * exp(sign*lambda); a factor of 1 or -1 is
+# applied as conj(c) or -conj(c), so a never rounds through the legs.
+_ACTIONS = {
+    (StructureKind.J, Basis.D_X): (Basis.D_Y, 1, 0),
+    (StructureKind.J, Basis.D_Y): (Basis.D_X, 1, 0),
+    (StructureKind.F, Basis.D_X): (Basis.D_Y, 1, 0),
+    (StructureKind.F, Basis.D_Y): (Basis.D_X, 1, 0),
+    (StructureKind.P_REAL, Basis.D_X): (Basis.D_X, 1, 0),
+    (StructureKind.P_REAL, Basis.D_Y): (Basis.D_Y, -1, 0),
+}
+for _kind, _z, _zb, _factor, _sign in (
+    (StructureKind.J, Basis.D_Z, Basis.D_ZB, J, 0),
+    (StructureKind.P_PLUS, Basis.D_Z, Basis.D_ZB, E_PLUS, 0),
+    (StructureKind.P_MINUS, Basis.D_Z, Basis.D_ZB, E_MINUS, 0),
+    (StructureKind.W_PLUS, Basis.D_Z, Basis.D_ZB, E_PLUS, 1),
+    (StructureKind.W_MINUS, Basis.D_Z, Basis.D_ZB, E_MINUS, 1),
+    (StructureKind.J_STAR, Basis.DZ, Basis.DZB, J, 0),
+    (StructureKind.P_STAR_PLUS, Basis.DZ, Basis.DZB, E_PLUS, 0),
+    (StructureKind.P_STAR_MINUS, Basis.DZ, Basis.DZB, E_MINUS, 0),
+    (StructureKind.W_STAR_PLUS, Basis.DZ, Basis.DZB, E_PLUS, 1),
+    (StructureKind.W_STAR_MINUS, Basis.DZ, Basis.DZB, E_MINUS, 1),
+):
+    _ACTIONS[_kind, _z] = (_zb, -_factor, _sign)
+    _ACTIONS[_kind, _zb] = (_z, _factor, -_sign)
+del _kind, _z, _zb, _factor, _sign
+
+
 def structure_apply(
     kind: StructureKind,
     vec: FrameVector,
     lambda_value: ParaComplex = ZERO,
-) -> list[FrameVector]:
-    """Apply a structure operator to one frame term.
+) -> FrameVector:
+    """Apply a structure operator to one frame term; the image is one term.
 
     Incoming coefficients pass through para-conjugated: the operators swap
     the z and zb frames the way conjugation does, and only the anti-linear
     extension makes the swap tables square to the identity.  ``lambda_value``
     is consumed by the W kinds only.
     """
-    if kind in _STARRED:
-        if vec.kind.is_vector:
-            raise KindMismatch(f"{kind.value} acts on covectors, got {vec.kind.value}")
-    else:
-        if not vec.kind.is_vector:
-            raise KindMismatch(f"{kind.value} acts on vectors, got {vec.kind.value}")
-
-    cin = vec.coefficient.conj()
-    k = vec.kind
-
-    if kind in (StructureKind.J, StructureKind.F):
-        if k is Basis.D_X:
-            return [FrameVector(Basis.D_Y, vec.index, cin)]
-        if k is Basis.D_Y:
-            return [FrameVector(Basis.D_X, vec.index, cin)]
-        if kind is StructureKind.F:
-            raise KindMismatch("F acts on the real frame only")
-        if k is Basis.D_Z:
-            return [FrameVector(Basis.D_ZB, vec.index, cin * -J)]
-        return [FrameVector(Basis.D_Z, vec.index, cin * J)]
-
-    if kind is StructureKind.P_REAL:
-        if k is Basis.D_X:
-            return [FrameVector(Basis.D_X, vec.index, cin)]
-        if k is Basis.D_Y:
-            return [FrameVector(Basis.D_Y, vec.index, -cin)]
-        raise KindMismatch("P acts on the real frame only")
-
-    if kind in (StructureKind.P_PLUS, StructureKind.P_MINUS):
-        e = E_PLUS if kind is StructureKind.P_PLUS else E_MINUS
-        if k is Basis.D_Z:
-            return [FrameVector(Basis.D_ZB, vec.index, cin * -e)]
-        if k is Basis.D_ZB:
-            return [FrameVector(Basis.D_Z, vec.index, cin * e)]
-        raise KindMismatch(f"{kind.value} acts on the para-complex frame only")
-
-    if kind in (StructureKind.W_PLUS, StructureKind.W_MINUS):
-        e = E_PLUS if kind is StructureKind.W_PLUS else E_MINUS
-        if k is Basis.D_Z:
-            return [FrameVector(Basis.D_ZB, vec.index, cin * -e * apply_function("exp", lambda_value))]
-        if k is Basis.D_ZB:
-            return [FrameVector(Basis.D_Z, vec.index, cin * e * apply_function("exp", -lambda_value))]
-        raise KindMismatch(f"{kind.value} acts on the para-complex frame only")
-
-    if kind is StructureKind.J_STAR:
-        if k is Basis.DZ:
-            return [FrameVector(Basis.DZB, vec.index, cin * -J)]
-        return [FrameVector(Basis.DZ, vec.index, cin * J)]
-
-    if kind in (StructureKind.P_STAR_PLUS, StructureKind.P_STAR_MINUS):
-        e = E_PLUS if kind is StructureKind.P_STAR_PLUS else E_MINUS
-        if k is Basis.DZ:
-            return [FrameVector(Basis.DZB, vec.index, cin * -e)]
-        return [FrameVector(Basis.DZ, vec.index, cin * e)]
-
-    if kind in (StructureKind.W_STAR_PLUS, StructureKind.W_STAR_MINUS):
-        e = E_PLUS if kind is StructureKind.W_STAR_PLUS else E_MINUS
-        if k is Basis.DZ:
-            return [FrameVector(Basis.DZB, vec.index, cin * -e * apply_function("exp", lambda_value))]
-        return [FrameVector(Basis.DZ, vec.index, cin * e * apply_function("exp", -lambda_value))]
-
-    raise KindMismatch(f"unhandled structure kind {kind!r}")
+    action = _ACTIONS.get((kind, vec.kind))
+    if action is None:
+        # the starred duals act on covectors, the others on vectors
+        covector = vec.kind in (Basis.DZ, Basis.DZB)
+        if ("*" in kind.value) != covector:
+            side = "vectors" if covector else "covectors"
+            raise KindMismatch(f"{kind.value} acts on {side}, got {vec.kind.value}")
+        frame = "para-complex" if vec.kind in (Basis.D_X, Basis.D_Y) else "real"
+        raise KindMismatch(f"{kind.value} acts on the {frame} frame only")
+    image, factor, sign = action
+    c = vec.coefficient.conj()
+    if isinstance(factor, ParaComplex):
+        c = c * factor
+    elif factor < 0:
+        c = -c
+    if sign:
+        c = c * apply_function("exp", lambda_value if sign > 0 else -lambda_value)
+    return FrameVector(image, vec.index, c)

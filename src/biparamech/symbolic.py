@@ -999,14 +999,8 @@ def _gather_terms(e: Expr, out: list) -> None:
         for c in e.children:
             _gather_terms(c, out)
         return
-    coeff, factors = _as_term(e)
-    if any(isinstance(base, Quotient) for base, _ in factors) and (
-        coeff.a != 1.0 or coeff.b != 0.0 or len(factors) != 1 or factors[0][1] != 1
-    ):
-        # canonicalize before collection so the term key sees the folded
-        # quotient, keeping term order stable across repeated passes
-        coeff, factors = _as_term(_rebuild_term(coeff, factors))
-    out.append((coeff, factors))
+    # a normalized term holds a quotient only as itself, with coefficient 1
+    out.append(_as_term(e))
 
 
 # an overflowing fold is an input error, not a constant with an inf leg

@@ -136,10 +136,6 @@ def _draw(rng: random.Random, count: int) -> list:
     return values
 
 
-def random_value(rng: random.Random) -> ParaComplex:
-    return _draw(rng, 1)[0]
-
-
 def random_state(rng: random.Random, n: int) -> EvalState:
     """z1..zn, then zb1..zbn, drawn in that order."""
     values = _draw(rng, 2 * n)
@@ -358,7 +354,7 @@ def selftest_algebra(seed: int) -> Report:
     table_misses = 0
     for (kind, basis), (out_basis, coeff) in _EXPECTED_ACTIONS.items():
         got = structure_apply(kind, FrameVector(basis, 1))
-        if got != [FrameVector(out_basis, 1, coeff)]:
+        if got != FrameVector(out_basis, 1, coeff):
             table_misses += 1
     checks.append(_check("algebra-structure-tables", float(table_misses), 0.0))
 
@@ -367,14 +363,14 @@ def selftest_algebra(seed: int) -> Report:
     for basis in (Basis.D_X, Basis.D_Y, Basis.D_Z, Basis.D_ZB):
         term = FrameVector(basis, 1)
         once = structure_apply(StructureKind.J, term)
-        twice = structure_apply(StructureKind.J, once[0])
-        if twice != [term]:
+        twice = structure_apply(StructureKind.J, once)
+        if twice != term:
             invol_misses += 1
     for basis in _PARA_COVECTORS:
         term = FrameVector(basis, 1)
         once = structure_apply(StructureKind.J_STAR, term)
-        twice = structure_apply(StructureKind.J_STAR, once[0])
-        if twice != [term]:
+        twice = structure_apply(StructureKind.J_STAR, once)
+        if twice != term:
             invol_misses += 1
     checks.append(_check("algebra-j-involution", float(invol_misses), 0.0))
 
@@ -384,8 +380,8 @@ def selftest_algebra(seed: int) -> Report:
         term = FrameVector(basis, 1)
 
         def pdiff(t):
-            plus = structure_apply(StructureKind.P_PLUS, t)[0]
-            minus = structure_apply(StructureKind.P_MINUS, t)[0]
+            plus = structure_apply(StructureKind.P_PLUS, t)
+            minus = structure_apply(StructureKind.P_MINUS, t)
             assert plus.kind is minus.kind and plus.index == minus.index
             return FrameVector(plus.kind, plus.index, plus.coefficient - minus.coefficient)
 
@@ -653,13 +649,14 @@ def conservation_report(p, tr) -> Report:
     """Energy drift along a trajectory.
 
     Hamiltonian energy is asserted conserved (1e-8) only when the conformal
-    factor is constant; the Lagrangian energy drift is reported without any
-    assertion because the flow does not preserve it in general.
+    factor simplifies to a constant; the Lagrangian energy drift is
+    reported without any assertion because the flow does not preserve it
+    in general.
     """
     vals = energy_along(p, tr)
     drift = _sup([abs(d) for v in vals for d in (v.a - vals[0].a, v.b - vals[0].b)])
     if isinstance(p, HamiltonianProblem):
-        lam_constant = not vars_of(p.lam)
+        lam_constant = not vars_of(simplify(p.lam))
         threshold = CONSERVATION_THRESHOLD if lam_constant else float("inf")
         name = "conservation-hamiltonian"
     else:
@@ -687,18 +684,6 @@ FIXTURE_HAMILTONIANS = (
     ("H4", 1, "exp(0.1*z1)*zb1"),
     ("H5", 2, "z1*zb2 + z2*zb1"),
 )
-
-# start states and horizons for the fixture EL trajectories; chosen away
-# from zero divisors, with spans over which every system stays well posed
-EL_TRAJECTORIES = {
-    "L1": (((1.0, 0.2),), ((0.5, -0.1),), 1.0, 1e-3),
-    "L2": (((1.0, 0.2),), ((0.5, -0.1),), 1.0, 1e-3),
-    # L3 start keeps both legs of 1.2*zb - 4*z^2 above 4 in magnitude for
-    # the whole span; starts nearer that surface make the velocity spike
-    "L3": (((1.2, 0.1),), ((0.1, -0.1),), 0.5, 1e-3),
-    "L4": (((0.3, 0.1),), ((0.5, -0.2),), 1.0, 1e-3),
-    "L5": (((1.0, 0.1), (0.5, -0.2)), ((0.3, 0.0), (0.2, 0.4)), 1.0, 1e-3),
-}
 
 
 def fixture_problem(kind: str, name: str):

@@ -38,9 +38,21 @@ from biparamech import (
     synthesize_el,
     synthesize_ham,
 )
-from biparamech.verify import EL_TRAJECTORIES, FIXTURE_LAGRANGIANS
+from biparamech.verify import FIXTURE_LAGRANGIANS
 
 SEED = 42
+
+# start states and horizons for the fixture EL trajectories; chosen away
+# from zero divisors, with spans over which every system stays well posed
+EL_TRAJECTORIES = {
+    "L1": (((1.0, 0.2),), ((0.5, -0.1),), 1.0, 1e-3),
+    "L2": (((1.0, 0.2),), ((0.5, -0.1),), 1.0, 1e-3),
+    # L3 start keeps both legs of 1.2*zb - 4*z^2 above 4 in magnitude for
+    # the whole span; starts nearer that surface make the velocity spike
+    "L3": (((1.2, 0.1),), ((0.1, -0.1),), 0.5, 1e-3),
+    "L4": (((0.3, 0.1),), ((0.5, -0.2),), 1.0, 1e-3),
+    "L5": (((1.0, 0.1), (0.5, -0.2)), ((0.3, 0.0), (0.2, 0.4)), 1.0, 1e-3),
+}
 
 # wall-clock spent per test, summed by the closing budget test
 _ELAPSED: dict[str, float] = {}

@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from biparamech.para_algebra import (
     ParaComplex,
     StructureKind,
     ZeroDivisor,
+    _ACTIONS,
     apply_function,
     structure_apply,
 )
@@ -261,48 +264,43 @@ class TestValueType:
         assert (x.conj().u, x.conj().v) == (x.v, x.u)
 
 
-def one_term(terms):
-    assert len(terms) == 1
-    return terms[0]
-
-
 class TestStructureTables:
     def test_real_frame(self):
-        v = one_term(structure_apply(StructureKind.J, FrameVector(Basis.D_X, 1)))
+        v = structure_apply(StructureKind.J, FrameVector(Basis.D_X, 1))
         assert (v.kind, v.index, v.coefficient) == (Basis.D_Y, 1, ONE)
-        v = one_term(structure_apply(StructureKind.F, FrameVector(Basis.D_Y, 2)))
+        v = structure_apply(StructureKind.F, FrameVector(Basis.D_Y, 2))
         assert (v.kind, v.coefficient) == (Basis.D_X, ONE)
-        v = one_term(structure_apply(StructureKind.P_REAL, FrameVector(Basis.D_Y, 1)))
+        v = structure_apply(StructureKind.P_REAL, FrameVector(Basis.D_Y, 1))
         assert (v.kind, v.coefficient) == (Basis.D_Y, -ONE)
-        v = one_term(structure_apply(StructureKind.P_REAL, FrameVector(Basis.D_X, 1)))
+        v = structure_apply(StructureKind.P_REAL, FrameVector(Basis.D_X, 1))
         assert (v.kind, v.coefficient) == (Basis.D_X, ONE)
 
     def test_j_on_para_frame(self):
-        v = one_term(structure_apply(StructureKind.J, FrameVector(Basis.D_Z, 1)))
+        v = structure_apply(StructureKind.J, FrameVector(Basis.D_Z, 1))
         assert (v.kind, v.coefficient) == (Basis.D_ZB, -J)
-        v = one_term(structure_apply(StructureKind.J, FrameVector(Basis.D_ZB, 1)))
+        v = structure_apply(StructureKind.J, FrameVector(Basis.D_ZB, 1))
         assert (v.kind, v.coefficient) == (Basis.D_Z, J)
 
     def test_j_star_on_coframe(self):
-        v = one_term(structure_apply(StructureKind.J_STAR, FrameVector(Basis.DZ, 1)))
+        v = structure_apply(StructureKind.J_STAR, FrameVector(Basis.DZ, 1))
         assert (v.kind, v.coefficient) == (Basis.DZB, -J)
-        v = one_term(structure_apply(StructureKind.J_STAR, FrameVector(Basis.DZB, 1)))
+        v = structure_apply(StructureKind.J_STAR, FrameVector(Basis.DZB, 1))
         assert (v.kind, v.coefficient) == (Basis.DZ, J)
 
     def test_projector_tables(self):
-        v = one_term(structure_apply(StructureKind.P_PLUS, FrameVector(Basis.D_Z, 1)))
+        v = structure_apply(StructureKind.P_PLUS, FrameVector(Basis.D_Z, 1))
         assert (v.kind, v.coefficient) == (Basis.D_ZB, -E_PLUS)
-        v = one_term(structure_apply(StructureKind.P_MINUS, FrameVector(Basis.D_ZB, 1)))
+        v = structure_apply(StructureKind.P_MINUS, FrameVector(Basis.D_ZB, 1))
         assert (v.kind, v.coefficient) == (Basis.D_Z, E_MINUS)
-        v = one_term(structure_apply(StructureKind.P_STAR_MINUS, FrameVector(Basis.DZ, 1)))
+        v = structure_apply(StructureKind.P_STAR_MINUS, FrameVector(Basis.DZ, 1))
         assert (v.kind, v.coefficient) == (Basis.DZB, -E_MINUS)
 
     def test_conformal_tables_carry_exponentials(self):
         lam = ParaComplex(0.7, 0.0)
-        v = one_term(structure_apply(StructureKind.W_MINUS, FrameVector(Basis.D_Z, 1), lam))
+        v = structure_apply(StructureKind.W_MINUS, FrameVector(Basis.D_Z, 1), lam)
         assert v.kind is Basis.D_ZB
         assert abs(v.coefficient - (-E_MINUS * apply_function("exp", lam))) < 1e-15
-        v = one_term(structure_apply(StructureKind.W_STAR_PLUS, FrameVector(Basis.DZB, 2), lam))
+        v = structure_apply(StructureKind.W_STAR_PLUS, FrameVector(Basis.DZB, 2), lam)
         assert v.kind is Basis.DZ
         assert abs(v.coefficient - E_PLUS * apply_function("exp", -lam)) < 1e-15
 
@@ -323,13 +321,13 @@ class TestStructureTables:
     def test_j_twice_is_identity(self):
         for basis in (Basis.D_X, Basis.D_Y, Basis.D_Z, Basis.D_ZB):
             start = FrameVector(basis, 1)
-            once = one_term(structure_apply(StructureKind.J, start))
-            assert one_term(structure_apply(StructureKind.J, once)) == start
+            once = structure_apply(StructureKind.J, start)
+            assert structure_apply(StructureKind.J, once) == start
 
     def test_projector_difference_squares_to_identity(self):
         def p_diff(term):
-            plus = one_term(structure_apply(StructureKind.P_PLUS, term))
-            minus = one_term(structure_apply(StructureKind.P_MINUS, term))
+            plus = structure_apply(StructureKind.P_PLUS, term)
+            minus = structure_apply(StructureKind.P_MINUS, term)
             assert (plus.kind, plus.index) == (minus.kind, minus.index)
             return FrameVector(plus.kind, plus.index, plus.coefficient - minus.coefficient)
 
@@ -346,3 +344,127 @@ class TestStructureTables:
             structure_apply(StructureKind.P_PLUS, FrameVector(Basis.D_X, 1))
         with pytest.raises(KindMismatch):
             structure_apply(StructureKind.F, FrameVector(Basis.D_Z, 1))
+
+
+# Reference: structure_apply written out as one branch per kind, returning
+# its one term in a list.  The table must agree with it bit for bit, and
+# raise the same KindMismatch messages.
+_STARRED = {
+    StructureKind.J_STAR,
+    StructureKind.P_STAR_PLUS,
+    StructureKind.P_STAR_MINUS,
+    StructureKind.W_STAR_PLUS,
+    StructureKind.W_STAR_MINUS,
+}
+_VECTORS = (Basis.D_X, Basis.D_Y, Basis.D_Z, Basis.D_ZB)
+
+
+def ladder_apply(kind, vec, lambda_value=ZERO):
+    if kind in _STARRED:
+        if vec.kind in _VECTORS:
+            raise KindMismatch(f"{kind.value} acts on covectors, got {vec.kind.value}")
+    else:
+        if vec.kind not in _VECTORS:
+            raise KindMismatch(f"{kind.value} acts on vectors, got {vec.kind.value}")
+
+    cin = vec.coefficient.conj()
+    k = vec.kind
+
+    if kind in (StructureKind.J, StructureKind.F):
+        if k is Basis.D_X:
+            return [FrameVector(Basis.D_Y, vec.index, cin)]
+        if k is Basis.D_Y:
+            return [FrameVector(Basis.D_X, vec.index, cin)]
+        if kind is StructureKind.F:
+            raise KindMismatch("F acts on the real frame only")
+        if k is Basis.D_Z:
+            return [FrameVector(Basis.D_ZB, vec.index, cin * -J)]
+        return [FrameVector(Basis.D_Z, vec.index, cin * J)]
+
+    if kind is StructureKind.P_REAL:
+        if k is Basis.D_X:
+            return [FrameVector(Basis.D_X, vec.index, cin)]
+        if k is Basis.D_Y:
+            return [FrameVector(Basis.D_Y, vec.index, -cin)]
+        raise KindMismatch("P acts on the real frame only")
+
+    if kind in (StructureKind.P_PLUS, StructureKind.P_MINUS):
+        e = E_PLUS if kind is StructureKind.P_PLUS else E_MINUS
+        if k is Basis.D_Z:
+            return [FrameVector(Basis.D_ZB, vec.index, cin * -e)]
+        if k is Basis.D_ZB:
+            return [FrameVector(Basis.D_Z, vec.index, cin * e)]
+        raise KindMismatch(f"{kind.value} acts on the para-complex frame only")
+
+    if kind in (StructureKind.W_PLUS, StructureKind.W_MINUS):
+        e = E_PLUS if kind is StructureKind.W_PLUS else E_MINUS
+        if k is Basis.D_Z:
+            return [FrameVector(Basis.D_ZB, vec.index, cin * -e * apply_function("exp", lambda_value))]
+        if k is Basis.D_ZB:
+            return [FrameVector(Basis.D_Z, vec.index, cin * e * apply_function("exp", -lambda_value))]
+        raise KindMismatch(f"{kind.value} acts on the para-complex frame only")
+
+    if kind is StructureKind.J_STAR:
+        if k is Basis.DZ:
+            return [FrameVector(Basis.DZB, vec.index, cin * -J)]
+        return [FrameVector(Basis.DZ, vec.index, cin * J)]
+
+    if kind in (StructureKind.P_STAR_PLUS, StructureKind.P_STAR_MINUS):
+        e = E_PLUS if kind is StructureKind.P_STAR_PLUS else E_MINUS
+        if k is Basis.DZ:
+            return [FrameVector(Basis.DZB, vec.index, cin * -e)]
+        return [FrameVector(Basis.DZ, vec.index, cin * e)]
+
+    if kind in (StructureKind.W_STAR_PLUS, StructureKind.W_STAR_MINUS):
+        e = E_PLUS if kind is StructureKind.W_STAR_PLUS else E_MINUS
+        if k is Basis.DZ:
+            return [FrameVector(Basis.DZB, vec.index, cin * -e * apply_function("exp", lambda_value))]
+        return [FrameVector(Basis.DZ, vec.index, cin * e * apply_function("exp", -lambda_value))]
+
+    raise KindMismatch(f"unhandled structure kind {kind!r}")
+
+
+def _ladder_term(kind, vec, lam):
+    (term,) = ladder_apply(kind, vec, lam)
+    return term
+
+
+def _random_value(rng):
+    """A value from (a, b) or from its legs, across magnitudes: subnormal
+    and overflowing legs, signed zeros, and exp arguments past 709."""
+    scale = rng.choice([1.0, 1e-310, 1e300, 800.0, 0.0])
+    x, y = rng.uniform(-3.0, 3.0) * scale, rng.uniform(-3.0, 3.0) * rng.choice([1.0, -0.0, 1e-310])
+    return ParaComplex(x, y) if rng.random() < 0.5 else ParaComplex.from_idempotent(x, y)
+
+
+def _bits(w):
+    return tuple(struct.pack("<d", x) for x in (w.a, w.b, w.u, w.v))
+
+
+def _outcome(apply, kind, vec, lam):
+    try:
+        got = apply(kind, vec, lam)
+    except KindMismatch as exc:
+        return type(exc), str(exc)
+    return got.kind, got.index, _bits(got.coefficient)
+
+
+class TestStructureTableAgainstLadder:
+    def test_table_covers_every_kind(self):
+        assert {kind for kind, _ in _ACTIONS} == set(StructureKind)
+        # each kind acts on exactly two or four frame symbols of one side
+        for kind in StructureKind:
+            domain = {basis for k, basis in _ACTIONS if k is kind}
+            assert len(domain) in (2, 4)
+            assert all((b in _VECTORS) == (kind not in _STARRED) for b in domain)
+
+    def test_bit_for_bit_on_every_kind_and_symbol(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            c, lam = _random_value(rng), _random_value(rng)
+            index = rng.randrange(1, 4)
+            for kind in StructureKind:
+                for basis in Basis:
+                    vec = FrameVector(basis, index, c)
+                    want = _outcome(_ladder_term, kind, vec, lam)
+                    assert _outcome(structure_apply, kind, vec, lam) == want, (kind, basis, c, lam)

@@ -907,6 +907,39 @@ class TestSimplify:
             parse(to_text(e), CoordinateChart(2))
         ) == e
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_terms_hold_quotients_only_alone(self, seed):
+        # a simplified term holds a quotient only as itself, with
+        # coefficient 1: no Product child and no Power base is a Quotient,
+        # even when the input puts quotients in every such position
+        from biparamech.verify import random_expression
+
+        rng = random.Random(seed)
+
+        def quotient():
+            return Quotient(random_expression(rng, 2), random_expression(rng, 2))
+
+        e = random_expression(rng)
+        inputs = [
+            e,
+            differentiate(e, z_var(1)),
+            differentiate(e, zb_var(2)),
+            quotient(),
+            Product((quotient(), quotient(), random_expression(rng, 1))),
+            Product((c(2.5, -0.5), quotient())),
+            Power(quotient(), -rng.randrange(1, 4)),
+            Power(quotient(), rng.randrange(2, 4)),
+            Negate(quotient()),
+            Sum((quotient(), Product((c(-3.0), quotient())), random_expression(rng, 2))),
+        ]
+        for x in inputs:
+            for node in symbolic.walk(simplify(x)):
+                if isinstance(node, Product):
+                    assert not any(isinstance(f, Quotient) for f in node.children), to_text(x)
+                elif isinstance(node, Power):
+                    assert not isinstance(node.base, Quotient), to_text(x)
+
 
 # ---------------------------------------------------------------------------
 # helpers

@@ -46,7 +46,6 @@ from biparamech.verify import (
     fixture_problem,
     random_expression,
     random_state,
-    random_value,
     run_all,
     selftest_algebra,
 )
@@ -262,6 +261,14 @@ class TestConservation:
     def test_flat_lambda_asserted(self):
         p, tr = self._ham_trajectory("z1*zb1 + 0.1*z1^2", "0")
         r = conservation_report(p, tr)
+        assert r.all_pass
+
+    def test_lambda_that_simplifies_to_a_constant_asserted(self):
+        # z1 - z1 simplifies to 0, where synthesis gives D+ = D- = 1 and
+        # records no conformal split: the energy is asserted conserved
+        p, tr = self._ham_trajectory("z1*zb1 + 0.1*z1^2", "z1 - z1")
+        r = conservation_report(p, tr)
+        assert r.checks[0].threshold == 1e-8
         assert r.all_pass
 
     def test_varying_lambda_informational(self):
@@ -626,7 +633,8 @@ class TestRightHandSidesBuiltOnce:
 
 
 def _uniform_value(rng, redrawn):
-    """random_value as drawn through rng.uniform, the reference stream."""
+    """One value of random_state as drawn through rng.uniform, the
+    reference stream."""
     while True:
         w = ParaComplex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         if min(abs(w.u), abs(w.v)) > 1e-3:
@@ -648,10 +656,9 @@ class TestRandomDraws:
                 assert rng.random() == ref.random()
         assert redrawn  # the stream ran through draws near the cone
 
-    def test_random_value_avoids_cone(self):
-        rng = random.Random(1)
-        for _ in range(200):
-            w = random_value(rng)
+    def test_random_state_avoids_cone(self):
+        s = random_state(random.Random(1), 100)
+        for w in s.z + s.zb:
             assert min(abs(w.u), abs(w.v)) > 1e-3
             assert abs(w.a) <= 2.0 and abs(w.b) <= 2.0
 
