@@ -447,13 +447,16 @@ def _fd_partial(expr, s: EvalState, family: str, index: int, h: float):
 def check_fd(expr, samples: int, seed: int) -> Report:
     """Symbolic partials against central differences, h = 1e-5.
 
-    Every value is a pair of legs from the interpreter, _eval_pair: each
-    expression is evaluated a few dozen times at most, too few to repay
-    lowering it.  Each leg is the one ParaComplex arithmetic gives and each
-    norm is ParaComplex's, max(|u|, |v|), so the measure is the same float."""
+    Every value is a pair of legs from the interpreter, _eval_pair, at too
+    few states to repay lowering.  Each leg and norm, max(|u|, |v|), is
+    ParaComplex's, so the measure is the same float.  A variable expr lacks
+    gets no stencil: expr at w +- h is then the finite expr at w bit for
+    bit, so its difference quotients are exactly 0.0.  Its partial is still
+    evaluated, since one that is nan or raises redraws the state."""
     chart = _chart_of(expr)
+    holds = vars_of(expr)
     partials = [
-        (family, i, differentiate(expr, var(i)))
+        (family, i, differentiate(expr, var(i)), (family, i) in holds)
         for family, var in (("z", z_var), ("zb", zb_var))
         for i in chart.indices()
     ]
@@ -466,10 +469,10 @@ def check_fd(expr, samples: int, seed: int) -> Report:
         # values of size |f| leaves roundoff ~ |f|*eps/h in the quotient
         noise_floor = max(abs(u0), abs(v0)) * 2.3e-16 / FD_STEP
         worst = 0.0
-        for family, i, partial in partials:
+        for family, i, partial, held in partials:
             su, sv = _eval_pair(partial, s)
-            fu, fv = _fd_partial(expr, s, family, i, FD_STEP)
-            gu, gv = _fd_partial(expr, s, family, i, FD_STEP / 2)
+            fu, fv = _fd_partial(expr, s, family, i, FD_STEP) if held else (0.0, 0.0)
+            gu, gv = _fd_partial(expr, s, family, i, FD_STEP / 2) if held else (0.0, 0.0)
             if not (_finite_legs(su, sv) and _finite_legs(fu, fv) and _finite_legs(gu, gv)):
                 return None
             # oracle validity, judged without looking at sym so a wrong
@@ -501,19 +504,21 @@ REDUCTION_THRESHOLD = 1e-12
 ORACLE_COND_LIMIT = 1e2
 
 
-def _gauss_jordan(a, b):
-    """Gauss-Jordan elimination with complete pivoting on [A | I | b].
+def _factor(a):
+    """Gauss-Jordan elimination with complete pivoting on [A | I].
 
-    Returns (x, inverse) with A*x = b, or None when A is exactly singular.
-    Deliberately a different algorithm from dynamics._eliminate's emitted
-    solve (scaled partial pivoting, back substitution): reduction checks
-    must cross two independent pipelines.
+    Returns (steps, slot, inverse), or None when A is exactly singular:
+    step k = (pr, piv, updates) swapped rows k and pr, divided row k by piv
+    and took f times it from each row r of its (r, f) updates; slot[j] is
+    the row that ends up holding unknown j.  Deliberately a different
+    algorithm from dynamics._eliminate's emitted solve (scaled partial
+    pivoting, back substitution): reduction checks must cross two
+    independent pipelines.
     """
-    n = len(b)
-    rows = [
-        list(a[i]) + [float(i == j) for j in range(n)] + [b[i]] for i in range(n)
-    ]
+    n = len(a)
+    rows = [list(a[i]) + [float(i == j) for j in range(n)] for i in range(n)]
     unknown = list(range(n))  # unknown[k]: the unknown column k now holds
+    steps = []
     for k in range(n):
         best, pr, pc = 0.0, k, k
         for r in range(k, n):
@@ -532,44 +537,60 @@ def _gauss_jordan(a, b):
         piv = pivot_row[k]
         tail = [w / piv for w in pivot_row[k:]]
         pivot_row[k:] = tail
+        updates = []
         for r, row in enumerate(rows):
             f = row[k]
             if r != k and f != 0.0:
                 row[k:] = [w - f * p for w, p in zip(row[k:], tail)]
+                updates.append((r, f))
+        steps.append((pr, piv, updates))
     # the row operations E and column permutation P give E*A*P = I, so
     # A^-1 = P*E: row k of E is row unknown[k] of the inverse
-    x = [0.0] * n
-    inverse = [None] * n
-    for k, j in enumerate(unknown):
-        x[j] = rows[k][-1]
-        inverse[j] = rows[k][n:-1]
-    return x, inverse
+    slot = sorted(range(n), key=unknown.__getitem__)
+    return steps, slot, [rows[k][n:] for k in slot]
+
+
+def _solve(factored, b):
+    """x with A*x = b, for A factored by _factor.  Pivoting never read b, so
+    replaying the steps on b makes the divisions and updates that b's column
+    of [A | I | b] gets in one elimination, in order: x is bit for bit that
+    elimination's."""
+    steps, slot, _ = factored
+    b = list(b)
+    for k, (pr, piv, updates) in enumerate(steps):
+        b[k], b[pr] = b[pr], b[k]
+        p = b[k] = b[k] / piv
+        for r, f in updates:
+            b[r] = b[r] - f * p
+    return [b[k] for k in slot]
 
 
 def _norm_inf(a) -> float:
     return max(sum(map(abs, row)) for row in a)
 
 
-def _oracle_solve(a, b):
-    """x with A*x = b, or None when A is exactly singular or its
+def _conditioned(a):
+    """A factored by _factor, or None when A is exactly singular or its
     infinity-norm condition number exceeds ORACLE_COND_LIMIT."""
-    solved = _gauss_jordan(a, b)
-    if solved is None:
-        return None
-    x, inverse = solved
-    cond = _norm_inf(a) * _norm_inf(inverse)
-    return x if cond <= ORACLE_COND_LIMIT else None  # a nan cond is rejected
+    factored = _factor(a)
+    if factored is not None and _norm_inf(a) * _norm_inf(factored[2]) <= ORACLE_COND_LIMIT:
+        return factored
+    return None  # exactly singular, or a cond above the limit or nan
 
 
 def _classical_el_oracle(L, chart):
     """Baseline flat-case synthesizer: the chain-rule system from raw
-    second partials, each idempotent leg solved by _oracle_solve.
+    second partials, each idempotent leg factored by _conditioned.
 
     The 2n first and 4n^2 second partials are taken once here; the
     returned rhs(s) -> (dz, dzb) only evaluates them, and returns None at
-    a state where either leg is rejected.  Deliberately does not share
-    code with synthesize_el; reduction checks must cross two independent
-    pipelines.
+    a state where either leg is rejected.  When no second partial holds a
+    variable, every state gives them the values they have here, so they are
+    evaluated and both legs factored once, and each draw only solves: x is
+    bit for bit the per-draw elimination's (_solve).  If they raise here
+    they are evaluated at each draw, and raise there.  Deliberately does
+    not share code with synthesize_el; reduction checks must cross two
+    independent pipelines.
     """
     n = chart.n
     wrt = [z_var(k) for k in chart.indices()] + [zb_var(k) for k in chart.indices()]
@@ -577,22 +598,29 @@ def _classical_el_oracle(L, chart):
     lz = [differentiate(L, z_var(i)) for i in chart.indices()]
     second = [[differentiate(first, x) for x in wrt] for first in lzb + lz]
 
-    def rhs(s):
-        # legs straight from the interpreter: j*w has legs (u, -v), -w has
-        # legs (-u, -v)
+    def legs(s):
+        # legs straight from the interpreter: j*w has legs (u, -v)
         rows = [[_eval_pair(e, s) for e in row] for row in second]
-        b = [(-u, -v) for u, v in (_eval_pair(e, s) for e in lz)]
+        return (_conditioned([[u for u, _ in row] for row in rows]),
+                _conditioned([[-v for _, v in row] for row in rows]))
+
+    def solved(s, fu, fv):
+        b = [(-u, -v) for u, v in (_eval_pair(e, s) for e in lz)]  # -w has legs (-u, -v)
         b += [_eval_pair(e, s) for e in lzb]
-        xu = _oracle_solve([[u for u, _ in row] for row in rows], [u for u, _ in b])
-        if xu is None:
+        if fu is None or fv is None:
             return None
-        xv = _oracle_solve([[-v for _, v in row] for row in rows], [v for _, v in b])
-        if xv is None:
-            return None
+        xu = _solve(fu, [u for u, _ in b])
+        xv = _solve(fv, [v for _, v in b])
         vals = tuple(ParaComplex.from_idempotent(u, v) for u, v in zip(xu, xv))
         return vals[:n], vals[n:]
 
-    return rhs
+    if not any(vars_of(e) for row in second for e in row):
+        try:
+            fixed = legs(EvalState(z=(), zb=()))
+            return lambda s: solved(s, *fixed)
+        except ArithmeticError:  # ZeroDivisor or DomainError, raised at every draw
+            pass
+    return lambda s: solved(s, *legs(s))
 
 
 def _classical_ham_oracle(H, chart):

@@ -20,6 +20,7 @@ from biparamech import verify
 from biparamech.cli import ProblemFileError, load_problem
 from biparamech.eom import (
     HamiltonianProblem,
+    LagrangianProblem,
     SingularDenominator,
     _hamilton_terms,
     _identity_terms,
@@ -27,7 +28,8 @@ from biparamech.eom import (
     audit_lagrange,
 )
 from biparamech.para_algebra import J, ONE, ZERO, DomainError, ParaComplex, ZeroDivisor, apply_function
-from biparamech.symbolic import EvalState, Var, _eval_pair, differentiate, evaluate, is_zero, simplify, z_var, zb_var
+from biparamech.symbolic import (CoordinateChart, EvalState, Var, _eval_pair, differentiate, evaluate, is_zero, parse, simplify,
+                                 vars_of, z_var, zb_var)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -102,7 +104,8 @@ def ref_audit_hamilton(p, s):
 
 
 def ref_gauss_jordan(a, b, swaps=None):
-    """verify._gauss_jordan with its row updates as loops; swaps, when
+    """One Gauss-Jordan elimination on [A | I | b] with its row updates as
+    loops, which verify._factor and verify._solve split in two; swaps, when
     given, collects (k, pc) for each column swap."""
     n = len(b)
     width = 2 * n + 1
@@ -331,6 +334,108 @@ def test_check_fd_matches_on_random_expressions():
         assert outcome(lambda: verify.check_fd(expr, 3, k).checks[0].measured) == want
 
 
+# Each lacks a chart variable, and that variable's partial still redraws
+# states: the quotient rule's den^2 falls under INVERTIBILITY_FLOOR where
+# |den| < 1e-150, and exp(400*z1) overflows to inf where a leg of z1 passes
+# 1.77 (1/inf is 0, and inf*0 in every partial is nan).  A partial in a
+# variable the expression holds fails at the same states; with no variable
+# held, nothing else fails: the last two partials raise, or are nan, at
+# every state while the expression's value is finite.  Values above about
+# 43 fail the cancellation floor for a variable the expression lacks,
+# whose difference quotients are 0.0.  The last field: whether every seed
+# starves into the RuntimeError, rather than none.
+_LACKING = (
+    ("z2 + zb1/(1e-150*z1)", 2, True),
+    ("z2 + (1e-150*zb1)/(1e-150*z1)", 2, False),
+    ("z2*zb2 + 1/(1e-151*z1*z1)", 2, True),
+    ("z2 + 1/exp(400*z1)", 2, False),
+    ("2/exp(400*z1)", 1, False),
+    ("100*z1 + z2", 2, False),
+    ("exp(4*z1)", 1, False),
+    ("1e-160/(1e-160*(1 + 1))", 1, True),
+    ("1/exp(1000)", 1, True),
+)
+
+
+@pytest.mark.parametrize("text,n,starved", _LACKING)
+def test_check_fd_matches_where_a_lacked_variable_redraws(text, n, starved):
+    chart = CoordinateChart(n)
+    expr = parse(text, chart)
+    assert len(vars_of(expr)) < 2 * n
+    for seed in range(12):
+        want = outcome(ref_check_fd_worst, expr, 3, seed)
+        assert outcome(lambda: verify.check_fd(expr, 3, seed).checks[0].measured) == want
+        assert want.startswith("raised RuntimeError") == starved
+
+
+@pytest.mark.parametrize("key", ["L1", "L2", "L5", "oscillator.json", "el_coupled.json"])
+def test_the_state_free_oracle_factors_once_and_matches_per_draw(key, monkeypatch):
+    if key.endswith(".json"):
+        p = load_problem(os.path.join(REPO, "problems", key)).problem
+    else:
+        p = verify.fixture_problem("lagrangian", key)
+    factored = []
+    real = verify._factor
+    monkeypatch.setattr(verify, "_factor", lambda a: factored.append(a) or real(a))
+    got, want = verify._classical_el_oracle(p.L, p.chart), ref_el_oracle(p.L, p.chart)
+    assert len(factored) == 2  # one per leg, when the oracle is built
+    rng = random.Random(31)
+    for _ in range(60):
+        s = verify.random_state(rng, p.chart.n)
+        assert outcome(got, s) == outcome(want, s)
+    assert len(factored) == 2
+
+
+def test_a_state_dependent_oracle_factors_at_every_draw(monkeypatch):
+    p = verify.fixture_problem("lagrangian", "L3")
+    calls = []
+    real = verify._factor
+    monkeypatch.setattr(verify, "_factor", lambda a: calls.append(a) or real(a))
+    got, want = verify._classical_el_oracle(p.L, p.chart), ref_el_oracle(p.L, p.chart)
+    rng = random.Random(32)
+    for _ in range(20):
+        s = verify.random_state(rng, 1)
+        assert outcome(got, s) == outcome(want, s)
+    assert len(calls) == 40
+
+
+def _rejected_problems():
+    chart = CoordinateChart(1)
+    zero = parse("0", chart)
+    return {
+        # L = z1: a zero Hessian
+        "degenerate_L": load_problem(os.path.join(REPO, "problems", "failing", "degenerate_L.json")).problem,
+        # rows [[2, 2], [2, 2]]: singular, though not zero
+        "rank_one": LagrangianProblem(chart, parse("(z1 + zb1)^2", chart), zero),
+        # rows [[1, 60], [0, 1]]: a condition number of 61^2 on both legs
+        "ill_conditioned": LagrangianProblem(chart, parse("z1*zb1 + 30*zb1^2", chart), zero),
+    }
+
+
+@pytest.mark.parametrize("key", ["degenerate_L", "rank_one", "ill_conditioned"])
+def test_a_rejected_constant_hessian_is_rejected_at_every_draw(key):
+    p = _rejected_problems()[key]
+    got, want = verify._classical_el_oracle(p.L, p.chart), ref_el_oracle(p.L, p.chart)
+    rng = random.Random(33)
+    for _ in range(20):
+        s = verify.random_state(rng, 1)
+        assert got(s) is None and want(s) is None
+    with pytest.raises(RuntimeError, match="^could not sample enough well-posed states$"):
+        verify.check_reduction(p, 5, 1)
+
+
+def test_a_state_free_hessian_that_raises_at_build_raises_at_every_draw():
+    # every second partial of z1*zb1/0 is free of variables, and 1/0 raises
+    chart = CoordinateChart(1)
+    L = parse("z1*zb1 + z1*zb1/0", chart)
+    got, want = verify._classical_el_oracle(L, chart), ref_el_oracle(L, chart)
+    rng = random.Random(35)
+    for _ in range(5):
+        s = verify.random_state(rng, 1)
+        assert outcome(got, s) == outcome(want, s)
+        assert outcome(got, s).startswith("raised ZeroDivisor")
+
+
 def test_canon_dev_matches_the_paracomplex_formulation():
     rng = random.Random(4)
     specials = [0.0, -0.0, 1e308, -1e308, float("inf"), float("-inf"), float("nan")]
@@ -373,18 +478,33 @@ def _systems():
     return systems
 
 
-def test_gauss_jordan_and_norm_inf_match_the_loops():
+def _slot_after(n, swaps):
+    """The row holding each unknown once the column swaps are made."""
+    unknown = list(range(n))
+    for k, pc in swaps:
+        unknown[k], unknown[pc] = unknown[pc], unknown[k]
+    return [unknown.index(j) for j in range(n)]
+
+
+def test_factor_solve_and_norm_inf_match_the_loops():
     swapped = singular = 0
     for a, b in _systems():
         swaps = []
         want = ref_gauss_jordan(a, b, swaps)
-        got = verify._gauss_jordan(a, b)
-        assert repr(got) == repr(want)
+        got = verify._factor(a)
         assert repr(verify._norm_inf(a)) == repr(ref_norm_inf(a))
         if want is None:
+            assert got is None
             singular += 1
         else:
-            assert repr(verify._norm_inf(want[1])) == repr(ref_norm_inf(want[1]))
+            steps, slot, inverse = got
+            assert repr((verify._solve(got, b), inverse)) == repr(want)
+            assert slot == _slot_after(len(b), swaps)
+            assert repr(verify._norm_inf(inverse)) == repr(ref_norm_inf(want[1]))
+            # one factorization serves every right-hand side
+            for k in range(len(b)):
+                unit = [float(i == k) for i in range(len(b))]
+                assert repr(verify._solve(got, unit)) == repr(ref_gauss_jordan(a, unit)[0])
         swapped += bool(swaps)
     # both kinds of system ran: column swaps and exactly singular matrices
     assert swapped > 50 and singular > 10

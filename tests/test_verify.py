@@ -36,8 +36,9 @@ from biparamech.verify import (
     FIXTURE_HAMILTONIANS,
     FIXTURE_LAGRANGIANS,
     Report,
-    _gauss_jordan,
-    _oracle_solve,
+    _conditioned,
+    _factor,
+    _solve,
     _worst_over,
     audit_battery,
     check_fd,
@@ -131,6 +132,23 @@ class TestCheckFd:
         r = check_fd(parse("z1 + 2*zb1", C1), samples=20, seed=7)
         assert r.checks[0].measured < 1e-9
 
+    def test_stencils_run_only_for_variables_the_expression_holds(self, monkeypatch):
+        # over z1..zb2 the expression lacks z1 and zb2: their difference
+        # quotients are exactly 0.0, and only z2 and zb1 are stenciled
+        real = biparamech.verify._fd_partial
+        calls = []
+
+        def stencil(expr, s, family, i, h):
+            calls.append((family, i, h))
+            return real(expr, s, family, i, h)
+
+        monkeypatch.setattr(biparamech.verify, "_fd_partial", stencil)
+        r = check_fd(parse("exp(0.3*z2)*zb1 + z2^2", CoordinateChart(2)), samples=10, seed=3)
+        assert r.all_pass
+        assert {(family, i) for family, i, _ in calls} == {("z", 2), ("zb", 1)}
+        # h and h/2 for each held variable at each state measured
+        assert len(calls) >= 4 * 10 and len(calls) % 4 == 0
+
 
 class TestCheckReduction:
     def test_rejects_nonzero_lambda(self):
@@ -194,7 +212,8 @@ class TestOracleSolve:
     B = [-1.0, 22.0, 3.0, 0.0]  # A*X
 
     def test_complete_pivot_moves_row_and_column(self):
-        x, inverse = _gauss_jordan(self.A, self.B)
+        factored = _factor(self.A)
+        x, inverse = _solve(factored, self.B), factored[2]
         assert x == pytest.approx(self.X, abs=1e-14)
         for i in range(4):
             for j in range(4):
@@ -202,16 +221,16 @@ class TestOracleSolve:
                 assert entry == pytest.approx(float(i == j), abs=1e-14)
 
     def test_condition_boundary(self):
-        accepted = _oracle_solve([[1.0, 0.0], [0.0, 1 / 99.5]], [1.0, 1.0])
+        accepted = _solve(_conditioned([[1.0, 0.0], [0.0, 1 / 99.5]]), [1.0, 1.0])
         assert accepted == pytest.approx([1.0, 99.5], rel=1e-15)
-        assert _oracle_solve([[1.0, 0.0], [0.0, 1 / 100.5]], [1.0, 1.0]) is None
+        assert _conditioned([[1.0, 0.0], [0.0, 1 / 100.5]]) is None
 
     @pytest.mark.parametrize(
         "a", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]]]
     )
     def test_exactly_singular_is_rejected(self, a):
-        assert _gauss_jordan(a, [1.0, 2.0]) is None
-        assert _oracle_solve(a, [1.0, 2.0]) is None
+        assert _factor(a) is None
+        assert _conditioned(a) is None
 
 
 _WITHOUT_NUMPY = """
