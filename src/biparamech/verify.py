@@ -584,13 +584,13 @@ def _classical_el_oracle(L, chart):
 
     The 2n first and 4n^2 second partials are taken once here; the
     returned rhs(s) -> (dz, dzb) only evaluates them, and returns None at
-    a state where either leg is rejected.  When no second partial holds a
-    variable, every state gives them the values they have here, so they are
-    evaluated and both legs factored once, and each draw only solves: x is
-    bit for bit the per-draw elimination's (_solve).  If they raise here
-    they are evaluated at each draw, and raise there.  Deliberately does
-    not share code with synthesize_el; reduction checks must cross two
-    independent pipelines.
+    a state where either leg is rejected, before b is evaluated.  When no
+    second partial holds a variable, every state gives them the values they
+    have here, so they are evaluated and both legs factored once, and each
+    draw only solves: x is bit for bit the per-draw elimination's
+    (_solve).  If they raise here they are evaluated at each draw, and
+    raise there.  Deliberately does not share code with synthesize_el;
+    reduction checks must cross two independent pipelines.
     """
     n = chart.n
     wrt = [z_var(k) for k in chart.indices()] + [zb_var(k) for k in chart.indices()]
@@ -599,16 +599,17 @@ def _classical_el_oracle(L, chart):
     second = [[differentiate(first, x) for x in wrt] for first in lzb + lz]
 
     def legs(s):
-        # legs straight from the interpreter: j*w has legs (u, -v)
+        # legs straight from the interpreter: j*w has legs (u, -v); the e-
+        # leg is not factored where the e+ leg is already rejected
         rows = [[_eval_pair(e, s) for e in row] for row in second]
-        return (_conditioned([[u for u, _ in row] for row in rows]),
-                _conditioned([[-v for _, v in row] for row in rows]))
+        fu = _conditioned([[u for u, _ in row] for row in rows])
+        return fu, None if fu is None else _conditioned([[-v for _, v in row] for row in rows])
 
     def solved(s, fu, fv):
+        if fu is None or fv is None:  # redrawn, so b is not evaluated
+            return None
         b = [(-u, -v) for u, v in (_eval_pair(e, s) for e in lz)]  # -w has legs (-u, -v)
         b += [_eval_pair(e, s) for e in lzb]
-        if fu is None or fv is None:
-            return None
         xu = _solve(fu, [u for u, _ in b])
         xv = _solve(fv, [v for _, v in b])
         vals = tuple(ParaComplex.from_idempotent(u, v) for u, v in zip(xu, xv))

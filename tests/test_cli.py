@@ -14,6 +14,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -1333,3 +1334,48 @@ def test_csv_text_matches_phase_state_writer(doc):
     assert next(((k, g, w) for k, (g, w) in enumerate(pairs) if g != w), None) is None
     assert len(got) == len(want)
     assert got == want
+
+
+@pytest.mark.parametrize("doc", _shipped_docs())
+def test_integrate_writes_csv_text(tmp_path, capsys, doc):
+    # the rows streamed to -o in blocks are _csv_text's bytes
+    lp = LoadedProblem(doc)
+    out = tmp_path / "x.csv"
+    assert main(["integrate", write_doc(tmp_path, doc), "-o", str(out)]) == 0
+    assert out.read_bytes() == _csv_text(lp, integrate(lp.rhs(), lp.start(), lp.config())).encode()
+
+
+def test_integrate_writes_in_blocks_smaller_than_the_file(tmp_path, capsys, monkeypatch):
+    # traced from the moment every column exists: formatting and writing
+    # ham_soft's 6,001 rows never holds a quarter of the file's text
+    columns, base = biparamech.cli._csv_columns, []
+
+    def traced_columns(lp, tr):
+        got = columns(lp, tr)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base.append(tracemalloc.get_traced_memory()[0])
+        return got
+
+    monkeypatch.setattr(biparamech.cli, "_csv_columns", traced_columns)
+    out = tmp_path / "x.csv"
+    try:
+        assert main(["integrate", os.path.join(PROBLEMS, "ham_soft.json"), "-o", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base[0]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert len(out.read_text().splitlines()) == 6002
+    assert peak < size / 4, f"peak {peak} bytes while writing {size}"
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_a_failing_column_leaves_an_existing_output_untouched(tmp_path, capsys, method):
+    # ln(z1) fails only in the energy column, which exists before -o is opened
+    doc = json.loads((DATA / "ln_energy.json").read_text())
+    doc = doc if method == "rk4" else _rkf45(doc)
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"t,z1_a\n0.0,1.0\n")
+    assert main(["integrate", write_doc(tmp_path, doc), "-o", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: domain failure in 'ln(z1)' at t=0.0"]
+    assert out.read_bytes() == b"t,z1_a\n0.0,1.0\n"

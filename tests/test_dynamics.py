@@ -23,6 +23,7 @@ from biparamech.dynamics import (
     Trajectory,
     at_state,
     energy_along,
+    energy_columns,
     integrate,
     make_el_rhs,
     make_ham_rhs,
@@ -1000,6 +1001,25 @@ class TestEnergyAlong:
                          PhaseState(t=0.5, z=(pc(-1.0),), zb=(pc(0.5),))])
         with pytest.raises(DomainError, match=r"^domain failure in 'ln\(z1\)' at t=0\.5$"):
             energy_along(p, tr)
+
+    @pytest.mark.parametrize("name", ["ham_curved.json", "el_conformal.json"])
+    def test_float_columns_are_energy_along_bit_for_bit(self, name):
+        # the CLI's energy columns, with no ParaComplex per sample: a conformal
+        # Hamiltonian, and a conformal Lagrangian through its EL solve
+        lp = load_problem(os.path.join(PROBLEMS, name))
+        tr = integrate(lp.rhs(), lp.start(), lp.config())
+        col_a, col_b = energy_columns(lp.problem, tr)
+        values = energy_along(lp.problem, tr)
+        assert len(col_a) == len(col_b) == len(values) == len(tr.times)
+        assert [x.hex() for x in col_a] == [e.a.hex() for e in values]
+        assert [x.hex() for x in col_b] == [e.b.hex() for e in values]
+
+    def test_float_columns_name_the_failing_sample_time(self):
+        p = hamiltonian("z1*zb1 + ln(z1)")
+        tr = trajectory([PhaseState(t=0.0, z=(pc(2.0),), zb=(pc(0.5),)),
+                         PhaseState(t=0.5, z=(pc(-1.0),), zb=(pc(0.5),))])
+        with pytest.raises(DomainError, match=r"^domain failure in 'ln\(z1\)' at t=0\.5$"):
+            energy_columns(p, tr)
 
     def test_lagrangian_uses_solved_velocities(self):
         # E_L for L = z1*zb1 along its own flow: with xi1 = -j*zb1 and
