@@ -256,9 +256,8 @@ def _csv_blocks(n: int, tr, header, extra):
     order = [k for i in range(n) for k in (2 * i, 2 * i + 1, 2 * (n + i), 2 * (n + i) + 1)]
     times, rows = tr.times, tr.rows
     for lo in range(0, len(times), CSV_BLOCK_ROWS):
-        hi = lo + CSV_BLOCK_ROWS
-        state = list(zip(*rows[lo:hi]))
-        columns = [times[lo:hi], *(state[k] for k in order), *(c[lo:hi] for c in extra)]
+        hi = min(lo + CSV_BLOCK_ROWS, len(times))
+        columns = [times[lo:hi], *(rows.column(k, lo, hi) for k in order), *(c[lo:hi] for c in extra)]
         lines = [",".join(map(repr, row)) for row in zip(*columns)]
         lines.append("")  # the block's last row ends in a newline too
         yield "\n".join(lines)

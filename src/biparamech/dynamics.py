@@ -4,11 +4,13 @@ time stepping, all on the idempotent legs (u, v) = (a+b, a-b).
 A state is one flat leg list y = [u(z1), v(z1), ..., u(zbn), v(zbn)] in
 the order of CoordinateChart.slots(), and a right-hand side is rhs(y) -> dy
 in the same layout, built by lowering a synthesized system into one
-straight-line function (symbolic.lower).  A Trajectory keeps one flat row
-[a(z1), b(z1), ..., a(zbn), b(zbn)] per sample in the same order, and its
-readers take the legs a+b, a-b straight from the rows.  ParaComplex values
-appear only at the edges: integrate's start state, Trajectory.samples, the
-values energy_along returns, and at_state.  A right-hand side raises
+straight-line function (symbolic.lower).  A Trajectory keeps its times in
+one array('d') and its rows [a(z1), b(z1), ..., a(zbn), b(zbn)], in the
+same order, back to back in another, row-major with width 4n; tr.rows is
+a read-only view that gives each row as a list, and the readers take the
+legs a+b, a-b straight from the rows.  ParaComplex values appear only at
+the edges: integrate's start state, Trajectory.samples, the values
+energy_along returns, and at_state.  A right-hand side raises
 DegenerateLagrangian, SingularDenominator, ZeroDivisor or DomainError
 without a time; integrate, energy_along, energy_columns and at_state (at
 a state with a time) re-raise them with one.  An entry of M or b that
@@ -29,17 +31,19 @@ a literal, each leg is left with the arithmetic of b'' and one rank-one
 update.  Any other M, a hand-built one too, is eliminated on its lowered
 legs at every call.
 
-Both steppers take (rhs, y, cfg, times, rows) and append each accepted
-step's time and row to times and rows themselves.  RK4 runs in a loop
-emitted once per leg count (_rk4_driver) that calls rhs four times per
-step, with the stage arithmetic on locals; RKF45 keeps its generic loop
-over lists.
+Both steppers take (rhs, y, cfg, times, flat) and append each accepted
+step's time to times and its row's 4n values to the array('d') flat, in
+one call per step.  RK4 runs in a loop emitted once per leg count
+(_rk4_driver) that calls rhs four times per step, with the stage
+arithmetic on locals; RKF45 keeps its generic loop over lists.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
+from struct import Struct
 
 from .eom import (
     DegenerateLagrangian,
@@ -137,14 +141,57 @@ class IntegratorConfig(ValueType):
         d["max_steps"] = max_steps
 
 
-class Trajectory:
-    """Sample times plus one flat row per sample, [a(z1), b(z1), ...,
-    a(zbn), b(zbn)] in the order of CoordinateChart.slots().
+class Rows:
+    """A read-only view of a trajectory's rows over one flat row-major
+    array('d') of the given width: len, indexing (negative indices too),
+    slicing and iteration give each row as a new list of floats."""
 
-    samples is a read-only view of the rows as PhaseState values, built on
-    first access."""
+    __slots__ = ("flat", "width")
+
+    def __init__(self, flat, width: int) -> None:
+        self.flat = flat
+        self.width = width
+
+    def __len__(self) -> int:
+        return len(self.flat) // self.width
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        i = k + len(self) if k < 0 else k
+        if not 0 <= i < len(self):
+            raise IndexError("row index out of range")
+        w = self.width
+        return self.flat[i * w:(i + 1) * w].tolist()
+
+    def __iter__(self):
+        return map(list, zip(*[iter(self.flat)] * self.width))
+
+    def column(self, k: int, lo: int, hi: int):
+        """Entry k of rows lo to hi - 1, as a strided slice of the buffer."""
+        w = self.width
+        return self.flat[lo * w + k:hi * w:w]
+
+
+class Trajectory:
+    """Sample times plus one row per sample, [a(z1), b(z1), ..., a(zbn),
+    b(zbn)] in the order of CoordinateChart.slots().
+
+    integrate stores the rows back to back in one array('d'), and rows is
+    a Rows view over it; rows given as a sequence of lists are copied into
+    such a buffer.  samples is a read-only view of the rows as PhaseState
+    values, built on first access."""
 
     def __init__(self, times, rows):
+        if not isinstance(rows, Rows):
+            rows = list(rows)
+            flat = array("d")
+            for row in rows:
+                flat.extend(row)
+            width = len(rows[0]) if rows else 1
+            if len(flat) != len(rows) * width:
+                raise ValueError("rows must have equal length")
+            rows = Rows(flat, width)
         self.times = times
         self.rows = rows
         self._samples = None
@@ -490,11 +537,13 @@ _RKF_ERR = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.
 
 @lru_cache(maxsize=None)
 def _rk4_driver(m: int):
-    """Emit rk4(rhs, y, t0, dt, t1, total, times, rows): total classical RK4
+    """Emit rk4(rhs, y, t0, dt, t1, total, times, flat): total classical RK4
     steps from t0 on a state of m legs, appending each step's end time to
-    times and its (a, b) row to rows.  The legs, stage inputs and rates are
-    locals, with the float operations of the stage loop over lists in their
-    order.  An h = t_b - t_a that is not positive, a stage input that is not
+    times and its (a, b) row to the array('d') flat, packed into one bytes
+    object (one frombytes measures faster than an extend by a tuple, which
+    grows the array one value at a time).  The legs, stage inputs and rates
+    are locals, with the float operations of the stage loop over lists in
+    their order.  An h = t_b - t_a that is not positive, a stage input that is not
     finite, or an rhs that raises _NonFinite fails the step at its start
     t_a; an error of _TIMED_ERRORS is re-raised at its stage's time t_a,
     t_a + 0.5*h or t_a + h."""
@@ -508,8 +557,9 @@ def _rk4_driver(m: int):
         return "; ".join(f"s{i} = y{i} + {step} * {rate}{i}" for i in range(m))
 
     row = ", ".join(f"(y{i} + y{i + 1}) / 2.0, (y{i} - y{i + 1}) / 2.0" for i in range(0, m, 2))
-    source = f"""def rk4(rhs, y, t0, dt, t1, total, times, rows):
+    source = f"""def rk4(rhs, y, t0, dt, t1, total, times, flat):
     {legs("y")} = y
+    append, extend = times.append, flat.frombytes
     for k in range(total):
         t_a = t0 + k * dt
         t_b = t1 if k == total - 1 else t0 + (k + 1) * dt
@@ -537,16 +587,16 @@ def _rk4_driver(m: int):
             raise _at_time(exc, t) from None
         w = h / 6.0
         {"; ".join(f"y{i} = y{i} + w * (a{i} + 2.0 * (b{i} + c{i}) + d{i})" for i in range(m))}
-        times.append(t_b)
-        rows.append([{row}])
+        append(t_b)
+        extend(pack({row}))
 """
     namespace = {"isfinite": math.isfinite, "_NonFinite": _NonFinite, "StepFailure": StepFailure,
-                 "_TIMED_ERRORS": _TIMED_ERRORS, "_at_time": _at_time}
+                 "_TIMED_ERRORS": _TIMED_ERRORS, "_at_time": _at_time, "pack": Struct(f"{m}d").pack}
     exec(compile(source, f"<rk4 driver {m}>", "exec"), namespace)
     return namespace["rk4"]
 
 
-def _run_rk4(rhs, y, cfg, times, rows):
+def _run_rk4(rhs, y, cfg, times, flat):
     span = cfg.t1 - cfg.t0
     quotient = span / cfg.dt + 1e-9
     # compared before int(), which cannot take an infinite quotient
@@ -559,10 +609,10 @@ def _run_rk4(rhs, y, cfg, times, rows):
     total = nfull + (1 if remainder else 0)
     if total > cfg.max_steps:
         raise StepFailure(f"{total} steps exceed max_steps={cfg.max_steps}", t=cfg.t0)
-    _rk4_driver(len(y))(rhs, y, cfg.t0, cfg.dt, cfg.t1, total, times, rows)
+    _rk4_driver(len(y))(rhs, y, cfg.t0, cfg.dt, cfg.t1, total, times, flat)
 
 
-def _run_rkf45(rhs, y, cfg, times, rows):
+def _run_rkf45(rhs, y, cfg, times, flat):
     span = cfg.t1 - cfg.t0
     tol = cfg.tol
     h_min = 1e-12 * span
@@ -620,7 +670,7 @@ def _run_rkf45(rhs, y, cfg, times, rows):
             y = y5
             times.append(t)
             legs = iter(y)
-            rows.append([x for u, v in zip(legs, legs) for x in ((u + v) / 2.0, (u - v) / 2.0)])
+            flat.fromlist([x for u, v in zip(legs, legs) for x in ((u + v) / 2.0, (u - v) / 2.0)])
         h *= 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
 
 
@@ -636,10 +686,11 @@ def integrate(rhs, s0: PhaseState, cfg: IntegratorConfig) -> Trajectory:
     failure, which names its subexpression.  A step that cannot advance t,
     or an RKF45 span within its end slack, is a StepFailure at its t.
     """
-    times = [cfg.t0]
-    rows = [[x for w in s0.z + s0.zb for x in (w.a, w.b)]]
+    times = array("d", (cfg.t0,))
+    flat = array("d", [x for w in s0.z + s0.zb for x in (w.a, w.b)])
+    rows = Rows(flat, len(flat))
     run = _run_rk4 if cfg.method == "rk4" else _run_rkf45
-    run(rhs, _legs(s0.z + s0.zb), cfg, times, rows)
+    run(rhs, _legs(s0.z + s0.zb), cfg, times, flat)
     return Trajectory(times, rows)
 
 
@@ -673,8 +724,11 @@ def residual_series(p: LagrangianProblem, tr: Trajectory):
         return out
     n = p.chart.n
     fn = lower(_series_roots(p), p.chart.slots())
-    vals = [fn(_row_legs(row)) for row in tr.rows]
-    for k in range(1, len(times) - 1):
+    # a window of three rows' roots: before, here and after sample k
+    rows = iter(tr.rows)
+    before, here = fn(_row_legs(next(rows))), fn(_row_legs(next(rows)))
+    for k, row in enumerate(rows, 1):
+        after = fn(_row_legs(row))
         # three-point first derivative, exact to second order even when the
         # last step was shortened to land on t1
         h1 = times[k] - times[k - 1]
@@ -683,8 +737,7 @@ def residual_series(p: LagrangianProblem, tr: Trajectory):
         wm = -h2 * h2 / denom
         w0 = (h2 * h2 - h1 * h1) / denom
         wp = h1 * h1 / denom
-        here = vals[k]
-        rate = [wm * a + w0 * b + wp * c for a, b, c in zip(vals[k - 1], here, vals[k + 1])]
+        rate = [wm * a + w0 * b + wp * c for a, b, c in zip(before, here, after)]
         worst = 0.0
         for i in range(n):
             # legs of root r sit at 2r and 2r+1, and j maps (u, v) to (u, -v):
@@ -699,6 +752,7 @@ def residual_series(p: LagrangianProblem, tr: Trajectory):
                 abs(rate[b + 1] + here[lzb + 1]),
             )
         out[k] = worst
+        before, here = here, after
     return out
 
 
@@ -725,12 +779,14 @@ def _energy_legs(p, tr: Trajectory):
 
 
 def energy_columns(p, tr: Trajectory) -> tuple:
-    """The energy's (a, b) at every sample as two float lists, the .a and
-    .b of energy_along's values bit for bit, with no ParaComplex built."""
-    col_a, col_b = [], []
+    """The energy's (a, b) at every sample as two array('d') columns, the
+    .a and .b of energy_along's values bit for bit, with no ParaComplex
+    built."""
+    col_a, col_b = array("d"), array("d")
+    add_a, add_b = col_a.append, col_b.append
     for u, v in _energy_legs(p, tr):
-        col_a.append((u + v) / 2.0)
-        col_b.append((u - v) / 2.0)
+        add_a((u + v) / 2.0)
+        add_b((u - v) / 2.0)
     return col_a, col_b
 
 

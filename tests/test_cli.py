@@ -30,6 +30,7 @@ from biparamech.cli import (
     cmd_integrate,
     cmd_plot,
     cmd_selftest,
+    load_problem,
     main,
 )
 from biparamech.dynamics import (
@@ -41,6 +42,7 @@ from biparamech.dynamics import (
     _RKF_C,
     _RKF_ERR,
     _NonFinite,
+    energy_columns,
     integrate,
     make_el_rhs,
     residual_series,
@@ -1367,6 +1369,28 @@ def test_integrate_writes_in_blocks_smaller_than_the_file(tmp_path, capsys, monk
     size = out.stat().st_size
     assert len(out.read_text().splitlines()) == 6002
     assert peak < size / 4, f"peak {peak} bytes while writing {size}"
+
+
+def test_integrate_holds_its_trajectory_in_flat_arrays():
+    # ham_soft's 6,001 samples: the times and the rows in two array('d')
+    # buffers take 40 bytes a sample plus their growth slack (a list of
+    # boxed floats per row would take 226), and the energy columns 16 more
+    lp = load_problem(os.path.join(PROBLEMS, "ham_soft.json"))
+    rhs, s0, cfg = lp.rhs(), lp.start(), lp.config()
+    energy_columns(lp.problem, integrate(rhs, s0, cfg))  # emits and caches the RK4 driver
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr = integrate(rhs, s0, cfg)
+        held = tracemalloc.get_traced_memory()[0] - base
+        columns = energy_columns(lp.problem, tr)
+        both = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    samples = len(tr.times)
+    assert samples == len(tr.rows) == len(columns[0]) == len(columns[1]) == 6001
+    assert held <= 64 * samples, f"integrate holds {held / samples:.1f} bytes a sample"
+    assert both < 500_000, f"trajectory and energy columns hold {both} bytes"
 
 
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -920,6 +921,36 @@ class TestTrajectory:
         u, v = s0.zb[0].u, s0.zb[0].v
         assert tr.rows[-1][2:] == [(u + v) / 2.0, (u - v) / 2.0]
 
+    @pytest.mark.parametrize("name", ["el_coupled.json", "ham_curved.json"])
+    def test_rows_view_reads_as_the_lists_it_holds(self, name):
+        # integrate keeps the rows in one flat array (RK4 on n = 2, RKF45 on
+        # n = 1); a trajectory built from the same rows as lists reads alike
+        lp = load_problem(os.path.join(PROBLEMS, name))
+        tr = integrate(lp.rhs(), lp.start(), lp.config())
+        cells, w = list(tr.rows.flat), 4 * lp.n
+        lists = [cells[k:k + w] for k in range(0, len(cells), w)]
+        built = Trajectory(list(tr.times), lists)
+        n = len(lists)
+        assert n == len(tr.times) > 10
+        for view in (tr.rows, built.rows):
+            assert len(view) == n
+            assert view[0] == lists[0] and view[-1] == lists[-1] and view[-n] == lists[0]
+            assert view[3:9] == lists[3:9] and view[-4:] == lists[-4:] and view[::5] == lists[::5]
+            assert view[9:3] == [] and view[n:] == []
+            assert list(view) == lists
+            assert all(type(row) is list for row in view)
+            for k in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    view[k]
+            with pytest.raises(TypeError):
+                view[0] = lists[0]
+        assert built.samples == tr.samples
+        assert [s.t for s in tr.samples] == list(tr.times)
+
+    def test_rows_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Trajectory([0.0, 1.0], [[1.0, 0.0, 0.0, 0.0], [0.5, 0.5]])
+
 
 # ---------------------------------------------------------------------------
 # residual audit
@@ -930,6 +961,39 @@ def _osc_trajectory(dt=1e-3, t1=math.pi):
     rhs = make_el_rhs(synthesize_el(OSC))
     cfg = IntegratorConfig(method="rk4", t0=0.0, t1=t1, dt=dt)
     return integrate(rhs, PhaseState(t=0.0, z=(pc(1.0),), zb=(pc(0.0),)), cfg)
+
+
+def whole_list_residual_series(p, tr):
+    """The reference for residual_series' three-row window: the roots of
+    every row evaluated first and held in one list."""
+    times = tr.times
+    out = [math.nan] * len(times)
+    if len(times) < 3:
+        return out
+    n = p.chart.n
+    fn = lower(dynamics._series_roots(p), p.chart.slots())
+    vals = [fn(dynamics._row_legs(row)) for row in tr.rows]
+    for k in range(1, len(times) - 1):
+        h1 = times[k] - times[k - 1]
+        h2 = times[k + 1] - times[k]
+        denom = h1 * h2 * (h1 + h2)
+        wm = -h2 * h2 / denom
+        w0 = (h2 * h2 - h1 * h1) / denom
+        wp = h1 * h1 / denom
+        here = vals[k]
+        rate = [wm * a + w0 * b + wp * c for a, b, c in zip(vals[k - 1], here, vals[k + 1])]
+        worst = 0.0
+        for i in range(n):
+            a, b, lz, lzb = 2 * i, 2 * (n + i), 2 * (2 * n + i), 2 * (3 * n + i)
+            worst = max(
+                worst,
+                abs(rate[a] + here[lz]),
+                abs(here[lz + 1] - rate[a + 1]),
+                abs(rate[b] - here[lzb]),
+                abs(rate[b + 1] + here[lzb + 1]),
+            )
+        out[k] = worst
+    return out
 
 
 class TestResidualSeries:
@@ -954,6 +1018,21 @@ class TestResidualSeries:
         tr = _osc_trajectory(dt=5e-3)
         res = residual_series(lagrangian("z1^2*zb1 + 0.3*zb1^2"), tr)
         assert max(res[1:-1]) > 1e-2
+
+    @pytest.mark.parametrize("case", ["el_quadratic.json", "el_coupled.json", "shortened"])
+    def test_three_row_window_matches_the_whole_list(self, case):
+        # the roots of three rows at a time give the residuals of every row's
+        # roots held at once, bit for bit; the RK4 run with dt = 0.007 on
+        # [0, 1] shortens its last step to land on t1
+        if case == "shortened":
+            p, tr = OSC, _osc_trajectory(dt=0.007, t1=1.0)
+            assert tr.times[-1] == 1.0 and tr.times[-1] - tr.times[-2] < 0.0065
+        else:
+            lp = load_problem(os.path.join(PROBLEMS, case))
+            p, tr = lp.problem, integrate(lp.rhs(), lp.start(), lp.config())
+        got = residual_series(p, tr)
+        assert [x.hex() for x in got] == [x.hex() for x in whole_list_residual_series(p, tr)]
+        assert len(got) == len(tr.times) > 100 and all(math.isfinite(x) for x in got[1:-1])
 
     def test_short_trajectory_all_nan(self):
         tr = trajectory(
@@ -1459,16 +1538,20 @@ def textbook_trajectory(rhs, y, cfg, stage_times=None):
     return times, rows
 
 
+def stepper_trajectory(run, rhs, y, cfg):
+    """times and one row per step from a stepper, which appends each step's
+    row to one flat array('d'): the buffer regrouped into rows of len(y)."""
+    times, flat, m = [cfg.t0], array("d"), len(y)
+    run(rhs, y, cfg, times, flat)
+    return times, [flat[k:k + m].tolist() for k in range(0, len(flat), m)]
+
+
 def emitted_trajectory(rhs, y, cfg):
-    times, rows = [cfg.t0], []
-    _run_rk4(rhs, y, cfg, times, rows)
-    return times, rows
+    return stepper_trajectory(_run_rk4, rhs, y, cfg)
 
 
 def rkf45_trajectory(rhs, y, cfg):
-    times, rows = [cfg.t0], []
-    _run_rkf45(rhs, y, cfg, times, rows)
-    return times, rows
+    return stepper_trajectory(_run_rkf45, rhs, y, cfg)
 
 
 def rk4_outcome(run, rhs, y, cfg):
