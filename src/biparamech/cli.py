@@ -263,10 +263,6 @@ def _csv_blocks(n: int, tr, header, extra):
         yield "\n".join(lines)
 
 
-def _csv_text(lp: LoadedProblem, tr) -> str:
-    return "".join(_csv_blocks(lp.n, tr, *_csv_columns(lp, tr)))
-
-
 def _write(path: str, pieces) -> None:
     """Write an output file from its text's pieces; a path that cannot be
     written is an input error."""

@@ -210,10 +210,13 @@ def _phase_state(t, row):
     return PhaseState(t=t, z=tuple(w[:n]), zb=tuple(w[n:]))
 
 
-def _row_legs(row) -> list:
-    """The legs (a+b, a-b) of a row, as ParaComplex(a, b) computes them."""
-    cells = iter(row)
-    return [x for a, b in zip(cells, cells) for x in (a + b, a - b)]
+def _leg_rows(rows: Rows):
+    """The legs (a+b, a-b) of each row, as ParaComplex(a, b) computes them,
+    one list per row taken straight from the flat buffer."""
+    cells = iter(rows.flat)
+    pairs = zip(cells, cells)
+    for row in zip(*[pairs] * (rows.width // 2)):
+        yield [x for a, b in row for x in (a + b, a - b)]
 
 
 # ---------------------------------------------------------------------------
@@ -725,10 +728,10 @@ def residual_series(p: LagrangianProblem, tr: Trajectory):
     n = p.chart.n
     fn = lower(_series_roots(p), p.chart.slots())
     # a window of three rows' roots: before, here and after sample k
-    rows = iter(tr.rows)
-    before, here = fn(_row_legs(next(rows))), fn(_row_legs(next(rows)))
-    for k, row in enumerate(rows, 1):
-        after = fn(_row_legs(row))
+    rows = _leg_rows(tr.rows)
+    before, here = fn(next(rows)), fn(next(rows))
+    for k, y in enumerate(rows, 1):
+        after = fn(y)
         # three-point first derivative, exact to second order even when the
         # last step was shortened to land on t1
         h1 = times[k] - times[k - 1]
@@ -767,14 +770,13 @@ def _energy_legs(p, tr: Trajectory):
     """
     if isinstance(p, HamiltonianProblem):
         h = lower((p.H,), p.chart.slots())
-        for t, row in zip(tr.times, tr.rows):
-            yield _sampled(h, _row_legs(row), t)
+        for t, y in zip(tr.times, _leg_rows(tr.rows)):
+            yield _sampled(h, y, t)
         return
     velocities = tuple((f, i) for f in ("xi", "xib") for i in p.chart.indices())
     e_fn = lower((energy(p),), p.chart.slots() + velocities)
     rhs = make_el_rhs(synthesize_el(p))
-    for t, row in zip(tr.times, tr.rows):
-        y = _row_legs(row)
+    for t, y in zip(tr.times, _leg_rows(tr.rows)):
         yield _sampled(e_fn, y + _sampled(rhs, y, t), t)
 
 

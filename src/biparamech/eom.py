@@ -35,6 +35,7 @@ from .symbolic import (
     Var,
     ZERO_EXPR,
     _eval_pair,
+    children_of,
     differentiate,
     evaluate,  # not called here; benchmark/layers.py wraps eom.evaluate
     is_zero,
@@ -172,9 +173,10 @@ class ImplicitODE(ValueType):
     exp(-lam) I_n)*(H + c*grad(lam)^T), c = b[n:] + b[:n], for a lam that
     is not constant.  There it holds (H, grad(lam), c, b''), with b''_i =
     j*exp(-lam)*b_i for i < n and j*exp(lam)*b_i otherwise: M*x = b exactly
-    when (H + c*grad(lam)^T)*x = b'', since j*j = 1.  It is a field but no
-    constructor argument, so no hand-built system carries it or equals one
-    that does."""
+    when (H + c*grad(lam)^T)*x = b'', since j*j = 1; el_equation_texts
+    renders row r of M*x from it as j*exp(+-lam)*(H_r*x + c_r*grad(lam).x).
+    It is a field but no constructor argument, so no hand-built system
+    carries it or equals one that does."""
 
     _fields = ("chart", "M", "b", "conformal")
     __match_args__ = ("chart", "M", "b")
@@ -220,10 +222,11 @@ def synthesize_el(p: LagrangianProblem) -> ImplicitODE:
     carries j*exp(-lam) against the dz_i-partials; the conformal factor
     contributes rate-of-lam terms, and the xi-free partial of L moves to
     the right-hand side.  The entries are the chain rule's trees, which
-    el_equation_texts expands and lower() folds; each first partial of L
-    is one object in its row's 2n entries and in b, and an entry whose
-    rate of lam is ZERO_EXPR is j*exp(+-lam)*H_ik alone.  For a lam that is
-    not constant, it alone records the system make_el_rhs solves (ImplicitODE).
+    lower() folds; each first partial of L is one object in its row's 2n
+    entries and in b, and an entry whose rate of lam is ZERO_EXPR is
+    j*exp(+-lam)*H_ik alone.  For a lam that is not constant, it alone
+    records the split (ImplicitODE) that make_el_rhs solves and from which
+    el_equation_texts expands each row as one product.
     """
     ep, em = _exp_of(p.lam), _exp_of(Negate(p.lam))
     lam_cols = _lam_rate_terms(p.lam, p.chart)
@@ -397,16 +400,34 @@ def audit_hamilton(p: HamiltonianProblem, s: EvalState) -> float:
     return _sup(parts)
 
 
+def _holds_quotient(e: Expr, memo: dict) -> bool:
+    """Whether e has a Quotient node; the memo, keyed by id and holding the
+    node, visits each distinct node object once."""
+    if id(e) not in memo:
+        memo[id(e)] = e, isinstance(e, Quotient) or any(_holds_quotient(c, memo) for c in children_of(e))
+    return memo[id(e)][1]
+
+
 def el_equation_texts(ode: ImplicitODE) -> list[str]:
-    """Render each implicit row as '<lhs> = <rhs>' with xi/xib unknowns."""
-    unknowns = [xi_var(i) for i in ode.chart.indices()] + [
-        xib_var(i) for i in ode.chart.indices()
-    ]
-    lines = []
-    for row, rhs in zip(ode.M, ode.b):
-        lhs = simplify(Sum(tuple(Product((m, x)) for m, x in zip(row, unknowns))))
-        lines.append(f"{to_text(lhs)} = {to_text(simplify(rhs))}")
-    return lines
+    """Render each implicit row as '<lhs> = <rhs>' with xi/xib unknowns.
+
+    The lhs of row r is simplify(sum_k M_rk*xi_k).  Where synthesize_el
+    recorded the conformal split (H, g, c, b''), the same normal form is
+    expanded from one product, j*f_r*(sum_k H_rk*xi_k + c_r*sum_k g_k*xi_k)
+    with f_r the exp(+-lam) that M's entries hold; but not for a row whose
+    entries hold a Quotient, as the normal form does not merge quotients
+    grouped differently."""
+    xis = [xi_var(i) for i in ode.chart.indices()] + [xib_var(i) for i in ode.chart.indices()]
+    lhs = [Sum(tuple(Product((m, x)) for m, x in zip(row, xis))) for row in ode.M]
+    if ode.conformal is not None:
+        H, g, c, _ = ode.conformal
+        rate = Sum(tuple(Product((gk, x)) for gk, x in zip(g, xis) if gk is not ZERO_EXPR))
+        memo: dict = {}
+        for r, row in enumerate(ode.M):
+            if not any(_holds_quotient(m, memo) for m in row):
+                hx = tuple(Product((h, x)) for h, x in zip(H[r], xis))
+                lhs[r] = Product((J_EXPR, row[0].children[1], Sum(hx + (Product((c[r], rate)),))))
+    return [f"{to_text(simplify(e))} = {to_text(simplify(rhs))}" for e, rhs in zip(lhs, ode.b)]
 
 
 def ham_equation_texts(ode: ExplicitODE) -> list[str]:

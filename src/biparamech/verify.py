@@ -477,11 +477,12 @@ def check_fd(expr, samples: int, seed: int) -> Report:
                 return None
             # oracle validity, judged without looking at sym so a wrong
             # partial cannot be hidden: the h and h/2 stencils must agree,
-            # and cancellation noise must sit well under the threshold
+            # and cancellation noise must sit well under the threshold where
+            # a stencil ran (an exact 0.0 carries none)
             fd_norm = max(abs(fu), abs(fv))
             if max(abs(fu - gu), abs(fv - gv)) / max(1.0, fd_norm, max(abs(gu), abs(gv))) > 1e-8:
                 return None
-            if noise_floor > 1e-8 * max(1.0, fd_norm):
+            if held and noise_floor > 1e-8 * max(1.0, fd_norm):
                 return None
             scale = max(1.0, max(abs(su), abs(sv)), fd_norm)
             worst = max(worst, max(abs(su - fu), abs(sv - fv)) / scale)

@@ -23,7 +23,8 @@ import biparamech.dynamics
 import biparamech.verify
 from biparamech.cli import (
     LoadedProblem,
-    _csv_text,
+    _csv_blocks,
+    _csv_columns,
     _parse,
     cmd_audit,
     cmd_derive,
@@ -93,6 +94,19 @@ def test_derive_oscillator_lines(capsys):
         "EL(3.13) row A_1: j*xi1 = -zb1",
         "EL(3.13) row B_1: j*xib1 = z1",
     ]
+
+
+@pytest.mark.parametrize("path", [
+    os.path.join(PROBLEMS, "el_conformal.json"),
+    str(DATA / "conformal_family_L3.json"),
+    str(DATA / "conformal_quotient_lagrangian.json"),
+], ids=os.path.basename)
+def test_derive_prints_the_checked_in_conformal_rows(path, capsys):
+    # the text the per-column expansion printed, byte for byte: one product
+    # per row on the family, column by column where a quotient appears
+    assert main(["derive", path]) == 0
+    stem = os.path.basename(path)[: -len(".json")]
+    assert capsys.readouterr().out == (DATA / "derive" / f"{stem}.txt").read_text(encoding="utf-8")
 
 
 def test_derive_hamiltonian_lines(capsys):
@@ -1326,6 +1340,11 @@ def _shipped_docs():
     return out + [pytest.param(_conformal_n3(), id="conformal_n3")]
 
 
+def _csv_text(lp, tr) -> str:
+    """The whole CSV text, joined from the blocks integrate writes."""
+    return "".join(_csv_blocks(lp.n, tr, *_csv_columns(lp, tr)))
+
+
 @pytest.mark.parametrize("doc", _shipped_docs())
 def test_csv_text_matches_phase_state_writer(doc):
     lp = LoadedProblem(doc)
@@ -1340,7 +1359,7 @@ def test_csv_text_matches_phase_state_writer(doc):
 
 @pytest.mark.parametrize("doc", _shipped_docs())
 def test_integrate_writes_csv_text(tmp_path, capsys, doc):
-    # the rows streamed to -o in blocks are _csv_text's bytes
+    # the rows streamed to -o in blocks are the joined blocks' bytes
     lp = LoadedProblem(doc)
     out = tmp_path / "x.csv"
     assert main(["integrate", write_doc(tmp_path, doc), "-o", str(out)]) == 0

@@ -972,7 +972,8 @@ def whole_list_residual_series(p, tr):
         return out
     n = p.chart.n
     fn = lower(dynamics._series_roots(p), p.chart.slots())
-    vals = [fn(dynamics._row_legs(row)) for row in tr.rows]
+    # the legs (a+b, a-b) of each row, as ParaComplex(a, b) computes them
+    vals = [fn([x for a, b in zip(row[::2], row[1::2]) for x in (a + b, a - b)]) for row in tr.rows]
     for k in range(1, len(times) - 1):
         h1 = times[k] - times[k - 1]
         h2 = times[k + 1] - times[k]

@@ -1,8 +1,13 @@
+import glob
+import json
 import math
+import os
 import random
 
 import pytest
 
+from biparamech import eom, symbolic
+from biparamech.cli import load_problem
 from biparamech.para_algebra import ParaComplex
 from biparamech.eom import (
     DegenerateLagrangian,
@@ -27,16 +32,21 @@ from biparamech.symbolic import (
     EvalState,
     ExpressionError,
     Product,
+    Sum,
     Var,
     differentiate,
     evaluate,
     parse,
     simplify,
     to_text,
+    walk,
     xi_var,
+    xib_var,
     z_var,
     zb_var,
 )
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 C1 = CoordinateChart(1)
 C2 = CoordinateChart(2)
@@ -451,3 +461,107 @@ class TestEquationTexts:
     def test_ham_bilinear(self):
         ode = synthesize_ham(hamiltonian("z1*zb1"))
         assert ham_equation_texts(ode) == ["dz1/dt = -j*z1", "dzb1/dt = j*zb1"]
+
+
+def per_column_el_equation_texts(ode):
+    """The reference rendering: row r as simplify(sum_k M_rk*xi_k), one
+    product per column, whatever synthesize_el recorded."""
+    unknowns = [xi_var(i) for i in ode.chart.indices()] + [xib_var(i) for i in ode.chart.indices()]
+    lines = []
+    for row, rhs in zip(ode.M, ode.b):
+        lhs = simplify(Sum(tuple(Product((m, x)) for m, x in zip(row, unknowns))))
+        lines.append(f"{to_text(lhs)} = {to_text(simplify(rhs))}")
+    return lines
+
+
+def shipped_lagrangians():
+    out = []
+    for pattern in ("*.json", os.path.join("failing", "*.json")):
+        for path in sorted(glob.glob(os.path.join(REPO, "problems", pattern))):
+            p = load_problem(path).problem
+            if isinstance(p, LagrangianProblem):
+                out.append(pytest.param(p, id=os.path.relpath(path, REPO)))
+    return out
+
+
+def family_lagrangian(n, seed=1):
+    """The seeded coupled conformal Lagrangian at n = 1..4: sum z_i*zb_i +
+    c1*zb_i^2 + c2*z_i*zb_{i+1} under lam = sum c3*z_i*zb_i, with c1, c2,
+    c3 and the starts drawn in the order the conformal-family benchmark
+    draws them, so n = 3 is tests/data/conformal_family_L3.json."""
+    rng = random.Random(seed)
+    for k in range(1, n + 1):
+        c1, c2, c3 = (round(rng.uniform(lo, hi), 3) for lo, hi in ((0.2, 0.4), (0.05, 0.15), (0.1, 0.3)))
+        for _ in range(4 * k):  # the start's z and zb, two draws each
+            rng.random()
+    terms = [f"z{i}*zb{i}" for i in range(1, n + 1)] + [f"{c1!r}*zb{i}^2" for i in range(1, n + 1)]
+    terms += [f"{c2!r}*z{i}*zb{i + 1}" for i in range(1, n)]
+    lam = " + ".join(f"{c3!r}*z{i}*zb{i}" for i in range(1, n + 1))
+    return " + ".join(terms), lam
+
+
+def _quotient_rows(ode):
+    memo = {}
+    return [any(eom._holds_quotient(m, memo) for m in row) for row in ode.M]
+
+
+class TestConformalRowRendering:
+    """el_equation_texts expands a conformal row as one product; its text is
+    the per-column expansion's, byte for byte."""
+
+    @pytest.mark.parametrize("p", shipped_lagrangians())
+    def test_every_shipped_lagrangian(self, p):
+        ode = synthesize_el(p)
+        assert el_equation_texts(ode) == per_column_el_equation_texts(ode)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_conformal_family(self, n):
+        function, lam = family_lagrangian(n)
+        chart = CoordinateChart(n)
+        ode = synthesize_el(LagrangianProblem(chart, parse(function, chart), parse(lam, chart)))
+        assert ode.conformal is not None and not any(_quotient_rows(ode))
+        assert el_equation_texts(ode) == per_column_el_equation_texts(ode)
+
+    def test_the_family_doc_at_n3_is_the_checked_in_one(self):
+        with open(os.path.join(REPO, "tests", "data", "conformal_family_L3.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert (doc["function"], doc["lambda"]) == family_lagrangian(3)
+
+    @pytest.mark.parametrize("function, lam, rows", [
+        # every raw partial of L holds the quotient: each row is rendered
+        # column by column
+        ("z1*zb1 + z2*zb2 + 0.3*zb1^2 + 0.1*z1*zb2 + 0.2*z1^2/(2.5 + z1^2)",
+         "0.2*z1*zb1 + 0.1*z2*zb2", [True] * 4),
+        # only dL/dzb1 holds one: row A_1 column by column, the rest as one
+        # product each
+        ("z1*zb1 + z2*zb2 + 0.1*z1*zb2 + zb1*zb1/2.5", "0.2*z1*zb1 + 0.1*z2", [True, False, False, False]),
+        ("z1*zb1 + z2*zb2 + zb1*zb1/(2.5 + z2^2)", "sin(0.1*z2)", [True] * 4),
+    ])
+    def test_a_row_with_a_quotient(self, function, lam, rows):
+        ode = synthesize_el(LagrangianProblem(C2, parse(function, C2), parse(lam, C2)))
+        assert ode.conformal is not None and _quotient_rows(ode) == rows
+        assert el_equation_texts(ode) == per_column_el_equation_texts(ode)
+
+    def test_the_checked_in_quotient_lagrangian(self):
+        p = load_problem(os.path.join(REPO, "tests", "data", "conformal_quotient_lagrangian.json")).problem
+        ode = synthesize_el(p)
+        assert ode.conformal is not None and all(_quotient_rows(ode))
+        assert el_equation_texts(ode) == per_column_el_equation_texts(ode)
+
+    def test_the_quotient_scan_visits_each_node_object_once(self, monkeypatch):
+        # M's entries share their exp(+-lam), lam's partials and L's partials
+        function, lam = family_lagrangian(4)
+        chart = CoordinateChart(4)
+        ode = synthesize_el(LagrangianProblem(chart, parse(function, chart), parse(lam, chart)))
+        visited = []
+
+        def children_of(e):
+            visited.append(id(e))
+            return symbolic.children_of(e)
+
+        monkeypatch.setattr(eom, "children_of", children_of)
+        el_equation_texts(ode)
+        nodes = [x for row in ode.M for m in row for x in walk(m)]
+        distinct = {id(x) for x in nodes}
+        assert sorted(visited) == sorted(distinct)
+        assert len(nodes) > 4 * len(distinct)

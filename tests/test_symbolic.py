@@ -219,6 +219,46 @@ class TestToText:
         e = parse(text, C1)
         assert simplify(parse(to_text(e), C1)) == simplify(e)
 
+    def test_a_shared_subtree_renders_as_an_unshared_copy(self):
+        # one object under a sum, a product, a power, a quotient's
+        # denominator, a call and a negation: each use is parenthesized for
+        # its own place, and a negative-leading product keeps its sign peel
+        s = parse("-2*z1 + 0.5*zb1*z2", C2)
+        e = parse("exp(0.1*z1*zb1 + z2)", C2)
+        m = parse("-3*z1*zb2", C2)
+        tree = Sum((s, Product((s, e, zb_var(1))), Power(s, 2), Quotient(e, s), Apply("sin", s),
+                    Negate(s), m, Product((m, s)), Power(e, 3), Negate(Product((e, m)))))
+        copy = _unshared(tree)
+        assert copy == tree
+        assert len({id(x) for x in walk(copy)}) > len({id(x) for x in walk(tree)})
+        assert to_text(tree) == to_text(copy)
+        assert to_text(tree) == to_text(tree)  # the memo does not outlive a call
+
+    def test_a_conformal_row_renders_as_an_unshared_copy(self):
+        # el_equation_texts' product leaves one exp(lam) object in each term
+        chart = CoordinateChart(3)
+        lam = parse("0.105*z1*zb1 + 0.105*z2*zb2 + 0.105*z3*zb3", chart)
+        row = simplify(Product((c(0.0, 1.0), Apply("exp", lam), parse("0.38*zb1^2*z2 + z1*zb3 - j*z3^2", chart),
+                                Sum((xi_var(1), xi_var(2), Negate(xi_var(3)))))))
+        assert to_text(row) == to_text(_unshared(row))
+
+
+def _unshared(e):
+    """A structurally equal copy of e in which no two nodes are one object."""
+    if isinstance(e, Constant):
+        return Constant(e.value)
+    if isinstance(e, Var):
+        return Var(e.family, e.index)
+    if isinstance(e, (Sum, Product)):
+        return type(e)(tuple(_unshared(x) for x in e.children))
+    if isinstance(e, Power):
+        return Power(_unshared(e.base), e.exponent)
+    if isinstance(e, Quotient):
+        return Quotient(_unshared(e.num), _unshared(e.den))
+    if isinstance(e, Apply):
+        return Apply(e.fn, _unshared(e.arg))
+    return Negate(_unshared(e.child))
+
 
 # ---------------------------------------------------------------------------
 # differentiation

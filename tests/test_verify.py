@@ -149,6 +149,28 @@ class TestCheckFd:
         # h and h/2 for each held variable at each state measured
         assert len(calls) >= 4 * 10 and len(calls) % 4 == 0
 
+    def test_a_lacked_variable_redraws_no_state_above_the_noise_floor(self, monkeypatch):
+        # over z1..zb2 the expression lacks zb1 and zb2; their difference
+        # quotients are exactly 0.0, so the cancellation floor, which a
+        # value above 1e-8*h/2.3e-16 (about 435) fails, is not applied to
+        # them, and every state drawn is measured
+        real = biparamech.verify.random_state
+        expr = parse("1000*z1 + 1000*z2", CoordinateChart(2))
+        values = []
+
+        def drawn(rng, n):
+            s = real(rng, n)
+            values.append(evaluate(expr, s))
+            return s
+
+        monkeypatch.setattr(biparamech.verify, "random_state", drawn)
+        r = check_fd(expr, samples=20, seed=3)
+        assert r.all_pass
+        assert len(values) == 20
+        # most of these states sit above the floor that redrew them before
+        floor = 1e-8 * biparamech.verify.FD_STEP / 2.3e-16
+        assert sum(max(abs(v.u), abs(v.v)) > floor for v in values) > 10
+
 
 class TestCheckReduction:
     def test_rejects_nonzero_lambda(self):
