@@ -490,10 +490,10 @@ def make_el_rhs(ode: ImplicitODE):
     is not finite is a non-finite step, not a degenerate system.  The
     function's degenerate attribute says whether the build proved that it
     raises at every call (_folded_el_rhs)."""
-    split = ode.conformal  # (H, grad(lam), c, b''), lowered as (D, g, c, b)
+    split = ode.conformal  # (H, grad(lam), c, b'', f), lowered as (D, g, c, b)
     # a Hessian with the state in it is turned away unlowered
     if split is not None and not any(vars_of(e) for row in split[0] for e in row):
-        folded = _el_rhs(ode.chart, *split)
+        folded = _el_rhs(ode.chart, *split[:4])
         if folded is not None:
             return folded
     zero = (ZERO_EXPR,) * len(ode.b)  # no rank-one update, so c is never read

@@ -171,12 +171,12 @@ class ImplicitODE(ValueType):
 
     conformal is None but where synthesize_el built M = j*diag(exp(lam) I_n,
     exp(-lam) I_n)*(H + c*grad(lam)^T), c = b[n:] + b[:n], for a lam that
-    is not constant.  There it holds (H, grad(lam), c, b''), with b''_i =
+    is not constant.  There it holds (H, grad(lam), c, b'', f), with b''_i =
     j*exp(-lam)*b_i for i < n and j*exp(lam)*b_i otherwise: M*x = b exactly
-    when (H + c*grad(lam)^T)*x = b'', since j*j = 1; el_equation_texts
-    renders row r of M*x from it as j*exp(+-lam)*(H_r*x + c_r*grad(lam).x).
-    It is a field but no constructor argument, so no hand-built system
-    carries it or equals one that does."""
+    when (H + c*grad(lam)^T)*x = b'', since j*j = 1.  f_r is row r's
+    exp(+-lam), so el_equation_texts renders row r of M*x from it as
+    j*f_r*(H_r*x + c_r*grad(lam).x).  It is a field but no constructor
+    argument, so no hand-built system carries it or equals one that does."""
 
     _fields = ("chart", "M", "b", "conformal")
     __match_args__ = ("chart", "M", "b")
@@ -251,7 +251,7 @@ def synthesize_el(p: LagrangianProblem) -> ImplicitODE:
     if isinstance(ep, Apply):
         n = p.chart.n
         scaled = tuple(Product((J_EXPR, em if i < n else ep, e)) for i, e in enumerate(b))
-        ode.__dict__["conformal"] = (H, lam_cols, tuple(b[n:] + b[:n]), scaled)
+        ode.__dict__["conformal"] = (H, lam_cols, tuple(b[n:] + b[:n]), scaled, (ep,) * n + (em,) * n)
     return ode
 
 
@@ -412,21 +412,21 @@ def el_equation_texts(ode: ImplicitODE) -> list[str]:
     """Render each implicit row as '<lhs> = <rhs>' with xi/xib unknowns.
 
     The lhs of row r is simplify(sum_k M_rk*xi_k).  Where synthesize_el
-    recorded the conformal split (H, g, c, b''), the same normal form is
-    expanded from one product, j*f_r*(sum_k H_rk*xi_k + c_r*sum_k g_k*xi_k)
-    with f_r the exp(+-lam) that M's entries hold; but not for a row whose
-    entries hold a Quotient, as the normal form does not merge quotients
-    grouped differently."""
+    recorded the conformal split (H, g, c, b'', f), the same normal form is
+    expanded from one product, j*f_r*(sum_k H_rk*xi_k + sum_k g_k*c_r*xi_k);
+    but not for a row whose entries hold a Quotient, as the normal form does
+    not merge quotients grouped differently."""
     xis = [xi_var(i) for i in ode.chart.indices()] + [xib_var(i) for i in ode.chart.indices()]
     lhs = [Sum(tuple(Product((m, x)) for m, x in zip(row, xis))) for row in ode.M]
     if ode.conformal is not None:
-        H, g, c, _ = ode.conformal
-        rate = Sum(tuple(Product((gk, x)) for gk, x in zip(g, xis) if gk is not ZERO_EXPR))
+        H, g, c, _, f = ode.conformal
         memo: dict = {}
         for r, row in enumerate(ode.M):
             if not any(_holds_quotient(m, memo) for m in row):
                 hx = tuple(Product((h, x)) for h, x in zip(H[r], xis))
-                lhs[r] = Product((J_EXPR, row[0].children[1], Sum(hx + (Product((c[r], rate)),))))
+                # g_k ahead of c_r, as in the entries: a monomial's g*c terms add in their order
+                gcx = tuple(Product((gk, c[r], x)) for gk, x in zip(g, xis) if gk is not ZERO_EXPR)
+                lhs[r] = Product((J_EXPR, f[r], Sum(hx + gcx)))
     return [f"{to_text(simplify(e))} = {to_text(simplify(rhs))}" for e, rhs in zip(lhs, ode.b)]
 
 

@@ -425,16 +425,14 @@ def _split_sign(e: Expr) -> tuple[bool, Expr]:
     return False, e
 
 
-def _render(e: Expr, need: int, memo: dict) -> str:
-    if id(e) not in memo:  # the entry holds e, as in _normalize
-        memo[id(e)] = e, _render_level(e, memo)
-    text, level = memo[id(e)][1]
+def _render(e: Expr, need: int) -> str:
+    text, level = _render_level(e)
     if level < need:
         return f"({text})"
     return text
 
 
-def _render_level(e: Expr, memo: dict) -> tuple[str, int]:
+def _render_level(e: Expr) -> tuple[str, int]:
     if isinstance(e, Constant):
         return _const_text_level(e.value)
     if isinstance(e, Var):
@@ -443,7 +441,7 @@ def _render_level(e: Expr, memo: dict) -> tuple[str, int]:
         parts = []
         for idx, c in enumerate(e.children):
             neg, body = _split_sign(c)
-            rendered = _render(body, _LEVEL_TERM, memo)
+            rendered = _render(body, _LEVEL_TERM)
             if idx == 0:
                 parts.append(f"-{rendered}" if neg else rendered)
             else:
@@ -452,26 +450,22 @@ def _render_level(e: Expr, memo: dict) -> tuple[str, int]:
     if isinstance(e, Product):
         neg, body = _split_sign(e)
         if neg:
-            return f"-{_render(body, _LEVEL_TERM, memo)}", _LEVEL_TERM
-        return "*".join(_render(c, _LEVEL_TERM, memo) for c in e.children), _LEVEL_TERM
+            return f"-{_render(body, _LEVEL_TERM)}", _LEVEL_TERM
+        return "*".join(_render(c, _LEVEL_TERM) for c in e.children), _LEVEL_TERM
     if isinstance(e, Quotient):
-        num, den = _render(e.num, _LEVEL_TERM, memo), _render(e.den, _LEVEL_POWER, memo)
-        return f"{num}/{den}", _LEVEL_TERM
+        return f"{_render(e.num, _LEVEL_TERM)}/{_render(e.den, _LEVEL_POWER)}", _LEVEL_TERM
     if isinstance(e, Power):
-        return f"{_render(e.base, _LEVEL_ATOM, memo)}^{e.exponent}", _LEVEL_POWER
+        return f"{_render(e.base, _LEVEL_ATOM)}^{e.exponent}", _LEVEL_POWER
     if isinstance(e, Apply):
-        return f"{e.fn}({_render(e.arg, 0, memo)})", _LEVEL_ATOM
+        return f"{e.fn}({_render(e.arg, 0)})", _LEVEL_ATOM
     if isinstance(e, Negate):
-        return f"-{_render(e.child, _LEVEL_TERM, memo)}", _LEVEL_TERM
+        return f"-{_render(e.child, _LEVEL_TERM)}", _LEVEL_TERM
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def to_text(e: Expr) -> str:
-    """Deterministic text form; parse(to_text(e)) equals e after simplify.
-
-    A subtree that appears in e more than once, as the same object, is
-    rendered once; that memo lives for this call only."""
-    return _render(e, 0, {})
+    """Deterministic text form; parse(to_text(e)) equals e after simplify."""
+    return _render(e, 0)
 
 
 # ---------------------------------------------------------------------------

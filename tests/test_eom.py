@@ -542,6 +542,36 @@ class TestConformalRowRendering:
         assert ode.conformal is not None and _quotient_rows(ode) == rows
         assert el_equation_texts(ode) == per_column_el_equation_texts(ode)
 
+    @pytest.mark.parametrize("chart, function, lam", [
+        # g_1 = 0.1 + 0.2*z1 + 0.30000000000000004*z1^2 against c_1 = 1 +
+        # z1 + z1^2: z1^2*xi1 gathers three g*c terms, whose sum is
+        # 0.6000000000000001 in g's order and 0.6 in c's
+        (C1, "zb1 + z1*zb1 + z1^2*zb1 + 0.3*zb1^2", "0.1*z1 + 0.1*z1^2 + 0.1*z1^3"),
+        (C2, "(0.7+0.1*j)*zb1^2 + (0.3-0.3*j)*z2*zb2 + (0.7+0.3*j)*z2*zb1 + (0.1-0.2*j)*zb1"
+             " + (1.1-0.1*j)*z1*zb1^2 + z1*zb1 + z2*zb2",
+         "(0.1+0.6*j)*z1^2 + (1.1-0.2*j)*z1 + (1.1-0.2*j)*z1*zb1 + (1.1+0.6*j)*z1*z2"),
+    ])
+    def test_a_rate_of_lam_with_many_terms(self, chart, function, lam):
+        ode = synthesize_el(LagrangianProblem(chart, parse(function, chart), parse(lam, chart)))
+        assert ode.conformal is not None and not any(_quotient_rows(ode))
+        assert el_equation_texts(ode) == per_column_el_equation_texts(ode)
+
+    def test_seeded_lagrangians_with_mixed_coefficients(self):
+        # several terms in each partial of lam and of L, with a+b*j
+        # coefficients, so g*c products meet on one monomial
+        rng = random.Random(1)
+
+        def coeff():
+            return f"({rng.choice([0.1, 0.2, 0.3, 0.7, 1.1])}{rng.choice('+-')}{rng.choice([0.1, 0.2, 0.3, 0.6])}*j)"
+
+        monomials = ["z1*zb1", "z1^2*zb1", "zb1", "z1*zb1^2", "zb1^2", "z2*zb1", "z1*z2*zb1", "z2*zb2", "zb2^2*z1"]
+        lam_monomials = ["z1", "z1^2", "z1^3", "z1*zb1", "z2", "z2^2", "z1*z2"]
+        for _ in range(40):
+            function = " + ".join(f"{coeff()}*{m}" for m in rng.sample(monomials, 5)) + " + z1*zb1 + z2*zb2"
+            lam = " + ".join(f"{coeff()}*{m}" for m in rng.sample(lam_monomials, 4))
+            ode = synthesize_el(LagrangianProblem(C2, parse(function, C2), parse(lam, C2)))
+            assert el_equation_texts(ode) == per_column_el_equation_texts(ode), (function, lam)
+
     def test_the_checked_in_quotient_lagrangian(self):
         p = load_problem(os.path.join(REPO, "tests", "data", "conformal_quotient_lagrangian.json")).problem
         ode = synthesize_el(p)

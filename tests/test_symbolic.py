@@ -232,7 +232,6 @@ class TestToText:
         assert copy == tree
         assert len({id(x) for x in walk(copy)}) > len({id(x) for x in walk(tree)})
         assert to_text(tree) == to_text(copy)
-        assert to_text(tree) == to_text(tree)  # the memo does not outlive a call
 
     def test_a_conformal_row_renders_as_an_unshared_copy(self):
         # el_equation_texts' product leaves one exp(lam) object in each term
