@@ -413,20 +413,22 @@ def _folded_el_rhs(low: Lowering, a, b, c, g):
     there raises at every call.  On a leg with terms, one elimination gives
     D^-1 b and D^-1 c, and _rank_one corrects them; a D that is always
     singular there returns None.  Any other D returns None on a leg with
-    terms; with g = 0, each leg copies its entries and b's into locals of
-    its own, which the elimination rebinds in place: low's names are
+    terms; with g = 0, a leg whose D has a row of literal zeros raises at
+    every call, and each other leg copies its entries and b's into locals
+    of its own, which the elimination rebinds in place: low's names are
     shared.  A pivot that fails while an entry of D or b is not finite
     raises _NonFinite.
 
-    The function's degenerate attribute is True when a literal D is
-    singular on a leg with no terms, and then every call raises a runtime
-    singularity (_TIMED_ERRORS) or _NonFinite.  The lines before that
-    leg's raise are low's, which raise only ZeroDivisor or DomainError (a
-    float +, -, * never raises, a quotient or a negative power has a
-    checked local or a nonzero literal below it, and leg_pow and leg_exp
-    saturate at inf), and the other leg's, whose elimination on literals
-    divides by nonzero pivots and whose rank-one scalar raises
-    DegenerateLagrangian or _NonFinite."""
+    The function's degenerate attribute is True when a leg with no terms
+    raises at every call (a literal D singular there, or a row of literal
+    zeros), and then every call raises a runtime singularity
+    (_TIMED_ERRORS) or _NonFinite.  The lines before that leg's raise are
+    low's, which raise only ZeroDivisor or DomainError (a float +, -, *
+    never raises, a quotient or a negative power has a checked local or a
+    nonzero literal below it, and leg_pow and leg_exp saturate at inf),
+    and the other leg's, whose elimination and rank-one scalar raise only
+    DegenerateLagrangian or _NonFinite: each divisor is tested first, and
+    one whose scale is nan is nan itself."""
     literal = all(isinstance(v, float) and math.isfinite(v) for rows in a for row in rows for v in row)
     lines, x = [], []
     start = None if literal else 0  # lines[start:] hold every raise of _eliminate
@@ -434,6 +436,9 @@ def _folded_el_rhs(low: Lowering, a, b, c, g):
         terms = [i for i, gi in enumerate(g[side]) if not (isinstance(gi, float) and gi == 0.0)]
         if terms and not literal:
             return None
+        if not literal and any(all(isinstance(v, float) and v == 0.0 for v in row) for row in a[side]):
+            lines.append(f'raise DegenerateLagrangian("zero row in {which} component system")')
+            break  # start is 0, so the raise is inside the try region
         columns = [b[side], c[side]] if terms else [b[side]]
         rows = [row + [col[i] for col in columns] for i, row in enumerate(a[side])]
         if not literal:
@@ -719,7 +724,8 @@ def residual_series(p: LagrangianProblem, tr: Trajectory):
     Replaces d/dt in the equations of motion with a central finite
     difference of exp(lam)*dL/dzb_i (and exp(-lam)*dL/dz_i) along the
     samples.  Returns one max-abs residual per sample; the two boundary
-    samples have no centered neighbor and come back as nan.
+    samples have no centered neighbor and come back as nan.  A zero divisor
+    or a domain failure raises with the failing sample's time.
     """
     times = tr.times
     out = [math.nan] * len(times)
@@ -729,9 +735,9 @@ def residual_series(p: LagrangianProblem, tr: Trajectory):
     fn = lower(_series_roots(p), p.chart.slots())
     # a window of three rows' roots: before, here and after sample k
     rows = _leg_rows(tr.rows)
-    before, here = fn(next(rows)), fn(next(rows))
+    before, here = _sampled(fn, next(rows), times[0]), _sampled(fn, next(rows), times[1])
     for k, y in enumerate(rows, 1):
-        after = fn(y)
+        after = _sampled(fn, y, times[k + 1])
         # three-point first derivative, exact to second order even when the
         # last step was shortened to land on t1
         h1 = times[k] - times[k - 1]

@@ -719,9 +719,11 @@ class Lowering:
     the offending subexpression as evaluate() does.  Legs fold as they are
     built: literal operands give a finite literal that raises nothing; a
     factor 1.0 and a term -0.0 go, exactly; a product with a literal zero
-    is 0.0, which a sum drops, as simplify() does; in a product, a negative
-    literal and a local bound to -x cancel their signs; one operand left is
-    an alias; a passing literal denominator is not checked.
+    is 0.0, which a sum drops, as simplify() does; one operand left is an
+    alias; a passing literal denominator is not checked.  Anything else is
+    emitted as written, factors and terms in order, as evaluate() computes
+    them, except that a sum starts at its first term where evaluate() adds
+    the terms to 0.0: a sum of -0.0 terms is -0.0 here.
     """
 
     def __init__(self, slots: tuple):
@@ -731,15 +733,12 @@ class Lowering:
         self.names: dict[str, str] = {}  # hash-consing: a leg's code -> the local holding it
         self.done: dict[int, tuple] = {}  # id(node) -> (node, legs): shared subtrees once
         self.checked: set[str] = set()  # zero-divisor tests already emitted
-        self.negated: dict[str, str] = {}  # a local bound to -x -> x
 
     def bind(self, code: str) -> str:
         names = self.names
         if code not in names:
             names[code] = f"t{len(names)}"
             self.lines.append(f"{names[code]} = {code}")
-            if code[0] == "-":  # only a negation's code starts with its sign
-                self.negated[names[code]] = code[1:]
         return names[code]
 
     def fold(self, e: Expr, args: list):
@@ -748,20 +747,14 @@ class Lowering:
             is_sum = isinstance(e, Sum)
             if is_sum:
                 args = [a for a in args if not isinstance(a, _Vanishing)]
-            else:
-                literals = [a for a in args if isinstance(a, float)]
-                if 0.0 in literals:
-                    return _VANISHING
-                if literals and min(literals) < 0.0:
-                    args = self.cancel(args)
+            elif 0.0 in args:  # a local's name is a str, never equal to 0.0
+                return _VANISHING
             if not args:
                 return _VANISHING if is_sum else 1.0
             exact = "-0.0" if is_sum else "1.0"  # x + -0.0 and x * 1.0 are x
             args = [a for a in args if not (isinstance(a, float) and repr(a) == exact)] or args
             if len(args) == 1:
                 return args[0]
-            if not is_sum and (negated := self.negation(args)):
-                return negated
             op = lambda *legs: reduce(operator.add if is_sum else operator.mul, legs)
             code = (" + " if is_sum else " * ").join(map(leg_text, args))
         elif isinstance(e, Negate):
@@ -781,32 +774,6 @@ class Lowering:
             except ArithmeticError:  # a zero divisor or a domain failure
                 pass
         return self.bind(code)
-
-    def cancel(self, args: list) -> list:
-        """A product's factors with each negative literal c paired, while
-        pairs last, with a local bound to -x, and the pair replaced by -c
-        and x.  A sign flip commutes with rounding, so two of them leave
-        every partial product's magnitude and the product as they were."""
-        negated = self.negated
-        unsigned = [k for k, a in enumerate(args) if a in negated]  # no float is a key
-        signed = [k for k, a in enumerate(args) if isinstance(a, float) and a < 0.0]
-        args = list(args)
-        for k, i in zip(unsigned, signed):
-            args[i], args[k] = -args[i], negated[args[k]]
-        return args
-
-    def negation(self, args: list) -> str | None:
-        """-x for a product with an odd number of negative literals, where x,
-        the product with their signs flipped, is one name or bound already;
-        None otherwise.  A sign flip commutes with rounding, so (-c) * a * b
-        is -(c * a * b) exactly."""
-        flips = [isinstance(a, float) and a < 0.0 for a in args]
-        if sum(flips) % 2 == 0 or all(isinstance(a, float) for a in args):
-            return None
-        code = " * ".join(leg_text(-a if flip else a) for a, flip in zip(args, flips) if a != -1.0)
-        if " * " not in code or code in self.names:
-            return self.bind(f"-{self.names.get(code, code)}")
-        return None
 
     def zero_test(self, legs) -> str:
         """The test that a denominator with these legs is a zero divisor;

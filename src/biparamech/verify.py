@@ -737,7 +737,8 @@ def audit_battery(p, samples: int, seed: int) -> Report:
     the problem itself is singular, so the battery raises
     DegenerateLagrangian, or the last error a Hamiltonian draw raised, as
     the integrator would: StepFailure when none raised.  A Lagrangian whose
-    right-hand side the build proved degenerate (make_el_rhs) raises at
+    right-hand side the build proved degenerate (make_el_rhs: a singular
+    literal D, or a row of literal zeros, as where L lacks zb_i) raises at
     every draw, so its battery draws nothing and raises what the
     samples*200 draws would end in: 0 of samples states well posed.
     """

@@ -555,12 +555,14 @@ def test_power_overflow_in_m_leaves_the_finite_domain(tmp_path, capsys, method):
         ("zero_divisor_hamiltonian.json", "zero-divisor denominator in '-j/(1 - 2*z1 + z1^2)'"),
         ("ln_velocity.json", "domain failure in 'ln(z1)'"),
         ("ln_energy.json", "domain failure in 'ln(z1)'"),
+        ("zero_divisor_residual.json", "zero-divisor denominator in '(-1 + z1)/(-1 + z1)'"),
     ],
 )
 def test_failing_subexpression_exits_3_with_its_time(tmp_path, capsys, method, name, error):
     # z1 = 1 zeroes z1 - 1; ln(z1) needs both legs of z1 positive, and the
     # start z1 = -1 has neither: ln_velocity meets ln in the right-hand side,
-    # ln_energy only in the energy column
+    # ln_energy only in the energy column.  zero_divisor_residual meets its
+    # lam = (z1 - 1)/(z1 - 1) unsimplified only in the residual column
     doc = json.loads((DATA / name).read_text())
     doc = doc if method == "rk4" else _rkf45(doc)
     out = tmp_path / "x.csv"
@@ -747,10 +749,27 @@ def test_a_lagrangian_singular_on_one_leg_is_audited_without_draws(tmp_path, cap
     assert capsys.readouterr().err == "error: zero row in e- component system at t=0.0\n"
 
 
+@pytest.mark.parametrize("doc", [
+    pytest.param(lambda: json.loads((DATA / "zero_row_lagrangian.json").read_text()), id="exp(z1)"),
+    pytest.param(lambda: dict(oscillator_doc(), n=2, function="z1*zb1 + exp(z2) + z1*z2", **{
+        "lambda": "0.2*z1*zb1", "initial": {"z": [[0.5, 0.1], [0.3, 0.0]], "zb": [[0.2, 0.0], [0.1, 0.1]]}}),
+        id="n2"),
+])
+def test_a_lagrangian_with_a_zero_row_is_audited_without_draws(tmp_path, capsys, draws, doc):
+    # L lacks zb1 (or zb2), so that row of M lowers to literal zeros on both
+    # legs, beside names of the state: its right-hand side raises at every call
+    prob = write_doc(tmp_path, doc())
+    assert main(["audit", prob]) == 3
+    assert capsys.readouterr().err == "error: degenerate Lagrangian: 0 of 100 states well posed in 20000 draws\n"
+    assert draws == []
+    assert main(["integrate", prob, "-o", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == "error: zero row in e+ component system at t=0.0\n"
+
+
 def test_a_degenerate_lagrangian_the_build_cannot_decide_is_drawn(tmp_path, capsys, draws):
-    # L = exp(z1) leaves M's entries names of the state beside literal
-    # zeros, so every state is drawn and rejected
-    doc = dict(oscillator_doc(), function="exp(z1)")
+    # L = exp(z1 + zb1) has M of rank one at every state, with no row of
+    # literal zeros, so every state is drawn and rejected
+    doc = dict(oscillator_doc(), function="exp(z1 + zb1)")
     assert main(["audit", write_doc(tmp_path, doc), "--samples", "10"]) == 3
     assert capsys.readouterr().err == "error: degenerate Lagrangian: 0 of 10 states well posed in 2000 draws\n"
     assert len(draws) == 2000

@@ -1035,6 +1035,19 @@ class TestResidualSeries:
         assert [x.hex() for x in got] == [x.hex() for x in whole_list_residual_series(p, tr)]
         assert len(got) == len(tr.times) > 100 and all(math.isfinite(x) for x in got[1:-1])
 
+    @pytest.mark.parametrize("cone", [0, 1, 3])
+    def test_a_failing_root_names_its_sample_time(self, cone):
+        # (z1 - 1)/(z1 - 1) is lam's quotient, and exp(lam) is a root; at
+        # z1 = 1.5 + 0.5j, z1 - 1 has the legs (1, 0), a zero divisor.  The
+        # window reads the first two rows, then one row per step
+        p = lagrangian("z1*zb1", "(z1 - 1)/(z1 - 1)")
+        times = [0.0, 0.25, 0.5, 0.75, 1.0]
+        rows = [[0.5, 0.1, 0.2, 0.0] for _ in times]
+        rows[cone] = [1.5, 0.5, 0.2, 0.0]
+        with pytest.raises(ZeroDivisor) as failed:
+            residual_series(p, Trajectory(times, rows))
+        assert str(failed.value) == f"zero-divisor denominator in '(-1 + z1)/(-1 + z1)' at t={times[cone]!r}"
+
     def test_short_trajectory_all_nan(self):
         tr = trajectory(
             [
@@ -1428,22 +1441,6 @@ def test_the_rank_one_solve_negates_no_pivot(case, monkeypatch):
     assert "-(" not in source
 
 
-@pytest.mark.parametrize(
-    "case",
-    [pytest.param(lambda: shipped("el_conformal.json")[0], id="el_conformal"),
-     *(pytest.param(lambda n=n: conformal_l(n)[0], id=f"conformal_n{n}") for n in (1, 2, 3, 4))],
-)
-def test_the_e_minus_leg_negates_no_negated_partial(case, monkeypatch):
-    # b''_i = j*exp(-lam)*(-dL/dz_i) has the e- leg (-1.0)*exp(-lam)*(-x),
-    # which is lowered as exp(-lam)*x: no (-1.0) product takes a local that
-    # is only the negation of another
-    source = emitted_el_source(synthesize_el(case()), monkeypatch)
-    negated = set(re.findall(r"^\s*(t\d+) = -t\d+$", source, re.M))
-    assert negated
-    products = re.findall(r"^\s*t\d+ = \(-1\.0\) \* (.*)$", source, re.M)
-    assert not [p for p in products if negated & set(p.split(" * "))]
-
-
 def test_a_hessian_with_the_state_in_it_is_lowered_once(monkeypatch):
     # under a lam that is not constant, an H that is not constant is turned
     # away before the rank-one builder lowers anything: M's lowering is the
@@ -1691,26 +1688,6 @@ class TestRkf45MatchesTextbook:
 
         rkf45_trajectory(watched, list(self.Y), self.CFG)
         assert all(inputs)
-
-
-def test_ham_curved_negates_its_twin_products(monkeypatch):
-    # D- = 1 - 0.2*z1*zb1*exp(0.2*z1*zb1) negates D+'s product instead of
-    # multiplying it again, and j's e- leg -1.0 negates instead of multiplying
-    sources = []
-    real = Lowering.source
-
-    def capture(self, out):
-        sources.append(real(self, out))
-        return sources[-1]
-
-    monkeypatch.setattr(Lowering, "source", capture)
-    p, _, _ = shipped("ham_curved.json")
-    make_ham_rhs.__wrapped__(synthesize_ham(p))
-    (source,) = sources
-    assert "(-1.0) *" not in source
-    products = [line.split(" = ", 1)[1] for line in source.splitlines() if " * " in line]
-    unsigned = [re.sub(r"^\(-([^)]*)\)", r"\1", code) for code in products]
-    assert len(products) == 4 and len(set(unsigned)) == len(unsigned)
 
 
 def separately_lowered_ham_rhs(ode):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -600,6 +601,26 @@ def _edge_state(rng, n):
     return EvalState(z=tuple(legs[:n]), zb=tuple(legs[n:]))
 
 
+# signed zeros, subnormals and infinities, next to ordinary legs
+_SIGNED_LEGS = (0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, 0.7, -1.3)
+
+
+def _ham_roots(H, lam):
+    """D+, D- and the flow of a Hamiltonian in one coordinate."""
+    from biparamech.eom import HamiltonianProblem, synthesize_ham
+
+    ode = synthesize_ham(HamiltonianProblem(C1, parse(H, C1), parse(lam, C1)))
+    return (ode.denom_plus, ode.denom_minus, *ode.rhs_z, *ode.rhs_zb)
+
+
+def _el_split(L, lam):
+    """The conformal split (H, grad(lam), c, b'', f) of a Lagrangian in one
+    coordinate."""
+    from biparamech.eom import LagrangianProblem, synthesize_el
+
+    return synthesize_el(LagrangianProblem(C1, parse(L, C1), parse(lam, C1))).conformal
+
+
 class TestLowerFolds:
     def test_unsimplified_el_legs_match_the_interpreter(self):
         # synthesize_el's trees hold literal zeros and ones, which the
@@ -653,38 +674,37 @@ class TestLowerFolds:
         assert fn.__code__.co_varnames == ("y", "t0", "t1")
         assert fn([0.5, -2.0, 3.0, 4.0]) == [0.5, -2.0]
 
-    def test_a_negated_product_negates_its_twin(self):
-        # (-0.2)*z1*zb1 after 0.2*z1*zb1 is the negation of the first one's
-        # local, and j*z1's e- leg is -(z1's), not (-1.0) * z1; a sign flip
-        # commutes with rounding, so the legs are the interpreter's bit for bit
-        roots = (Product((c(0.2), z_var(1), zb_var(1))), Product((c(-0.2), z_var(1), zb_var(1))),
-                 Product((c(0.0, 1.0), z_var(1))))
+    @pytest.mark.parametrize("roots, signed_sum", [
+        # a product after its negative twin, and j's e- leg -1.0
+        pytest.param(lambda: (Product((c(0.2), z_var(1), zb_var(1))), Product((c(-0.2), z_var(1), zb_var(1))),
+                              Product((c(0.0, 1.0), z_var(1)))), False, id="twin-products"),
+        # (-c)*(-x), and j times -x
+        pytest.param(lambda: (Negate(zb_var(1)), Product((c(-1.5), z_var(1), Negate(zb_var(1)))),
+                              Product((c(0.0, 1.0), z_var(1), Negate(zb_var(1))))), False, id="negated-factor"),
+        # ham_curved's D+ and D-, twins that differ in sign, and its flow
+        pytest.param(lambda: _ham_roots("z1*zb1", "0.2*z1*zb1"), False, id="ham_curved"),
+        # el_conformal: b'', whose e- leg is (-1.0)*exp(-lam)*(-dL/dz1), and
+        # dL/dz1 is a sum of one term
+        pytest.param(lambda: _el_split("z1*zb1", "0.1*z1")[3], True, id="el_conformal-b"),
+    ])
+    def test_sign_flips_are_the_interpreters_bit_for_bit(self, roots, signed_sum):
+        # every leg is emitted as written, so each one is the interpreter's
+        # to the bit, signed zeros and infinities included.  The one
+        # exception is a sum whose terms are all -0.0: the interpreter adds
+        # them to 0.0, the lowered code to each other, so there, and only
+        # where signed_sum says a root holds such a sum, a zero's sign may differ
+        roots = roots()
         fn = lower(roots, (("z", 1), ("zb", 1)))
-        # z1's and zb1's legs, the two products, their negations and -v(z1)
-        assert fn.__code__.co_varnames == ("y", *(f"t{k}" for k in range(9)))
-        assert -0.2 not in fn.__code__.co_consts and -1.0 not in fn.__code__.co_consts
-        rng = random.Random(11)
-        for _ in range(200):
-            s = _edge_state(rng, 1)
-            want = [repr(leg) for r in roots for leg in _eval_pair(r, s)]
-            assert [repr(leg) for leg in fn([leg for w in s.z + s.zb for leg in (w.u, w.v)])] == want
-
-    def test_a_negated_factor_cancels_a_negative_literal(self):
-        # -zb1 is bound to locals, and (-1.5)*z1*(-zb1) is lowered as
-        # 1.5*z1*zb1, j*z1*(-zb1)'s e- leg as z1*zb1's: two sign flips leave
-        # every partial product's magnitude as it was, so the legs are the
-        # interpreter's bit for bit
-        neg = Negate(zb_var(1))
-        roots = (neg, Product((c(-1.5), z_var(1), neg)), Product((c(0.0, 1.0), z_var(1), neg)))
-        fn = lower(roots, (("z", 1), ("zb", 1)))
-        # z1's and zb1's legs, -zb1's, the 1.5 product's and the j product's
-        assert fn.__code__.co_varnames == ("y", *(f"t{k}" for k in range(10)))
-        assert -1.5 not in fn.__code__.co_consts and -1.0 not in fn.__code__.co_consts
-        rng = random.Random(13)
-        for _ in range(200):
-            s = _edge_state(rng, 1)
-            want = [repr(leg) for r in roots for leg in _eval_pair(r, s)]
-            assert [repr(leg) for leg in fn([leg for w in s.z + s.zb for leg in (w.u, w.v)])] == want
+        for y in itertools.product(_SIGNED_LEGS, repeat=4):
+            s = EvalState(z=(ParaComplex.from_idempotent(*y[:2]),), zb=(ParaComplex.from_idempotent(*y[2:]),))
+            got = _outcome(lambda: fn(list(y)))
+            want = [_outcome(lambda: _eval_pair(r, s)) for r in roots]
+            if any(isinstance(w, type) for w in want):
+                assert got is next(w for w in want if isinstance(w, type)), y
+                continue
+            want = [leg for pair in want for leg in pair]
+            assert len(got) == len(want), y
+            assert all(a.hex() == b.hex() or signed_sum and a == b == 0.0 for a, b in zip(got, want)), y
 
     def test_literal_subtrees_fold_and_passing_checks_go(self):
         tree = Quotient(Product((z_var(1), Apply("exp", c(0.5)))), Sum((c(2.0), c(0.5))))

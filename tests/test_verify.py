@@ -375,12 +375,14 @@ class TestABuildProvedDegenerateIsNotDrawn:
     # each literal D is singular on a leg with no rank-one term: e+ for
     # L = z1 (M = 0), e- after the e+ lines for the others.  Before the
     # raise, ln(z1) fails at about three draws in four, and the conformal
-    # system's e+ leg has its rank-one scalar
+    # system's e+ leg has its rank-one scalar.  exp(z1)'s M is names of the
+    # state beside a row of literal zeros on each leg
     CASES = {
         "linear": ("z1", "0"),
         "one_leg": ("(1+j)*z1*zb1", "0"),
         "ln_before_the_raise": ("(1+j)*z1*zb1 + 0*z1*ln(z1)", "0"),
         "conformal": ("(1+j)*z1*zb1 + 0.1*(1+j)*z1^2", "0.3*(1+j)*z1^2"),
+        "zero_row": ("exp(z1)", "0"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -413,10 +415,10 @@ class TestABuildProvedDegenerateIsNotDrawn:
         assert set(raised) <= {*_TIMED_ERRORS, _NonFinite}
         assert (DomainError in raised) == (case == "ln_before_the_raise")
 
-    @pytest.mark.parametrize("L", ["z1*zb1", "exp(z1)", "z1^2*zb1"])
+    @pytest.mark.parametrize("L", ["z1*zb1", "exp(z1 + zb1)", "z1^2*zb1"])
     def test_no_other_system_carries_the_verdict(self, L):
-        # exp(z1)'s M is names beside literal zeros: singular at every
-        # state, but not decided by the build
+        # exp(z1 + zb1)'s M is rank one at every state, with no literal
+        # zero row: singular everywhere, but not decided by the build
         assert not make_el_rhs(synthesize_el(LagrangianProblem(C1, parse(L, C1), parse("0", C1)))).degenerate
 
 
