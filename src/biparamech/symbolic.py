@@ -476,11 +476,11 @@ def to_text(e: Expr) -> str:
 def differentiate(e: Expr, var: Var) -> Expr:
     """Formal partial derivative; the coordinate families are independent.
 
-    A sum leaves out a child whose derivative is the literal ZERO_EXPR, and
-    a product leaves out a product-rule term whose differentiated factor is;
-    with nothing left the result is ZERO_EXPR itself.  simplify() drops
-    such terms anyway.  A negation is always kept: simplify(-0) is the
-    constant -0.0, not ZERO_EXPR.
+    The result is the ZERO_EXPR object exactly when var is not in
+    vars_of(e), and it holds that object nowhere else unless e does: a
+    one-child rule returns ZERO_EXPR where its child's partial is
+    ZERO_EXPR, a sum leaves out such a child, and a product or a quotient
+    leaves out a term whose differentiated factor is ZERO_EXPR.
     """
     if isinstance(e, Constant):
         return ZERO_EXPR
@@ -490,8 +490,6 @@ def differentiate(e: Expr, var: Var) -> Expr:
         terms = tuple(d for d in (differentiate(c, var) for c in e.children)
                       if d is not ZERO_EXPR)
         return Sum(terms) if terms else ZERO_EXPR
-    if isinstance(e, Negate):
-        return Negate(differentiate(e.child, var))
     if isinstance(e, Product):
         terms = []
         for i, c in enumerate(e.children):
@@ -499,31 +497,39 @@ def differentiate(e: Expr, var: Var) -> Expr:
             if d is not ZERO_EXPR:
                 terms.append(Product(e.children[:i] + (d,) + e.children[i + 1:]))
         return Sum(tuple(terms)) if terms else ZERO_EXPR
-    if isinstance(e, Power):
-        db = differentiate(e.base, var)
-        k = Constant(ParaComplex(float(e.exponent), 0.0))
-        if e.exponent == 1:
-            return db
-        if e.exponent - 1 == 1:
-            return Product((k, e.base, db))
-        return Product((k, Power(e.base, e.exponent - 1), db))
     if isinstance(e, Quotient):
         dn = differentiate(e.num, var)
         if isinstance(e.den, Constant):  # no square to overflow: d(n/c) = dn/c
             return dn if dn is ZERO_EXPR else Quotient(dn, e.den)
         dd = differentiate(e.den, var)
-        num = Sum((Product((dn, e.den)), Negate(Product((e.num, dd)))))
-        return Quotient(num, Power(e.den, 2))
+        terms = []
+        if dn is not ZERO_EXPR:
+            terms.append(Product((dn, e.den)))
+        if dd is not ZERO_EXPR:
+            terms.append(Negate(Product((e.num, dd))))
+        return Quotient(Sum(tuple(terms)), Power(e.den, 2)) if terms else ZERO_EXPR
+    if isinstance(e, (Negate, Power, Apply)):  # one child: its partial, or ZERO_EXPR
+        d = differentiate(children_of(e)[0], var)
+        if d is ZERO_EXPR:
+            return d
+    if isinstance(e, Negate):
+        return Negate(d)
+    if isinstance(e, Power):
+        if e.exponent == 1:
+            return d
+        k = Constant(ParaComplex(float(e.exponent), 0.0))
+        if e.exponent - 1 == 1:
+            return Product((k, e.base, d))
+        return Product((k, Power(e.base, e.exponent - 1), d))
     if isinstance(e, Apply):
-        da = differentiate(e.arg, var)
         if e.fn == "exp":
-            return Product((e, da))
+            return Product((e, d))
         if e.fn == "ln":
-            return Quotient(da, e.arg)
+            return Quotient(d, e.arg)
         if e.fn == "sin":
-            return Product((Apply("cos", e.arg), da))
+            return Product((Apply("cos", e.arg), d))
         if e.fn == "cos":
-            return Negate(Product((Apply("sin", e.arg), da)))
+            return Negate(Product((Apply("sin", e.arg), d)))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -596,8 +602,11 @@ def _eval_var(e, state):
 
 
 def _eval_sum(e, state):
-    u = v = 0.0
-    for c in e.children:
+    if not e.children:
+        return 0.0, 0.0
+    c = e.children[0]  # start at the first term, as the lowered sum does
+    u, v = _EVAL[type(c)](c, state)
+    for c in e.children[1:]:
         cu, cv = _EVAL[type(c)](c, state)
         u += cu
         v += cv
@@ -722,8 +731,7 @@ class Lowering:
     is 0.0, which a sum drops, as simplify() does; one operand left is an
     alias; a passing literal denominator is not checked.  Anything else is
     emitted as written, factors and terms in order, as evaluate() computes
-    them, except that a sum starts at its first term where evaluate() adds
-    the terms to 0.0: a sum of -0.0 terms is -0.0 here.
+    them.
     """
 
     def __init__(self, slots: tuple):

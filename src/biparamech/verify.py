@@ -351,56 +351,36 @@ def selftest_algebra(seed: int) -> Report:
     checks.append(_check("algebra-idempotent-exact", exact_dev, 0.0))
     checks.append(_check("algebra-idempotent-roundtrip", round_dev, 1e-15))
 
-    table_misses = 0
-    for (kind, basis), (out_basis, coeff) in _EXPECTED_ACTIONS.items():
-        got = structure_apply(kind, FrameVector(basis, 1))
-        if got != FrameVector(out_basis, 1, coeff):
-            table_misses += 1
-    checks.append(_check("algebra-structure-tables", float(table_misses), 0.0))
+    def unit(basis):
+        return FrameVector(basis, 1)
 
-    # J (and J*) applied twice is the identity on every basis vector
-    invol_misses = 0
-    for basis in (Basis.D_X, Basis.D_Y, Basis.D_Z, Basis.D_ZB):
-        term = FrameVector(basis, 1)
-        once = structure_apply(StructureKind.J, term)
-        twice = structure_apply(StructureKind.J, once)
-        if twice != term:
-            invol_misses += 1
-    for basis in _PARA_COVECTORS:
-        term = FrameVector(basis, 1)
-        once = structure_apply(StructureKind.J_STAR, term)
-        twice = structure_apply(StructureKind.J_STAR, once)
-        if twice != term:
-            invol_misses += 1
-    checks.append(_check("algebra-j-involution", float(invol_misses), 0.0))
+    def pdiff(t):
+        plus = structure_apply(StructureKind.P_PLUS, t)
+        minus = structure_apply(StructureKind.P_MINUS, t)
+        assert plus.kind is minus.kind and plus.index == minus.index
+        return FrameVector(plus.kind, plus.index, plus.coefficient - minus.coefficient)
 
-    # (P+ - P-) applied twice is the identity
-    pdiff_misses = 0
-    for basis in _PARA_VECTORS:
-        term = FrameVector(basis, 1)
-
-        def pdiff(t):
-            plus = structure_apply(StructureKind.P_PLUS, t)
-            minus = structure_apply(StructureKind.P_MINUS, t)
-            assert plus.kind is minus.kind and plus.index == minus.index
-            return FrameVector(plus.kind, plus.index, plus.coefficient - minus.coefficient)
-
-        if pdiff(pdiff(term)) != term:
-            pdiff_misses += 1
-    checks.append(_check("algebra-pdiff-involution", float(pdiff_misses), 0.0))
-
-    # W at lambda = 0 degenerates to P, table for table
-    w_misses = 0
-    for w_kind, p_kind in _W_TO_P.items():
-        bases = _PARA_COVECTORS if w_kind in (
-            StructureKind.W_STAR_PLUS,
-            StructureKind.W_STAR_MINUS,
-        ) else _PARA_VECTORS
-        for basis in bases:
-            term = FrameVector(basis, 1)
-            if structure_apply(w_kind, term, ZERO) != structure_apply(p_kind, term):
-                w_misses += 1
-    checks.append(_check("algebra-w-at-zero-matches-p", float(w_misses), 0.0))
+    # each frame check counts its (got, want) pairs that differ
+    frame_pairs = {
+        "algebra-structure-tables": (
+            (structure_apply(kind, unit(basis)), FrameVector(out_basis, 1, coeff))
+            for (kind, basis), (out_basis, coeff) in _EXPECTED_ACTIONS.items()),
+        # J (and J*) applied twice is the identity on every basis vector
+        "algebra-j-involution": (
+            (structure_apply(kind, structure_apply(kind, unit(basis))), unit(basis))
+            for kind, bases in ((StructureKind.J, (Basis.D_X, Basis.D_Y) + _PARA_VECTORS),
+                                (StructureKind.J_STAR, _PARA_COVECTORS))
+            for basis in bases),
+        # (P+ - P-) applied twice is the identity
+        "algebra-pdiff-involution": ((pdiff(pdiff(unit(basis))), unit(basis)) for basis in _PARA_VECTORS),
+        # W at lambda = 0 degenerates to P, table for table
+        "algebra-w-at-zero-matches-p": (
+            (structure_apply(w_kind, unit(basis), ZERO), structure_apply(p_kind, unit(basis)))
+            for w_kind, p_kind in _W_TO_P.items()
+            for basis in (_PARA_COVECTORS if "*" in w_kind.value else _PARA_VECTORS)),
+    }
+    for name, pairs in frame_pairs.items():
+        checks.append(_check(name, float(sum(got != want for got, want in pairs)), 0.0))
 
     return Report(checks=checks)
 
@@ -450,16 +430,14 @@ def check_fd(expr, samples: int, seed: int) -> Report:
     Every value is a pair of legs from the interpreter, _eval_pair, at too
     few states to repay lowering.  Each leg and norm, max(|u|, |v|), is
     ParaComplex's, so the measure is the same float.  A variable expr lacks
-    gets no stencil: expr at w +- h is then the finite expr at w bit for
-    bit, so its difference quotients are exactly 0.0.  Its partial is still
-    evaluated, since one that is nan or raises redraws the state."""
+    gets neither a stencil nor a partial: its partial is ZERO_EXPR, and
+    expr at w +- h is the finite expr at w bit for bit, so both are exactly
+    0.0 and measure nothing."""
     chart = _chart_of(expr)
     holds = vars_of(expr)
-    partials = [
-        (family, i, differentiate(expr, var(i)), (family, i) in holds)
-        for family, var in (("z", z_var), ("zb", zb_var))
-        for i in chart.indices()
-    ]
+    partials = [(family, i, differentiate(expr, var(i)))
+                for family, var in (("z", z_var), ("zb", zb_var))
+                for i in chart.indices() if (family, i) in holds]
 
     def measure(s):
         u0, v0 = _eval_pair(expr, s)
@@ -469,20 +447,19 @@ def check_fd(expr, samples: int, seed: int) -> Report:
         # values of size |f| leaves roundoff ~ |f|*eps/h in the quotient
         noise_floor = max(abs(u0), abs(v0)) * 2.3e-16 / FD_STEP
         worst = 0.0
-        for family, i, partial, held in partials:
+        for family, i, partial in partials:
             su, sv = _eval_pair(partial, s)
-            fu, fv = _fd_partial(expr, s, family, i, FD_STEP) if held else (0.0, 0.0)
-            gu, gv = _fd_partial(expr, s, family, i, FD_STEP / 2) if held else (0.0, 0.0)
+            fu, fv = _fd_partial(expr, s, family, i, FD_STEP)
+            gu, gv = _fd_partial(expr, s, family, i, FD_STEP / 2)
             if not (_finite_legs(su, sv) and _finite_legs(fu, fv) and _finite_legs(gu, gv)):
                 return None
             # oracle validity, judged without looking at sym so a wrong
             # partial cannot be hidden: the h and h/2 stencils must agree,
-            # and cancellation noise must sit well under the threshold where
-            # a stencil ran (an exact 0.0 carries none)
+            # and cancellation noise must sit well under the threshold
             fd_norm = max(abs(fu), abs(fv))
             if max(abs(fu - gu), abs(fv - gv)) / max(1.0, fd_norm, max(abs(gu), abs(gv))) > 1e-8:
                 return None
-            if held and noise_floor > 1e-8 * max(1.0, fd_norm):
+            if noise_floor > 1e-8 * max(1.0, fd_norm):
                 return None
             scale = max(1.0, max(abs(su), abs(sv)), fd_norm)
             worst = max(worst, max(abs(su - fu), abs(sv - fv)) / scale)

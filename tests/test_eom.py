@@ -528,14 +528,15 @@ class TestConformalRowRendering:
         assert (doc["function"], doc["lambda"]) == family_lagrangian(3)
 
     @pytest.mark.parametrize("function, lam, rows", [
-        # every raw partial of L holds the quotient: each row is rendered
-        # column by column
+        # only dL/dz1 holds the quotient, which lacks every other
+        # variable: row B_1 column by column, the rest as one product each
         ("z1*zb1 + z2*zb2 + 0.3*zb1^2 + 0.1*z1*zb2 + 0.2*z1^2/(2.5 + z1^2)",
-         "0.2*z1*zb1 + 0.1*z2*zb2", [True] * 4),
+         "0.2*z1*zb1 + 0.1*z2*zb2", [False, False, True, False]),
         # only dL/dzb1 holds one: row A_1 column by column, the rest as one
         # product each
         ("z1*zb1 + z2*zb2 + 0.1*z1*zb2 + zb1*zb1/2.5", "0.2*z1*zb1 + 0.1*z2", [True, False, False, False]),
-        ("z1*zb1 + z2*zb2 + zb1*zb1/(2.5 + z2^2)", "sin(0.1*z2)", [True] * 4),
+        # dL/dzb1 and dL/dz2 hold it: rows A_1 and B_2 column by column
+        ("z1*zb1 + z2*zb2 + zb1*zb1/(2.5 + z2^2)", "sin(0.1*z2)", [True, False, False, True]),
     ])
     def test_a_row_with_a_quotient(self, function, lam, rows):
         ode = synthesize_el(LagrangianProblem(C2, parse(function, C2), parse(lam, C2)))
@@ -575,7 +576,8 @@ class TestConformalRowRendering:
     def test_the_checked_in_quotient_lagrangian(self):
         p = load_problem(os.path.join(REPO, "tests", "data", "conformal_quotient_lagrangian.json")).problem
         ode = synthesize_el(p)
-        assert ode.conformal is not None and all(_quotient_rows(ode))
+        # its quotient lacks every variable but z1: only row B_1 holds it
+        assert ode.conformal is not None and _quotient_rows(ode) == [False, False, True, False]
         assert el_equation_texts(ode) == per_column_el_equation_texts(ode)
 
     def test_the_quotient_scan_visits_each_node_object_once(self, monkeypatch):

@@ -337,16 +337,16 @@ def test_check_fd_matches_on_random_expressions():
         assert outcome(lambda: verify.check_fd(expr, 3, k).checks[0].measured) == want
 
 
-# Each lacks a chart variable, and that variable's partial still redraws
-# states: the quotient rule's den^2 falls under INVERTIBILITY_FLOOR where
+# Each lacks a chart variable, whose partial is ZERO_EXPR: check_fd gives it
+# no stencil and the reference stencils it, so its difference quotients are
+# exactly 0.0 and it never redraws a state.  The partials in the variables
+# held do: the quotient rule's den^2 falls under INVERTIBILITY_FLOOR where
 # |den| < 1e-150, and exp(400*z1) overflows to inf where a leg of z1 passes
-# 1.77 (1/inf is 0, and inf*0 in every partial is nan).  A partial in a
-# variable the expression holds fails at the same states; with no variable
-# held, nothing else fails: the last two partials raise, or are nan, at
-# every state while the expression's value is finite.  The cancellation
-# floor is not applied to a variable the expression lacks, whose difference
-# quotients are exactly 0.0.  The last field: whether every seed starves
-# into the RuntimeError, rather than none.
+# 1.77 (1/inf is 0, and inf*0 in a partial is nan).  With no variable held
+# (the last two) no partial fails, and each state whose value is finite
+# counts.  The reference applies no cancellation floor to a variable the
+# expression lacks.  The last field: whether every seed starves into the
+# RuntimeError, rather than none.
 _LACKING = (
     ("z2 + zb1/(1e-150*z1)", 2, True),
     ("z2 + (1e-150*zb1)/(1e-150*z1)", 2, False),
@@ -355,8 +355,8 @@ _LACKING = (
     ("2/exp(400*z1)", 1, False),
     ("100*z1 + z2", 2, False),
     ("exp(4*z1)", 1, False),
-    ("1e-160/(1e-160*(1 + 1))", 1, True),
-    ("1/exp(1000)", 1, True),
+    ("1e-160/(1e-160*(1 + 1))", 1, False),
+    ("1/exp(1000)", 1, False),
 )
 
 

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,27 @@ C2 = CoordinateChart(2)
 
 def c(a, b=0.0):
     return Constant(ParaComplex(a, b))
+
+
+def _zero_object_misses(e, chart, path=()):
+    """The variable paths, (v,) or (v, w), of each first partial of e and
+    of each second partial through a first partial that is not ZERO_EXPR,
+    that break differentiate's invariant: the partial is the ZERO_EXPR
+    object exactly when what it differentiates lacks the variable, and
+    holds no ZERO_EXPR node otherwise."""
+    misses = []
+    held = vars_of(e)
+    for slot in chart.slots():
+        d = differentiate(e, Var(*slot))
+        if slot not in held:
+            ok = d is ZERO_EXPR
+        else:
+            ok = not any(n is ZERO_EXPR for n in walk(d))
+            if not path:
+                misses += _zero_object_misses(d, chart, (slot,))
+        if not ok:
+            misses.append(path + (slot,))
+    return misses
 
 
 def compile_expr(e):
@@ -307,15 +330,33 @@ class TestDifferentiate:
         for text in ("2*3 + 4*(5 + 6)", "z2*zb2 + 3*zb1", "j*(zb1 + z2)*zb2 + 7"):
             assert differentiate(parse(text, C2), z_var(1)) is ZERO_EXPR
 
+    def test_a_partial_is_the_zero_object_exactly_where_its_variable_is_lacking(self):
+        from biparamech.verify import random_expression
+
+        rng = random.Random(38)
+        cases = [(k, random_expression(rng, 4), C2) for k in range(3000)]
+        root = Path(__file__).parent.parent
+        for path in sorted([*root.glob("problems/**/*.json"), *root.glob("tests/data/*.json")]):
+            doc = json.loads(path.read_text())
+            chart = CoordinateChart(doc["n"])
+            for key in ("function", "lambda"):
+                try:
+                    cases.append((f"{path.name} {key}", parse(doc[key], chart), chart))
+                except ExprSyntaxError:  # exponent_overflow.json's exponent is rejected
+                    assert path.name == "exponent_overflow.json"
+        assert len(cases) > 3060
+        misses = [(case, m) for case, e, chart in cases for m in _zero_object_misses(e, chart)]
+        assert not misses, (len(misses), misses[:3])
+
     def test_zero_product_rule_terms_are_left_out(self):
         e = Product((c(3.0), z_var(1), zb_var(1)))
         assert differentiate(e, z_var(1)) == Sum((Product((c(3.0), ONE_EXPR, zb_var(1))),))
 
-    def test_negated_zero_is_kept(self):
-        # simplify(-0) is the constant -0.0, which ZERO_EXPR is not
+    def test_negated_zero_is_the_zero_object(self):
+        # not Negate(ZERO_EXPR), which simplify() would make the constant -0.0
         d = differentiate(Negate(zb_var(1)), z_var(1))
-        assert d == Negate(ZERO_EXPR)
-        assert repr(simplify(d)) == repr(c(-0.0, -0.0))
+        assert d is ZERO_EXPR
+        assert repr(simplify(d)) == repr(c(0.0))
 
     def test_mixed_partials_commute_pointwise(self):
         rng = random.Random(7)
@@ -674,25 +715,22 @@ class TestLowerFolds:
         assert fn.__code__.co_varnames == ("y", "t0", "t1")
         assert fn([0.5, -2.0, 3.0, 4.0]) == [0.5, -2.0]
 
-    @pytest.mark.parametrize("roots, signed_sum", [
+    @pytest.mark.parametrize("roots", [
         # a product after its negative twin, and j's e- leg -1.0
         pytest.param(lambda: (Product((c(0.2), z_var(1), zb_var(1))), Product((c(-0.2), z_var(1), zb_var(1))),
-                              Product((c(0.0, 1.0), z_var(1)))), False, id="twin-products"),
+                              Product((c(0.0, 1.0), z_var(1)))), id="twin-products"),
         # (-c)*(-x), and j times -x
         pytest.param(lambda: (Negate(zb_var(1)), Product((c(-1.5), z_var(1), Negate(zb_var(1)))),
-                              Product((c(0.0, 1.0), z_var(1), Negate(zb_var(1))))), False, id="negated-factor"),
+                              Product((c(0.0, 1.0), z_var(1), Negate(zb_var(1))))), id="negated-factor"),
         # ham_curved's D+ and D-, twins that differ in sign, and its flow
-        pytest.param(lambda: _ham_roots("z1*zb1", "0.2*z1*zb1"), False, id="ham_curved"),
+        pytest.param(lambda: _ham_roots("z1*zb1", "0.2*z1*zb1"), id="ham_curved"),
         # el_conformal: b'', whose e- leg is (-1.0)*exp(-lam)*(-dL/dz1), and
         # dL/dz1 is a sum of one term
-        pytest.param(lambda: _el_split("z1*zb1", "0.1*z1")[3], True, id="el_conformal-b"),
+        pytest.param(lambda: _el_split("z1*zb1", "0.1*z1")[3], id="el_conformal-b"),
     ])
-    def test_sign_flips_are_the_interpreters_bit_for_bit(self, roots, signed_sum):
+    def test_sign_flips_are_the_interpreters_bit_for_bit(self, roots):
         # every leg is emitted as written, so each one is the interpreter's
-        # to the bit, signed zeros and infinities included.  The one
-        # exception is a sum whose terms are all -0.0: the interpreter adds
-        # them to 0.0, the lowered code to each other, so there, and only
-        # where signed_sum says a root holds such a sum, a zero's sign may differ
+        # to the bit, signed zeros and infinities included
         roots = roots()
         fn = lower(roots, (("z", 1), ("zb", 1)))
         for y in itertools.product(_SIGNED_LEGS, repeat=4):
@@ -704,7 +742,7 @@ class TestLowerFolds:
                 continue
             want = [leg for pair in want for leg in pair]
             assert len(got) == len(want), y
-            assert all(a.hex() == b.hex() or signed_sum and a == b == 0.0 for a, b in zip(got, want)), y
+            assert all(a.hex() == b.hex() for a, b in zip(got, want)), y
 
     def test_literal_subtrees_fold_and_passing_checks_go(self):
         tree = Quotient(Product((z_var(1), Apply("exp", c(0.5)))), Sum((c(2.0), c(0.5))))
