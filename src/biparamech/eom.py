@@ -110,20 +110,19 @@ def _exp_of(lam: Expr) -> Expr:
     return simplify(Apply("exp", lam))
 
 
+def _theta_terms(p: LagrangianProblem) -> tuple:
+    """theta's 2n chain-rule coefficients in slot order, unsimplified:
+    -j*exp(lam)*dL/dzb_i for dz_i, then j*exp(-lam)*dL/dz_i for dzb_i."""
+    ep, em = _exp_of(p.lam), _exp_of(Negate(p.lam))
+    idx = p.chart.indices()
+    dz = tuple(Negate(Product((J_EXPR, ep, differentiate(p.L, zb_var(i))))) for i in idx)
+    return dz + tuple(Product((J_EXPR, em, differentiate(p.L, z_var(i)))) for i in idx)
+
+
 def vertical_differential(p: LagrangianProblem) -> tuple:
     """theta, the one-form whose time derivative drives the Euler-Lagrange
-    rows, as its 2n coefficients in slot order.
-
-    Coefficient of dz_i is -j*exp(lam)*dL/dzb_i; of dzb_i it is
-    +j*exp(-lam)*dL/dz_i.
-    """
-    ep, em = _exp_of(p.lam), _exp_of(Negate(p.lam))
-    coeff_dz = []
-    coeff_dzb = []
-    for i in p.chart.indices():
-        coeff_dz.append(simplify(Negate(Product((J_EXPR, ep, differentiate(p.L, zb_var(i)))))))
-        coeff_dzb.append(simplify(Product((J_EXPR, em, differentiate(p.L, z_var(i))))))
-    return tuple(coeff_dz + coeff_dzb)
+    rows, as its 2n coefficients in slot order: _theta_terms, simplified."""
+    return tuple(simplify(t) for t in _theta_terms(p))
 
 
 def lagrangian_two_form(p: LagrangianProblem) -> tuple:
@@ -150,17 +149,12 @@ def lagrangian_two_form(p: LagrangianProblem) -> tuple:
 
 
 def energy(p: LagrangianProblem) -> Expr:
-    """Energy on the velocity phase: formal xi/xib variables stand for the
-    velocities, so the result has 4n variables."""
-    ep, em = _exp_of(p.lam), _exp_of(Negate(p.lam))
-    terms = []
-    for i in p.chart.indices():
-        terms.append(
-            Negate(Product((J_EXPR, xi_var(i), ep, differentiate(p.L, zb_var(i)))))
-        )
-        terms.append(Product((J_EXPR, xib_var(i), em, differentiate(p.L, z_var(i)))))
-    terms.append(Negate(p.L))
-    return simplify(Sum(tuple(terms)))
+    """E_L = theta(xi) - L over _theta_terms, so dE_L/dxi_k = theta_k by
+    construction.  Formal xi/xib variables stand for the velocities, so the
+    result has 4n variables."""
+    xis = [xi_var(i) for i in p.chart.indices()] + [xib_var(i) for i in p.chart.indices()]
+    terms = tuple(Product((x, t)) for x, t in zip(xis, _theta_terms(p)))
+    return simplify(Sum(terms + (Negate(p.L),)))
 
 
 _HALF = Constant(ParaComplex(0.5, 0.0))
@@ -174,7 +168,8 @@ class ImplicitODE(ValueType):
     is not constant.  There it holds (H, grad(lam), c, b'', f), with b''_i =
     j*exp(-lam)*b_i for i < n and j*exp(lam)*b_i otherwise: M*x = b exactly
     when (H + c*grad(lam)^T)*x = b'', since j*j = 1.  f_r is row r's
-    exp(+-lam), so el_equation_texts renders row r of M*x from it as
+    exp(+-lam); each entry M_rk = j*f_r*(H_rk + g_k*c_r) holds these same
+    objects, and el_equation_texts renders row r of M*x from them as
     j*f_r*(H_r*x + c_r*grad(lam).x).  It is a field but no constructor
     argument, so no hand-built system carries it or equals one that does."""
 
@@ -218,40 +213,38 @@ def _lam_rate_terms(lam: Expr, chart: CoordinateChart) -> tuple:
 def synthesize_el(p: LagrangianProblem) -> ImplicitODE:
     """Expand the Euler-Lagrange rows by the chain rule into M*(xi,xib)=b.
 
-    Row A_i carries j*exp(lam) against the dzb_i-partials of L, row B_i
-    carries j*exp(-lam) against the dz_i-partials; the conformal factor
-    contributes rate-of-lam terms, and the xi-free partial of L moves to
-    the right-hand side.  The entries are the chain rule's trees, which
-    lower() folds; each first partial of L is one object in its row's 2n
-    entries and in b, and an entry whose rate of lam is ZERO_EXPR is
-    j*exp(+-lam)*H_ik alone.  For a lam that is not constant, it alone
-    records the split (ImplicitODE) that make_el_rhs solves and from which
+    The xi-free partials of L move to the right-hand side, b = (-dL/dz,
+    dL/dzb), and every entry is M_rk = j*f_r*(H_rk + g_k*c_r): H's rows are
+    the slot partials of dL/dzb_i (rows A_i), then of dL/dz_i (rows B_i),
+    c = b[n:] + b[:n], f_r is exp(lam) in rows A_i and exp(-lam) in rows
+    B_i, and g = grad(lam); an entry whose g_k is ZERO_EXPR is j*f_r*H_rk.
+    The entries are the chain rule's trees, which lower() folds; each first
+    partial of L is one object in its row's 2n entries and in b.  For a lam
+    that is not constant, it alone records the split (ImplicitODE) of these
+    same H, g, c and f that make_el_rhs solves and from which
     el_equation_texts expands each row as one product.
     """
+    n = p.chart.n
     ep, em = _exp_of(p.lam), _exp_of(Negate(p.lam))
-    lam_cols = _lam_rate_terms(p.lam, p.chart)
+    g = _lam_rate_terms(p.lam, p.chart)
     wrt = [Var(*slot) for slot in p.chart.slots()]
     lzb = [differentiate(p.L, zb_var(i)) for i in p.chart.indices()]
     lz = [differentiate(p.L, z_var(i)) for i in p.chart.indices()]
     H = tuple(tuple(differentiate(d, v) for v in wrt) for d in lzb + lz)
-    M = [
-        tuple(Product((J_EXPR, ep, h if lam_c is ZERO_EXPR else Sum((h, Product((lam_c, d))))))
-              for h, lam_c in zip(row, lam_cols))
-        for row, d in zip(H, lzb)
-    ] + [
-        tuple(Product((J_EXPR, em, h if lam_c is ZERO_EXPR else Sum((h, Negate(Product((lam_c, d)))))))
-              for h, lam_c in zip(row, lam_cols))
-        for row, d in zip(H[len(lzb):], lz)
-    ]
-    b = [Negate(d) for d in lz] + lzb
+    b = tuple(Negate(d) for d in lz) + tuple(lzb)
+    c, f = b[n:] + b[:n], (ep,) * n + (em,) * n
+    M = tuple(
+        tuple(Product((J_EXPR, f_r, h if g_k is ZERO_EXPR else Sum((h, Product((g_k, c_r))))))
+              for h, g_k in zip(row, g))
+        for row, c_r, f_r in zip(H, c, f)
+    )
     # an overflowing constant in L is an input error even where every term
     # that holds it differentiates to zero
     simplify(p.L)
-    ode = ImplicitODE(p.chart, tuple(M), tuple(b))
+    ode = ImplicitODE(p.chart, M, b)
     if isinstance(ep, Apply):
-        n = p.chart.n
         scaled = tuple(Product((J_EXPR, em if i < n else ep, e)) for i, e in enumerate(b))
-        ode.__dict__["conformal"] = (H, lam_cols, tuple(b[n:] + b[:n]), scaled, (ep,) * n + (em,) * n)
+        ode.__dict__["conformal"] = (H, g, c, scaled, f)
     return ode
 
 

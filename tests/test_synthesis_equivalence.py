@@ -11,9 +11,15 @@ and el_equation_texts() that simplified every entry, and require:
   ulp bound (unsimplified and expanded trees round differently);
 - synthesize_ham and _identity_terms, which still simplify, to be
   repr-equal, so a -0.0 where 0.0 was, or a reordered term, fails.
+
+They also keep the two-block M that synthesize_el built before it wrote
+every entry as j*f_r*(H_rk + g_k*c_r), and the energy written apart from
+theta, and require M's lowered legs to be the old ones bit for bit and
+energy's tree to be repr-equal.
 """
 
 import glob
+import itertools
 import math
 import os
 import random
@@ -21,8 +27,9 @@ import random
 import pytest
 
 from biparamech import eom
-from biparamech.cli import load_problem
-from biparamech.eom import HamiltonianProblem, LagrangianProblem, el_equation_texts
+from biparamech.cli import ProblemFileError, load_problem
+from biparamech.dynamics import make_el_rhs
+from biparamech.eom import HamiltonianProblem, LagrangianProblem, el_equation_texts, synthesize_el
 from biparamech.para_algebra import DomainError, ParaComplex, ZeroDivisor
 from biparamech.symbolic import (
     Apply,
@@ -37,16 +44,19 @@ from biparamech.symbolic import (
     Sum,
     Var,
     ZERO_EXPR,
+    differentiate,
     lower,
     parse,
     simplify,
     to_text,
+    vars_of,
     xi_var,
     xib_var,
     z_var,
     zb_var,
 )
 from biparamech.verify import random_expression, random_state
+from test_eom import family_lagrangian
 
 PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "problems")
 
@@ -241,3 +251,156 @@ def test_random_problems(monkeypatch, block):
         ulps = NESTED_QUOTIENT_ULPS if seed == NESTED_QUOTIENT_SEED else RANDOM_ULPS
         _assert_same(monkeypatch, L, ZERO_EXPR, chart, ulps, seed)
         _assert_same(monkeypatch, L, lam, chart, ulps, seed)
+
+
+# ---------------------------------------------------------------------------
+# M from its recorded split, E_L from theta
+# ---------------------------------------------------------------------------
+
+
+def two_block_M(p):
+    """synthesize_el's M as it was typed in two row blocks: rows A_i with
+    the rank-one term g_k*dL/dzb_i, rows B_i with -(g_k*dL/dz_i)."""
+    ep, em = eom._exp_of(p.lam), eom._exp_of(Negate(p.lam))
+    lam_cols = eom._lam_rate_terms(p.lam, p.chart)
+    wrt = [Var(*slot) for slot in p.chart.slots()]
+    lzb = [differentiate(p.L, zb_var(i)) for i in p.chart.indices()]
+    lz = [differentiate(p.L, z_var(i)) for i in p.chart.indices()]
+    H = tuple(tuple(differentiate(d, v) for v in wrt) for d in lzb + lz)
+    return tuple([
+        tuple(Product((J_EXPR, ep, h if lam_c is ZERO_EXPR else Sum((h, Product((lam_c, d))))))
+              for h, lam_c in zip(row, lam_cols))
+        for row, d in zip(H, lzb)
+    ] + [
+        tuple(Product((J_EXPR, em, h if lam_c is ZERO_EXPR else Sum((h, Negate(Product((lam_c, d)))))))
+              for h, lam_c in zip(row, lam_cols))
+        for row, d in zip(H[len(lzb):], lz)
+    ])
+
+
+def energy_by_hand(p):
+    """energy as it was written beside vertical_differential, with its own
+    exp(+-lam) pair and each xi inside theta's product."""
+    ep, em = eom._exp_of(p.lam), eom._exp_of(Negate(p.lam))
+    terms = []
+    for i in p.chart.indices():
+        terms.append(Negate(Product((J_EXPR, xi_var(i), ep, differentiate(p.L, zb_var(i))))))
+        terms.append(Product((J_EXPR, xib_var(i), em, differentiate(p.L, z_var(i)))))
+    terms.append(Negate(p.L))
+    return simplify(Sum(tuple(terms)))
+
+
+# legs at the edges of the float range and of the sign of zero
+EDGE_LEGS = (0.0, -0.0, 5e-324, -5e-324, 0.7, -1.3)
+
+
+def _leg_points(n, seed):
+    """20 seeded random_state draws, then 20 states of legs drawn from
+    EDGE_LEGS, as flat leg lists."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(20):
+        s = random_state(rng, n)
+        points.append([leg for w in s.z + s.zb for leg in (w.u, w.v)])
+    points += [[rng.choice(EDGE_LEGS) for _ in range(4 * n)] for _ in range(20)]
+    return points
+
+
+def _hex_or_error(fn, y):
+    try:
+        return [x.hex() for x in fn(y)]
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _split_is_solved(ode):
+    """Whether make_el_rhs solves the recorded split instead of M: a
+    Hessian free of the state."""
+    return ode.conformal is not None and not any(vars_of(e) for row in ode.conformal[0] for e in row)
+
+
+def _assert_same_bits(p, seed=0):
+    """The legs of M, lowered with b, are the two-block M's bit for bit, and
+    so is make_el_rhs's step where it lowers M itself."""
+    new = synthesize_el.__wrapped__(p)
+    old = eom.ImplicitODE(p.chart, two_block_M(p), new.b)
+    slots = p.chart.slots()
+    pairs = [[lower(tuple(e for row in ode.M for e in row) + ode.b, slots) for ode in (new, old)]]
+    if not _split_is_solved(new):
+        pairs.append([make_el_rhs.__wrapped__(ode) for ode in (new, old)])
+    for y in _leg_points(p.chart.n, seed):
+        for got, want in pairs:
+            assert _hex_or_error(got, y) == _hex_or_error(want, y), (p, y)
+
+
+def _lagrangian_files():
+    paths = sorted(glob.glob(os.path.join(PROBLEMS, "**", "*.json"), recursive=True))
+    paths += sorted(glob.glob(os.path.join(os.path.dirname(PROBLEMS), "tests", "data", "*.json")))
+    out = []
+    for path in paths:
+        try:
+            p = load_problem(path).problem
+        except ProblemFileError:  # an input error: no problem to synthesize
+            continue
+        if isinstance(p, LagrangianProblem):
+            out.append(pytest.param(p, id=os.path.relpath(path, os.path.dirname(PROBLEMS))))
+    return out
+
+
+LAGRANGIAN_FILES = _lagrangian_files()
+
+
+@pytest.mark.parametrize("p", [f for f in LAGRANGIAN_FILES if vars_of(f.values[0].lam)])
+def test_m_is_the_two_block_m_bit_for_bit_on_conformal_files(p):
+    _assert_same_bits(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_m_is_the_two_block_m_bit_for_bit_on_the_family(n):
+    function, lam = family_lagrangian(n)
+    chart = CoordinateChart(n)
+    _assert_same_bits(LagrangianProblem(chart, parse(function, chart), parse(lam, chart)), seed=n)
+
+
+def test_m_is_the_two_block_m_bit_for_bit_where_m_itself_is_lowered():
+    # the first 40 seeds whose Hessian has the state in it: make_el_rhs
+    # turns the split away and eliminates M at every call
+    chart = CoordinateChart(2)
+    done = 0
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        extra = to_text(random_expression(rng, depth=2))
+        L = parse(f"z1*zb1 + z2*zb2 + 0.2*zb1^2 + 0.1*({extra})", chart)
+        lam = random_expression(rng, depth=2)
+        p = LagrangianProblem(chart, L, lam if vars_of(lam) else parse("0.2*z1*zb1 + 0.1*z2", chart))
+        if _split_is_solved(synthesize_el.__wrapped__(p)):
+            continue
+        _assert_same_bits(p, seed)
+        done += 1
+        if done == 40:
+            break
+
+
+def _energy_outcome(f, p):
+    try:
+        return repr(f(p))
+    except RecursionError:  # its message names where the recursion stopped
+        return "RecursionError"
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("p", LAGRANGIAN_FILES)
+def test_energy_is_theta_of_xi_minus_l_on_every_file(p):
+    assert _energy_outcome(eom.energy, p) == _energy_outcome(energy_by_hand, p)
+
+
+def test_energy_is_theta_of_xi_minus_l_on_random_lagrangians():
+    chart = CoordinateChart(2)
+    for seed in range(300):
+        rng = random.Random(seed)
+        L = random_expression(rng)
+        lam = (ZERO_EXPR, Constant(ParaComplex(round(rng.uniform(-1, 1), 3), 0.0)),
+               random_expression(rng, depth=2))[seed % 3]
+        p = LagrangianProblem(chart, L, lam)
+        assert _energy_outcome(eom.energy, p) == _energy_outcome(energy_by_hand, p), seed
